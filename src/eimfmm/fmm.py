@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    CacheKey,
     CacheMismatchError,
     build_operator_cache,
     load_cache,
+    make_cache_key,
     save_cache,
 )
-from .tree import build_tree, parity_rank, transfer_offsets
+from .tree import build_tree, parity_rank, require_finite, transfer_offsets
 
 _COINCIDENT_DISTANCE = 1e-300
 _POINT_CHUNK = 4096
@@ -45,6 +45,9 @@ class ParticleSystem:
         self.potentials = np.asarray(self.potentials, dtype=float)
         if self.potentials.shape != (self.sources.shape[0],):
             raise ValueError("need exactly one potential per source point")
+        require_finite("target", self.targets)
+        require_finite("source", self.sources)
+        require_finite("potential", self.potentials)
 
 
 @dataclass
@@ -217,7 +220,9 @@ class SummationPlan:
         timings = dict.fromkeys(FAR_PHASES, 0.0)
         fields = FieldData()
 
-        sigma = np.asarray(potentials, dtype=float)[src.order]
+        sigma = np.asarray(potentials, dtype=float)
+        require_finite("potential", sigma)
+        sigma = sigma[src.order]
 
         # Leaf moments: kernel between the leaf model's far nodes and each
         # source, recentered to its leaf, segment-summed per leaf.
@@ -316,51 +321,59 @@ class SummationPlan:
 
     # -- near field --------------------------------------------------------
 
-    def _near_pairs(self):
-        """Point-index pairs within the leaf neighborhoods, plus the
-        potential-independent kernel values."""
-        if self._near is not None:
-            return self._near
-        tgt = self.tgt_tree
-        src = self.src_tree
-        depth = self.config.depth
-        dim = self.config.dimension
-        tis, sjs = [], []
-        tgt_multi = tgt.level_multi[depth]
-        src_flat = src.level_flat[depth]
-        for off in np.ndindex(*(3,) * dim):
-            delta = np.asarray(off) - 1
-            rows, pos = _match_boxes(tgt_multi, src_flat, delta, depth, dim)
-            if rows.size == 0:
-                continue
-            ti, sj = _expand_pairs(
-                tgt.leaf_starts[rows],
-                tgt.leaf_counts[rows],
-                src.leaf_starts[pos],
-                src.leaf_counts[pos],
-            )
-            tis.append(ti)
-            sjs.append(sj)
-        if tis:
-            ti = np.concatenate(tis)
-            sj = np.concatenate(sjs)
-        else:
-            ti = np.empty(0, dtype=np.int64)
-            sj = np.empty(0, dtype=np.int64)
-        disp = tgt.sorted_points[ti] - src.sorted_points[sj]
-        values = _masked_kernel_values(self.kernel, disp)
-        self._near = (ti, sj, values)
-        return self._near
-
     def apply_near(self, potentials):
-        ti, sj, values = self._near_pairs()
-        sigma = np.asarray(potentials, dtype=float)[self.src_tree.order]
-        sorted_out = np.bincount(
-            ti, weights=values * sigma[sj], minlength=self.tgt_tree.n_points
+        """Exact near-field values at the targets; the pair table is built
+        on the first call and kept."""
+        require_finite("potential", potentials)
+        if self._near is None:
+            self._near = _near_pairs(self.kernel, self.tgt_tree, self.src_tree)
+        return _near_sum(self._near, self.tgt_tree, self.src_tree, potentials)
+
+
+def _near_pairs(kernel, target_tree, source_tree):
+    """Point-index pairs within the leaf neighborhoods, plus the
+    potential-independent kernel values."""
+    tgt = target_tree
+    src = source_tree
+    depth = tgt.config.depth
+    dim = tgt.config.dimension
+    tis, sjs = [], []
+    tgt_multi = tgt.level_multi[depth]
+    src_flat = src.level_flat[depth]
+    for off in np.ndindex(*(3,) * dim):
+        delta = np.asarray(off) - 1
+        rows, pos = _match_boxes(tgt_multi, src_flat, delta, depth, dim)
+        if rows.size == 0:
+            continue
+        ti, sj = _expand_pairs(
+            tgt.leaf_starts[rows],
+            tgt.leaf_counts[rows],
+            src.leaf_starts[pos],
+            src.leaf_counts[pos],
         )
-        out = np.empty(self.tgt_tree.n_points)
-        out[self.tgt_tree.order] = sorted_out
-        return out
+        tis.append(ti)
+        sjs.append(sj)
+    if tis:
+        ti = np.concatenate(tis)
+        sj = np.concatenate(sjs)
+    else:
+        ti = np.empty(0, dtype=np.int64)
+        sj = np.empty(0, dtype=np.int64)
+    disp = tgt.sorted_points[ti] - src.sorted_points[sj]
+    values = _masked_kernel_values(kernel, disp)
+    return ti, sj, values
+
+
+def _near_sum(pairs, target_tree, source_tree, potentials):
+    """Apply a pair table from _near_pairs to one set of potentials."""
+    ti, sj, values = pairs
+    sigma = np.asarray(potentials, dtype=float)[source_tree.order]
+    sorted_out = np.bincount(
+        ti, weights=values * sigma[sj], minlength=target_tree.n_points
+    )
+    out = np.empty(target_tree.n_points)
+    out[target_tree.order] = sorted_out
+    return out
 
 
 def near_field(kernel, tree, system, source_tree=None):
@@ -369,18 +382,8 @@ def near_field(kernel, tree, system, source_tree=None):
         source_tree = tree if system.sources is system.targets else build_tree(
             system.sources, tree.config
         )
-    plan = _NearOnlyPlan(kernel, tree, source_tree)
-    return plan.apply_near(system.potentials)
-
-
-class _NearOnlyPlan(SummationPlan):
-    # Near field needs none of the operator plumbing; bypass __init__.
-    def __init__(self, kernel, target_tree, source_tree):
-        self.kernel = kernel
-        self.config = target_tree.config
-        self.tgt_tree = target_tree
-        self.src_tree = source_tree
-        self._near = None
+    pairs = _near_pairs(kernel, tree, source_tree)
+    return _near_sum(pairs, tree, source_tree, system.potentials)
 
 
 def monolevel_far_field(kernel, tree, system, eims, source_tree=None):
@@ -452,8 +455,6 @@ def multilevel_far_field(kernel, tree, system, cache, source_tree=None):
 def evaluate(kernel, system, config, tolerance, compress_tol=None,
              max_terms=300, resolution=7, x_budget=8192, cache_path=None):
     """One-call orchestration: cache load-or-build, far and near passes."""
-    if compress_tol is None:
-        compress_tol = tolerance
     t0 = time.perf_counter()
     cache, hit = load_or_build_cache(
         kernel, config, tolerance, compress_tol, max_terms, resolution,
@@ -485,19 +486,8 @@ def load_or_build_cache(kernel, config, tolerance, compress_tol=None,
 
     A present-but-mismatched file is refused, not overwritten.
     """
-    if compress_tol is None:
-        compress_tol = tolerance
-    key = CacheKey(
-        kernel_id=kernel.name,
-        dimension=config.dimension,
-        side=float(config.side),
-        depth=config.depth,
-        tolerance=float(tolerance),
-        compress_tol=float(compress_tol),
-        resolution=int(resolution),
-        x_budget=int(x_budget),
-        max_terms=int(max_terms),
-    )
+    key = make_cache_key(kernel, config, tolerance, compress_tol, max_terms,
+                         resolution, x_budget)
     if cache_path is not None and os.path.exists(cache_path):
         return load_cache(cache_path, expected_key=key), True
     cache = build_operator_cache(

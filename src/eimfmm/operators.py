@@ -3,15 +3,17 @@
 For each level this builds the two directional interpolation models, the
 2^D parent/child translation matrices (coefficient maps folded in through
 triangular solves), and the compressed transfer operators: one shared
-column basis from a cross approximation of the concatenated transfer
-blocks, then a per-offset recompression.  Everything serializes to a
+column basis from a truncated SVD of the concatenated transfer blocks,
+then a per-offset truncated SVD.  Everything serializes to a
 versioned little-endian binary cache.
 """
 
 import hashlib
 import io
+import os
 import struct
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .eim import EimModel, TrainingSet, eim_build
 from .tree import child_offsets, level_geometry, training_grids, transfer_offsets
 
 CACHE_MAGIC = b"EIMFMM01"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 class CacheError(Exception):
@@ -94,7 +96,6 @@ class M2lOperators:
     level: int
     projector: np.ndarray
     blocks: list
-    svd_fallback: bool = False
 
     @property
     def rank(self):
@@ -175,74 +176,23 @@ def assemble_l2l(kernel, config, level, eims, child_eims):
     return L2lOperators(level=level, matrices=mats)
 
 
-def _aca(matrix, rel_tol, max_rank):
-    """Partially pivoted cross approximation with an explicit residual.
-
-    Returns (U, V, converged); when converged, the bound
-    ||matrix - U V||_F <= rel_tol * ||matrix||_F holds on the maintained
-    residual, so the stop is certified rather than estimated.
-    """
-    resid = np.array(matrix, dtype=float)
-    norm = float(np.linalg.norm(matrix))
-    target = rel_tol * norm
-    nrows = resid.shape[0]
-    us, vs = [], []
-    if norm == 0.0:
-        return (
-            np.empty((nrows, 0)),
-            np.empty((0, resid.shape[1])),
-            True,
-        )
-    row = int(np.argmax(np.max(np.abs(resid), axis=1)))
-    used = np.zeros(nrows, dtype=bool)
-    for _ in range(max_rank):
-        j = int(np.argmax(np.abs(resid[row])))
-        pivot = resid[row, j]
-        if abs(pivot) <= 1e-15 * norm:
-            # Row went flat; rescue with the globally worst entry.
-            row = int(np.argmax(np.max(np.abs(resid), axis=1)))
-            j = int(np.argmax(np.abs(resid[row])))
-            pivot = resid[row, j]
-            if abs(pivot) <= 1e-15 * norm:
-                break
-        u = resid[:, j].copy()
-        v = resid[row] / pivot
-        us.append(u)
-        vs.append(v)
-        resid -= np.outer(u, v)
-        used[row] = True
-        if float(np.linalg.norm(resid)) <= target:
-            return np.column_stack(us), np.asarray(vs), True
-        remaining = np.abs(u)
-        remaining[used] = -1.0
-        row = int(np.argmax(remaining))
-    if us:
-        return np.column_stack(us), np.asarray(vs), False
-    return np.empty((nrows, 0)), np.empty((0, resid.shape[1])), False
+def _tail_rank(svals, rel_tol):
+    """Smallest rank r whose Frobenius tail sqrt(sum_{i>=r} s_i^2) is at
+    most rel_tol times the whole norm, for descending singular values."""
+    tails = np.sqrt(np.cumsum(svals[::-1] ** 2)[::-1])
+    norm = tails[0] if tails.size else 0.0
+    return int(np.count_nonzero(tails > rel_tol * norm))
 
 
-def _cut_rank(svals, eps):
-    """Combine the two truncation filters: drop-off and cumulative energy."""
-    if svals.size == 0:
-        return 0
-    ratio = svals / svals[0]
-    below = np.nonzero(ratio <= eps)[0]
-    by_dropoff = int(below[0]) + 1 if below.size else int(svals.size)
-    cum = np.cumsum(svals)
-    reached = np.nonzero(cum / cum[-1] >= 1.0 - eps)[0]
-    by_energy = int(reached[0]) + 1 if reached.size else int(svals.size)
-    return min(max(by_dropoff, by_energy), int(svals.size))
-
-
-def assemble_m2l(kernel, config, level, eims, compression_tolerance,
-                 aca_max_rank=None):
+def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     """Compressed transfer operators for every offset of one level.
 
-    Builds the concatenation of all transfer blocks, cross-approximates it
-    to the requested Frobenius accuracy, extracts a shared orthonormal
-    column basis through QR plus SVD with the two truncation filters, then
-    recompresses each projected block on its own (keeping it dense when the
-    block rank does not drop enough to pay for two products).
+    Takes a truncated SVD of the concatenation of all transfer blocks
+    (d_k rows) for a shared orthonormal column basis, then recompresses each
+    projected block with its own truncated SVD (keeping it dense when the
+    block rank does not drop enough to pay for two products).  Both stages
+    keep the smallest rank whose Frobenius tail stays within the tolerance:
+    eps at the first stage, eps/2 per block.
     """
     if level < 2:
         raise ValueError("transfer operators exist at levels >= 2 only")
@@ -265,55 +215,27 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance,
         # The shared basis must span row spaces too; symmetric kernels get
         # that for free because the offset set is closed under negation.
         fat = np.hstack(blocks + [b.T for b in blocks])
-
-    d = px.shape[0]
-    max_rank = d if aca_max_rank is None else min(int(aca_max_rank), d)
-    left, right, converged = _aca(fat, eps, max_rank)
-    svd_fallback = not converged
-    if converged:
-        q_left, r_left = np.linalg.qr(left)
-        q_right, r_right = np.linalg.qr(right.T)
-        u_small, svals, _ = np.linalg.svd(r_left @ r_right.T)
-        column_basis = q_left @ u_small
-    else:
-        column_basis, svals, _ = np.linalg.svd(fat, full_matrices=False)
-    rank = _cut_rank(svals, eps)
+    column_basis, svals, _ = np.linalg.svd(fat, full_matrices=False)
+    rank = _tail_rank(svals, eps)
     projector = np.ascontiguousarray(column_basis[:, :rank])
 
     out_blocks = []
     for block in blocks:
         projected = projector.T @ block @ projector
         out_blocks.append(_recompress_block(projected, eps, rank))
-    return M2lOperators(
-        level=level,
-        projector=projector,
-        blocks=out_blocks,
-        svd_fallback=svd_fallback,
-    )
+    return M2lOperators(level=level, projector=projector, blocks=out_blocks)
 
 
 def _recompress_block(projected, eps, rank):
-    """Per-offset second stage: cross approximation, QR, SVD, square-root
+    """Per-offset second stage: truncated SVD within eps/2, square-root
     split.  Falls back to the dense block when the rank does not drop."""
-    norm = float(np.linalg.norm(projected))
-    if norm == 0.0:
-        r = projected.shape[0]
-        return ("lowrank", np.zeros((r, 0)), np.zeros((0, projected.shape[1])))
-    left, right, converged = _aca(projected, 0.5 * eps, projected.shape[0])
-    if not converged:
-        return ("dense", projected)
-    q_left, r_left = np.linalg.qr(left)
-    q_right, r_right = np.linalg.qr(right.T)
-    u_small, svals, vt_small = np.linalg.svd(r_left @ r_right.T)
-    # Keep the smallest rank whose Frobenius tail stays within eps/2.
-    tails = np.sqrt(np.cumsum((svals**2)[::-1])[::-1])
-    keep = int(np.searchsorted(-tails, -(0.5 * eps * norm)))
-    keep = min(max(keep, 0), svals.size)
+    u_small, svals, vt_small = np.linalg.svd(projected)
+    keep = _tail_rank(svals, 0.5 * eps)
     if keep > 0.8 * rank:
         return ("dense", projected)
     roots = np.sqrt(svals[:keep])
-    u = (q_left @ u_small[:, :keep]) * roots[np.newaxis, :]
-    v = (roots[:, np.newaxis] * vt_small[:keep]) @ q_right.T
+    u = u_small[:, :keep] * roots[np.newaxis, :]
+    v = roots[:, np.newaxis] * vt_small[:keep]
     return ("lowrank", u, v)
 
 
@@ -335,20 +257,27 @@ class CacheKey:
     x_budget: int
     max_terms: int
 
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, f.type(getattr(self, f.name)))
+
     def digest(self):
-        parts = [
-            f"version={CACHE_VERSION}",
-            f"kernel={self.kernel_id}",
-            f"dimension={self.dimension}",
-            f"side={float(self.side).hex()}",
-            f"depth={self.depth}",
-            f"tolerance={float(self.tolerance).hex()}",
-            f"compress_tol={float(self.compress_tol).hex()}",
-            f"resolution={self.resolution}",
-            f"x_budget={self.x_budget}",
-            f"max_terms={self.max_terms}",
-        ]
-        return hashlib.sha256("|".join(parts).encode()).digest()
+        """Hash of the cache version and every field, as the header stores
+        them."""
+        buf = io.BytesIO()
+        _w_u64(buf, CACHE_VERSION)
+        _w_key(buf, self)
+        return hashlib.sha256(buf.getvalue()).digest()
+
+
+def make_cache_key(kernel, config, tolerance, compress_tol=None,
+                   max_terms=300, resolution=7, x_budget=8192):
+    """Key of the operators these build arguments produce; the compression
+    tolerance defaults to the interpolation tolerance."""
+    if compress_tol is None:
+        compress_tol = tolerance
+    return CacheKey(kernel.name, config.dimension, config.side, config.depth,
+                    tolerance, compress_tol, resolution, x_budget, max_terms)
 
 
 @dataclass
@@ -375,19 +304,8 @@ class OperatorCache:
 def build_operator_cache(kernel, config, tolerance, compress_tol=None,
                          max_terms=300, resolution=7, x_budget=8192):
     """Precompute every level's operators for a tree configuration."""
-    if compress_tol is None:
-        compress_tol = tolerance
-    key = CacheKey(
-        kernel_id=kernel.name,
-        dimension=config.dimension,
-        side=float(config.side),
-        depth=config.depth,
-        tolerance=float(tolerance),
-        compress_tol=float(compress_tol),
-        resolution=int(resolution),
-        x_budget=int(x_budget),
-        max_terms=int(max_terms),
-    )
+    key = make_cache_key(kernel, config, tolerance, compress_tol, max_terms,
+                         resolution, x_budget)
     cache = OperatorCache(key=key)
     for level in range(2, config.depth + 1):
         cache.eims[level] = build_level_eims(
@@ -402,7 +320,7 @@ def build_operator_cache(kernel, config, tolerance, compress_tol=None,
         )
     for level in range(2, config.depth + 1):
         cache.m2l[level] = assemble_m2l(
-            kernel, config, level, cache.eims[level], compress_tol
+            kernel, config, level, cache.eims[level], key.compress_tol
         )
     return cache
 
@@ -422,6 +340,10 @@ def _w_f64(fh, value):
 def _w_bytes(fh, data):
     _w_u64(fh, len(data))
     fh.write(data)
+
+
+def _w_str(fh, text):
+    _w_bytes(fh, text.encode())
 
 
 def _w_array(fh, arr):
@@ -472,8 +394,22 @@ def _r_array(fh):
     return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
 
+# One header encoding per CacheKey field type.
+_KEY_CODECS = {str: (_w_str, _r_str), int: (_w_u64, _r_u64),
+               float: (_w_f64, _r_f64)}
+
+
+def _w_key(fh, key):
+    for f in fields(key):
+        _KEY_CODECS[f.type][0](fh, getattr(key, f.name))
+
+
+def _r_key(fh):
+    return CacheKey(*(_KEY_CODECS[f.type][1](fh) for f in fields(CacheKey)))
+
+
 def _w_eim(fh, model):
-    _w_bytes(fh, model.kernel_id.encode())
+    _w_str(fh, model.kernel_id)
     _w_u64(fh, model.d)
     _w_u64(fh, 1 if model.degenerate else 0)
     _w_array(fh, model.x_points)
@@ -517,7 +453,6 @@ def save_cache(cache, path):
             for mat in cache.l2l[level].matrices:
                 _w_array(body, mat)
         trans = cache.m2l[level]
-        _w_u64(body, 1 if trans.svd_fallback else 0)
         _w_array(body, trans.projector)
         _w_u64(body, len(trans.blocks))
         for tag, *factors in trans.blocks:
@@ -525,22 +460,26 @@ def save_cache(cache, path):
             for f in factors:
                 _w_array(body, f)
     payload = body.getvalue()
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        _w_u64(fh, CACHE_VERSION)
-        _w_bytes(fh, key.kernel_id.encode())
-        _w_u64(fh, key.dimension)
-        _w_f64(fh, key.side)
-        _w_u64(fh, key.depth)
-        _w_f64(fh, key.tolerance)
-        _w_f64(fh, key.compress_tol)
-        _w_u64(fh, key.resolution)
-        _w_u64(fh, key.x_budget)
-        _w_u64(fh, key.max_terms)
-        fh.write(key.digest())
-        fh.write(hashlib.sha256(payload).digest())
-        _w_u64(fh, len(payload))
-        fh.write(payload)
+    # Written beside the target and moved into place, so an interrupted
+    # save leaves any earlier file at path intact.
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp"
+    )
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(CACHE_MAGIC)
+            _w_u64(fh, CACHE_VERSION)
+            _w_key(fh, key)
+            fh.write(key.digest())
+            fh.write(hashlib.sha256(payload).digest())
+            _w_u64(fh, len(payload))
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_cache(path, expected_key=None):
@@ -555,17 +494,7 @@ def load_cache(path, expected_key=None):
             raise CacheVersionError(
                 f"cache version {version} unsupported (want {CACHE_VERSION})"
             )
-        key = CacheKey(
-            kernel_id=_r_str(fh),
-            dimension=_r_u64(fh),
-            side=_r_f64(fh),
-            depth=_r_u64(fh),
-            tolerance=_r_f64(fh),
-            compress_tol=_r_f64(fh),
-            resolution=_r_u64(fh),
-            x_budget=_r_u64(fh),
-            max_terms=_r_u64(fh),
-        )
+        key = _r_key(fh)
         stored_digest = _read(fh, 32)
         if stored_digest != key.digest():
             raise CacheCorruptError("config hash does not match header fields")
@@ -598,7 +527,6 @@ def load_cache(path, expected_key=None):
             l2l = [_r_array(body) for _ in range(2**dim)]
             cache.m2m[level] = M2mOperators(level, m2m)
             cache.l2l[level] = L2lOperators(level, l2l)
-        fallback = bool(_r_u64(body))
         projector = _r_array(body)
         nblocks = _r_u64(body)
         if nblocks != len(transfer_offsets(dim)):
@@ -609,8 +537,7 @@ def load_cache(path, expected_key=None):
                 blocks.append(("lowrank", _r_array(body), _r_array(body)))
             else:
                 blocks.append(("dense", _r_array(body)))
-        cache.m2l[level] = M2lOperators(level, projector, blocks,
-                                        svd_fallback=fallback)
+        cache.m2l[level] = M2lOperators(level, projector, blocks)
     if body.read(1):
         raise CacheCorruptError("trailing bytes inside cache payload")
     return cache

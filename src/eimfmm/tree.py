@@ -232,6 +232,15 @@ def box_center(config, box):
     return config.center_array() + ((2 * multi + 1) * half - 0.5 * config.side)
 
 
+def require_finite(name, values):
+    """Refuse NaN or infinite entries, naming the first offending row."""
+    values = np.asarray(values)
+    bad = ~np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{name} {i} is not finite: {values[i].tolist()}")
+
+
 class Tree:
     """Immutable spatial index of one point set under a TreeConfig.
 
@@ -248,6 +257,7 @@ class Tree:
             raise ValueError(
                 f"points must have shape (n, {config.dimension}), got {points.shape}"
             )
+        require_finite("point", points)
         shifted = points - config.center_array()
         half_side = 0.5 * config.side
         # The closed cube is accepted; exact upper-boundary points clamp into

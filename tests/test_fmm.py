@@ -42,6 +42,12 @@ def test_particle_system_validation():
     pts = np.zeros((4, 2))
     with pytest.raises(ValueError):
         ef.ParticleSystem(targets=pts, sources=pts, potentials=np.ones(3))
+    with pytest.raises(ValueError, match="potential 2 is not finite"):
+        ef.ParticleSystem(targets=pts, sources=pts,
+                          potentials=[1.0, 0.0, np.inf, 1.0])
+    with pytest.raises(ValueError, match="source 0 is not finite"):
+        ef.ParticleSystem(targets=pts[:1], sources=[[np.nan, 0.0]],
+                          potentials=[1.0])
     system = ef.ParticleSystem(
         targets=[[0.0, 0.0]], sources=[[0.1, 0.2]], potentials=[2.0]
     )
@@ -203,6 +209,16 @@ def test_plan_rejects_foreign_cache(cloud, cache):
     laplace = ef.make_builtin_kernel("laplace")
     with pytest.raises(ef.CacheMismatchError):
         ef.SummationPlan(laplace, points, points, CONFIG, cache)
+
+
+def test_plan_rejects_non_finite_weights(cloud, cache):
+    points, weights = cloud
+    plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache)
+    bad = weights.copy()
+    bad[7] = np.inf
+    for apply in (plan.apply_far, plan.apply_near):
+        with pytest.raises(ValueError, match="potential 7 is not finite"):
+            apply(bad)
 
 
 def test_evaluate_cache_path_round_trip(cloud, tmp_path):

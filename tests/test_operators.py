@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import eimfmm as ef
-from eimfmm.operators import _aca, _cut_rank
+from eimfmm import operators
+from eimfmm.operators import _tail_rank
 from eimfmm.tree import child_offsets
 
 EPS = np.finfo(float).eps
@@ -211,39 +212,13 @@ def test_m2l_block_rank_accounting(small_cache):
                 assert ops.block_rank(t) == ops.rank
 
 
-def test_aca_recovers_exact_low_rank():
+def test_tail_rank_rule():
     rng = np.random.default_rng(11)
     matrix = rng.standard_normal((50, 3)) @ rng.standard_normal((3, 40))
-    left, right, converged = _aca(matrix, 1e-10, 10)
-    assert converged
-    assert left.shape[1] <= 4
-    err = np.linalg.norm(matrix - left @ right)
-    assert err <= 1e-10 * np.linalg.norm(matrix)
-
-
-def test_aca_zero_matrix():
-    left, right, converged = _aca(np.zeros((6, 9)), 1e-8, 5)
-    assert converged
-    assert left.shape == (6, 0)
-    assert right.shape == (0, 9)
-
-
-def test_aca_reports_nonconvergence():
-    rng = np.random.default_rng(12)
-    matrix = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 30))
-    left, right, converged = _aca(matrix, 1e-12, 1)
-    assert not converged
-    assert left.shape == (30, 1)
-    assert right.shape == (1, 30)
-
-
-def test_cut_rank_filters():
-    assert _cut_rank(np.array([]), 1e-6) == 0
-    # drop-off keeps the first value at or below the threshold
-    assert _cut_rank(np.array([1.0, 1e-3, 1e-9, 1e-12]), 1e-6) == 3
-    assert _cut_rank(np.array([1.0, 1e-8]), 1e-6) == 2
-    # flat spectra keep everything
-    assert _cut_rank(np.ones(4), 1e-6) == 4
+    assert _tail_rank(np.linalg.svd(matrix, compute_uv=False), 1e-10) == 3
+    assert _tail_rank(np.linalg.svd(np.zeros((6, 9)), compute_uv=False), 1e-8) == 0
+    # a flat spectrum has no tail small enough to drop
+    assert _tail_rank(np.ones(4), 1e-6) == 4
 
 
 # -- cache summaries ---------------------------------------------------------
@@ -333,7 +308,6 @@ def test_cache_round_trip_bitwise(small_cache, tmp_path):
     for level in small_cache.m2l:
         got_ops = loaded.m2l[level]
         expect_ops = small_cache.m2l[level]
-        assert got_ops.svd_fallback == expect_ops.svd_fallback
         assert np.array_equal(got_ops.projector, expect_ops.projector)
         assert len(got_ops.blocks) == len(expect_ops.blocks)
         for got, expect in zip(got_ops.blocks, expect_ops.blocks):
@@ -357,14 +331,63 @@ def test_cache_build_deterministic(tmp_path):
     assert paths[0] == paths[1]
 
 
+def _changed(value):
+    return value + "-other" if isinstance(value, str) else 2 * value
+
+
 def test_cache_mismatch_refused(small_cache, tmp_path):
     path = tmp_path / "ops.bin"
     ef.save_cache(small_cache, path)
-    other = dataclasses.replace(small_cache.key, tolerance=2.0 * TOL)
-    with pytest.raises(ef.CacheMismatchError):
-        ef.load_cache(path, expected_key=other)
+    key = small_cache.key
+    # every field must reach both the digest and the stored header
+    for f in dataclasses.fields(ef.CacheKey):
+        other = dataclasses.replace(key, **{f.name: _changed(getattr(key, f.name))})
+        assert other.digest() != key.digest(), f.name
+        with pytest.raises(ef.CacheMismatchError):
+            ef.load_cache(path, expected_key=other)
     # no expected key means any self-consistent file loads
     assert ef.load_cache(path).key == small_cache.key
+
+
+class _FailingWriter:
+    """File stand-in that raises once more than `budget` bytes are written."""
+
+    def __init__(self, fh, budget):
+        self.fh = fh
+        self.budget = budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if len(data) > self.budget:
+            self.fh.write(data[: self.budget])
+            raise OSError("no space left on device")
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def test_cache_save_interrupted_keeps_old_file(small_cache, tmp_path, monkeypatch):
+    path = tmp_path / "ops.bin"
+    ef.save_cache(small_cache, path)
+    before = path.read_bytes()
+    monkeypatch.setattr(
+        operators, "open",
+        lambda *args, **kw: _FailingWriter(open(*args, **kw), 100),
+        raising=False,
+    )
+    with pytest.raises(OSError):
+        ef.save_cache(small_cache, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert ef.load_cache(path, expected_key=small_cache.key).key == small_cache.key
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # byte offsets into the fixed-layout header; see save_cache for the layout

@@ -186,6 +186,10 @@ def test_points_outside_domain_rejected():
     config = ef.TreeConfig(dimension=2, side=1.0, depth=2)
     with pytest.raises(ValueError):
         ef.build_tree(np.array([[0.51, 0.0]]), config)
+    # NaN fails every comparison, so the domain check alone lets it pass
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="point 1 is not finite"):
+            ef.build_tree(np.array([[0.1, 0.1], [bad, 0.0]]), config)
 
 
 def test_neighbor_list_brute_force(small_tree):
