@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix, get_index_dtype
 
 from .operators import (
     CacheMismatchError,
@@ -24,7 +25,8 @@ from .tree import build_tree, parity_rank, require_finite, transfer_offsets
 
 _COINCIDENT_DISTANCE = 1e-300
 _POINT_CHUNK = 4096
-_DIRECT_CHUNK = 256
+# Kernel evaluations per chunk of the near-field build and of direct_sum.
+_PAIR_CHUNK = 2**18
 
 FAR_PHASES = ("P2M", "M2M", "M2L", "L2L", "L2P")
 ALL_PHASES = FAR_PHASES + ("near",)
@@ -80,7 +82,7 @@ class SummationResult:
 
 def _masked_kernel_values(kernel, displacements):
     """Kernel values with coincident pairs zeroed out."""
-    r2 = np.sum(displacements * displacements, axis=-1)
+    r2 = np.einsum("...k,...k->...", displacements, displacements)
     # threshold on the squared distance: its own square would underflow
     tiny = r2 < _COINCIDENT_DISTANCE
     values = kernel.from_displacements(displacements)
@@ -95,10 +97,11 @@ def direct_sum(kernel, system):
     sources = system.sources
     sigma = system.potentials
     out = np.empty(targets.shape[0])
-    for start in range(0, targets.shape[0], _DIRECT_CHUNK):
-        chunk = targets[start : start + _DIRECT_CHUNK]
+    step = max(1, _PAIR_CHUNK // max(1, sources.shape[0]))
+    for start in range(0, targets.shape[0], step):
+        chunk = targets[start : start + step]
         disp = chunk[:, None, :] - sources[None, :, :]
-        out[start : start + _DIRECT_CHUNK] = _masked_kernel_values(kernel, disp) @ sigma
+        out[start : start + step] = _masked_kernel_values(kernel, disp) @ sigma
     return out
 
 
@@ -111,18 +114,14 @@ def _leaf_centers(tree):
     return (2 * multi + 1) * half - 0.5 * config.side
 
 
-def _expand_pairs(t_start, t_count, s_start, s_count):
-    """Ragged all-pairs expansion: point-index pairs for matched leaves."""
-    counts = t_count * s_count
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    pair_id = np.repeat(np.arange(counts.size), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rank = np.arange(total, dtype=np.int64) - offsets[pair_id]
-    ti = t_start[pair_id] + rank // s_count[pair_id]
-    sj = s_start[pair_id] + rank % s_count[pair_id]
-    return ti, sj
+def _source_tree(sources, targets, target_tree):
+    """The target tree when the sources are the targets, as the same array
+    or as equal values (which bin identically, and a shared tree lets a
+    symmetric kernel's near field store half its pairs); else a tree of
+    the sources."""
+    if sources is targets or np.array_equal(sources, targets):
+        return target_tree
+    return build_tree(sources, target_tree.config)
 
 
 def _match_boxes(tgt_multi, src_flat, offset, level, dimension):
@@ -144,8 +143,9 @@ def _match_boxes(tgt_multi, src_flat, offset, level, dimension):
 class SummationPlan:
     """Geometry, operators, and index plumbing for one particle layout.
 
-    Immutable after construction; apply_far/apply_near may be called any
-    number of times with different potentials.
+    apply_far/apply_near may be called any number of times with different
+    potentials.  Nothing changes after construction except the near-field
+    matrix, which the first apply_near builds and keeps.
     """
 
     def __init__(self, kernel, targets, sources, config, cache,
@@ -160,12 +160,7 @@ class SummationPlan:
         self.config = config
         self.cache = cache
         self.tgt_tree = target_tree or build_tree(targets, config)
-        if source_tree is not None:
-            self.src_tree = source_tree
-        elif sources is targets:
-            self.src_tree = self.tgt_tree
-        else:
-            self.src_tree = build_tree(sources, config)
+        self.src_tree = source_tree or _source_tree(sources, targets, self.tgt_tree)
 
         depth = config.depth
         dim = config.dimension
@@ -322,55 +317,100 @@ class SummationPlan:
     # -- near field --------------------------------------------------------
 
     def apply_near(self, potentials):
-        """Exact near-field values at the targets; the pair table is built
-        on the first call and kept."""
+        """Exact near-field values at the targets; the near-field matrix is
+        built on the first call and kept."""
         require_finite("potential", potentials)
         if self._near is None:
-            self._near = _near_pairs(self.kernel, self.tgt_tree, self.src_tree)
-        return _near_sum(self._near, self.tgt_tree, self.src_tree, potentials)
+            self._near = _near_matrix(self.kernel, self.tgt_tree, self.src_tree)
+        return _near_product(self._near, self.kernel, self.tgt_tree,
+                             self.src_tree, potentials)
 
 
-def _near_pairs(kernel, target_tree, source_tree):
-    """Point-index pairs within the leaf neighborhoods, plus the
-    potential-independent kernel values."""
+def _stores_half(kernel, target_tree, source_tree):
+    """Whether the near field may keep one of each mirrored leaf pair:
+    K(x, y) = K(y, x) and the targets are the sources."""
+    return source_tree is target_tree and kernel.is_symmetric
+
+
+def _ragged_arange(starts, counts):
+    """Concatenation of arange(s, s + c) over the pairs (s, c)."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) - np.repeat(
+        ends - counts - starts, counts
+    )
+
+
+def _near_matrix(kernel, target_tree, source_tree):
+    """Kernel values between each target and the sources in its leaf's
+    neighbor boxes (own box included), coincident pairs zeroed, as a CSR
+    matrix with leaf-sorted targets as rows and leaf-sorted sources as
+    columns.
+
+    Each row lists its neighbor boxes in lexicographic offset order, which
+    keeps the columns sorted.  When _stores_half holds, only the self
+    offset and the lexicographically positive offsets are stored, with the
+    self blocks halved: the near field is then H @ sigma + H.T @ sigma.
+    Rows are filled in chunks of at most _PAIR_CHUNK pairs (or one row),
+    straight into arrays sized from the leaf counts.
+    """
     tgt = target_tree
     src = source_tree
     depth = tgt.config.depth
     dim = tgt.config.dimension
-    tis, sjs = [], []
-    tgt_multi = tgt.level_multi[depth]
-    src_flat = src.level_flat[depth]
-    for off in np.ndindex(*(3,) * dim):
-        delta = np.asarray(off) - 1
-        rows, pos = _match_boxes(tgt_multi, src_flat, delta, depth, dim)
-        if rows.size == 0:
-            continue
-        ti, sj = _expand_pairs(
-            tgt.leaf_starts[rows],
-            tgt.leaf_counts[rows],
-            src.leaf_starts[pos],
-            src.leaf_counts[pos],
+    half = _stores_half(kernel, tgt, src)
+    deltas = np.array(list(np.ndindex(*(3,) * dim))) - 1
+    if half:
+        deltas = deltas[deltas.shape[0] // 2 :]  # the self offset is the middle one
+    nbr_start = np.zeros((tgt.leaf_starts.size, deltas.shape[0]), dtype=np.int64)
+    nbr_count = np.zeros_like(nbr_start)
+    for k, delta in enumerate(deltas):
+        rows, pos = _match_boxes(
+            tgt.level_multi[depth], src.level_flat[depth], delta, depth, dim
         )
-        tis.append(ti)
-        sjs.append(sj)
-    if tis:
-        ti = np.concatenate(tis)
-        sj = np.concatenate(sjs)
-    else:
-        ti = np.empty(0, dtype=np.int64)
-        sj = np.empty(0, dtype=np.int64)
-    disp = tgt.sorted_points[ti] - src.sorted_points[sj]
-    values = _masked_kernel_values(kernel, disp)
-    return ti, sj, values
+        nbr_start[rows, k] = src.leaf_starts[pos]
+        nbr_count[rows, k] = src.leaf_counts[pos]
+    leaf_len = nbr_count.sum(axis=1)
+    leaf_of_row = np.repeat(np.arange(tgt.leaf_starts.size), tgt.leaf_counts)
+    row_len = leaf_len[leaf_of_row]
+    nnz = int(row_len.sum())
+    index_dtype = get_index_dtype(maxval=max(nnz, src.n_points))
+    indptr = np.zeros(tgt.n_points + 1, dtype=index_dtype)
+    np.cumsum(row_len, out=indptr[1:])
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=index_dtype)
+
+    r0 = 0
+    while r0 < tgt.n_points:
+        r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + _PAIR_CHUNK,
+                                             side="right")) - 1)
+        p0, p1 = int(indptr[r0]), int(indptr[r1])
+        leaves = leaf_of_row[r0:r1]
+        l0 = leaves[0]
+        l1 = leaves[-1] + 1
+        # Each leaf's source columns, then each row's copy of its leaf's.
+        pattern = _ragged_arange(nbr_start[l0:l1].ravel(), nbr_count[l0:l1].ravel())
+        pattern_start = np.cumsum(leaf_len[l0:l1]) - leaf_len[l0:l1]
+        lens = row_len[r0:r1]
+        cols = pattern[_ragged_arange(pattern_start[leaves - l0], lens)]
+        disp = np.repeat(tgt.sorted_points[r0:r1], lens, axis=0)
+        disp -= src.sorted_points[cols]
+        values = _masked_kernel_values(kernel, disp)
+        if half:
+            # the self block leads every row
+            own = tgt.leaf_counts[leaves]
+            values[_ragged_arange(indptr[r0:r1] - p0, own)] *= 0.5
+        data[p0:p1] = values
+        indices[p0:p1] = cols
+        r0 = r1
+    return csr_matrix((data, indices, indptr), shape=(tgt.n_points, src.n_points))
 
 
-def _near_sum(pairs, target_tree, source_tree, potentials):
-    """Apply a pair table from _near_pairs to one set of potentials."""
-    ti, sj, values = pairs
+def _near_product(matrix, kernel, target_tree, source_tree, potentials):
+    """Apply a matrix from _near_matrix to one set of potentials."""
     sigma = np.asarray(potentials, dtype=float)[source_tree.order]
-    sorted_out = np.bincount(
-        ti, weights=values * sigma[sj], minlength=target_tree.n_points
-    )
+    sorted_out = matrix @ sigma
+    if _stores_half(kernel, target_tree, source_tree):
+        sorted_out += matrix.T @ sigma
     out = np.empty(target_tree.n_points)
     out[target_tree.order] = sorted_out
     return out
@@ -379,11 +419,9 @@ def _near_sum(pairs, target_tree, source_tree, potentials):
 def near_field(kernel, tree, system, source_tree=None):
     """Exact sum over each target leaf's neighbor boxes (own box included)."""
     if source_tree is None:
-        source_tree = tree if system.sources is system.targets else build_tree(
-            system.sources, tree.config
-        )
-    pairs = _near_pairs(kernel, tree, source_tree)
-    return _near_sum(pairs, tree, source_tree, system.potentials)
+        source_tree = _source_tree(system.sources, system.targets, tree)
+    matrix = _near_matrix(kernel, tree, source_tree)
+    return _near_product(matrix, kernel, tree, source_tree, system.potentials)
 
 
 def monolevel_far_field(kernel, tree, system, eims, source_tree=None):
@@ -395,9 +433,7 @@ def monolevel_far_field(kernel, tree, system, eims, source_tree=None):
     if eims.level != depth:
         raise ValueError("monolevel pass needs the leaf-level models")
     if source_tree is None:
-        source_tree = tree if system.sources is system.targets else build_tree(
-            system.sources, config
-        )
+        source_tree = _source_tree(system.sources, system.targets, tree)
     src = source_tree
     tgt = tree
     kernel_vals_needed = src.n_points > 0 and tgt.n_points > 0

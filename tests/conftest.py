@@ -15,6 +15,18 @@ def cube_cloud():
 
 
 @pytest.fixture(scope="session")
+def drift_kernel():
+    """A 2D Gaussian centred off the origin, so K(x, y) != K(y, x)."""
+    bias = np.array([0.35, -0.2])
+
+    def profile(disp):
+        d = np.asarray(disp, dtype=float) + bias
+        return np.exp(-np.sum(d * d, axis=-1))
+
+    return ef.Kernel("drift-gauss", profile, is_symmetric=False)
+
+
+@pytest.fixture(scope="session")
 def cache_store():
     """Operator caches built once per session, keyed by (kernel, depth, tol)."""
     store = {}

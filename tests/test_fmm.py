@@ -78,27 +78,76 @@ def test_direct_sum_masks_coincident_pairs():
     assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
+def _restricted_sum(kernel, targets, sources, weights):
+    """Dense near-field oracle: coincident pairs zeroed, and only sources in
+    a neighbor leaf (own leaf included) of the target's."""
+    tleaf = _leaf_indices(targets, CONFIG)
+    sleaf = _leaf_indices(sources, CONFIG)
+    near_mask = np.abs(tleaf[:, None, :] - sleaf[None, :, :]).max(axis=2) <= 1
+    disp = targets[:, None, :] - sources[None, :, :]
+    values = kernel.from_displacements(disp)
+    dist2 = np.sum(disp * disp, axis=-1)
+    values = np.where(dist2 == 0.0, 0.0, values)
+    return (values * near_mask) @ weights, (values * ~near_mask) @ weights
+
+
 def test_near_field_matches_restricted_direct(cloud):
     points, weights = cloud
     tree = ef.build_tree(points, CONFIG)
     system = ef.ParticleSystem(points, points, weights)
     got = ef.near_field(KERNEL, tree, system)
 
-    leafs = _leaf_indices(points, CONFIG)
-    cheb = np.abs(leafs[:, None, :] - leafs[None, :, :]).max(axis=2)
-    near_mask = cheb <= 1
-    disp = points[:, None, :] - points[None, :, :]
-    values = KERNEL.from_displacements(disp)
-    dist2 = np.sum(disp * disp, axis=-1)
-    values = np.where(dist2 == 0.0, 0.0, values)
-    expect = (values * near_mask) @ weights
+    expect, far_expect = _restricted_sum(KERNEL, points, points, weights)
     scale = np.abs(expect).max()
     assert np.abs(got - expect).max() <= 1e-13 * scale
 
     # the near mask's complement is exactly the far set: partition identity
-    far_expect = (values * ~near_mask) @ weights
     total = _naive_sum(KERNEL, points, points, weights)
     assert np.abs(got + far_expect - total).max() <= 1e-13 * np.abs(total).max()
+
+
+@pytest.mark.parametrize("case", ["drift-shared", "distinct-clouds",
+                                  "laplace-duplicates-shared",
+                                  "laplace-duplicates-two-trees"])
+def test_near_field_cases_match_restricted_direct(cloud, drift_kernel, case):
+    points, weights = cloud
+    kernel = KERNEL
+    targets = sources = points[:400]
+    sigma = weights[:400]
+    source_tree = None
+    if case == "drift-shared":
+        # K(x, y) != K(y, x): keeping half of the mirrored pairs is wrong here
+        kernel = drift_kernel
+    elif case == "distinct-clouds":
+        sources, sigma = points[400:], weights[400:]
+    else:
+        kernel = ef.make_builtin_kernel("laplace")
+        targets = sources = np.concatenate([points[:300], points[:100]])
+        if case == "laplace-duplicates-two-trees":
+            source_tree = ef.build_tree(sources, CONFIG)
+    tree = ef.build_tree(targets, CONFIG)
+    system = ef.ParticleSystem(targets, sources, sigma)
+    got = ef.near_field(kernel, tree, system, source_tree=source_tree)
+    expect, _ = _restricted_sum(kernel, targets, sources, sigma)
+    assert np.isfinite(got).all()
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+def test_shared_tree_stores_half_the_near_pairs(cube_cloud, cache_store):
+    points, weights = cube_cloud
+    points, weights = points[:2000], weights[:2000]
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=3)
+    cache = cache_store("gaussian", 3, 1e-4)
+    kernel = ef.make_builtin_kernel("gaussian")
+    shared = ef.SummationPlan(kernel, points, points.copy(), config, cache)
+    full = ef.SummationPlan(kernel, points, points, config, cache,
+                            source_tree=ef.build_tree(points, config))
+    assert shared.src_tree is shared.tgt_tree
+    assert full.src_tree is not full.tgt_tree
+    near_shared = shared.apply_near(weights)
+    near_full = full.apply_near(weights)
+    assert np.abs(near_shared - near_full).max() <= 1e-13 * np.abs(near_full).max()
+    assert shared._near.nnz <= 0.55 * full._near.nnz
 
 
 def test_multilevel_matches_direct(cloud, cache):

@@ -33,16 +33,6 @@ def loose_cache():
     return ef.build_operator_cache(KERNEL, CONFIG, 1e-2, resolution=8, x_budget=1024)
 
 
-def _drift_kernel():
-    bias = np.array([0.35, -0.2])
-
-    def profile(disp):
-        d = np.asarray(disp, dtype=float) + bias
-        return np.exp(-np.sum(d * d, axis=-1))
-
-    return ef.Kernel("drift-gauss", profile, is_symmetric=False)
-
-
 # -- level model assembly ----------------------------------------------------
 
 
@@ -237,8 +227,8 @@ def test_cache_level_summaries(small_cache):
     assert sorted(small_cache.m2m) == sorted(small_cache.l2l) == [2]
 
 
-def test_nonsymmetric_kernel_builds_both_directions():
-    drift = _drift_kernel()
+def test_nonsymmetric_kernel_builds_both_directions(drift_kernel):
+    drift = drift_kernel
     assert drift.evaluate([0.1, 0.0], [0.0, 0.0]) != drift.evaluate(
         [0.0, 0.0], [0.1, 0.0]
     )
@@ -261,8 +251,8 @@ def test_nonsymmetric_kernel_builds_both_directions():
             assert np.linalg.norm(approx - exact[t]) <= 5.0 * 1e-5 * fat_norm
 
 
-def test_m2l_unequal_term_counts_rejected():
-    drift = _drift_kernel()
+def test_m2l_unequal_term_counts_rejected(drift_kernel):
+    drift = drift_kernel
     geo = ef.level_geometry(CONFIG, 2)
     train = ef.training_grids(geo, 6, 256)
     radiating = ef.eim_build(drift, train, 1e-12, max_terms=6)
