@@ -17,7 +17,7 @@ import numpy as np
 
 from .fmm import ALL_PHASES, ParticleSystem, direct_sum, evaluate
 from .kernels import builtin_kernel_names, make_builtin_kernel
-from .operators import CacheError
+from .operators import CacheError, make_cache_key
 from .tree import TreeConfig
 
 ORACLE_POINT_LIMIT = 100_000
@@ -95,7 +95,10 @@ def run_benchmark(args):
     kernel = make_builtin_kernel(args.kernel)
     depth = args.depth if args.depth is not None else DEFAULT_DEPTHS[args.dist]
     config = TreeConfig(dimension=3, side=1.0, depth=depth)
-    compress_tol = args.compress_tol if args.compress_tol is not None else args.tol
+    compress_tol = make_cache_key(
+        kernel, config, args.tol, args.compress_tol,
+        resolution=args.train_res, x_budget=args.x_budget,
+    ).compress_tol
     report = RunReport(
         config={
             "kernel": args.kernel,

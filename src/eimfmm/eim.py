@@ -2,9 +2,14 @@
 
 The builder walks a residual matrix over the full training product, picking
 at each step the row with the worst max-norm and the worst column within
-that row, then subtracting the resulting rank-1 cross.  A built model keeps
-the selected nodes plus two triangular factors; every linear action goes
-through forward/back substitution, the inverses are never formed.
+that row, then subtracting the resulting rank-1 cross.  The residual is
+held in Fortran order and updated in place one cache-sized block of
+columns at a time, with the same rounding as a plain ``np.outer`` update;
+the row maxima of each block are taken while it is still in cache, and
+they give both the recorded max residual and the next step's row.  A
+built model keeps the selected nodes plus two triangular factors; every
+linear action goes through forward/back substitution, the inverses are
+never formed.
 """
 
 import numpy as np
@@ -13,6 +18,10 @@ from scipy.linalg import solve_triangular
 # A pivot this far below the first residual means the kernel section has
 # numerically exhausted its rank on the training grid.
 _PIVOT_FLOOR = 1e-14
+
+# Bytes of residual columns updated together; the block and its cross stay
+# in cache between the subtraction and the row maxima.
+_BLOCK_BYTES = 1 << 19
 
 
 class TrainingSet:
@@ -116,10 +125,17 @@ def eim_build(kernel, training, tolerance, max_terms=300):
         raise ValueError("max_terms must be at least 1")
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
-    resid = kernel.pairwise(training.points_x, training.points_y)
-    if not np.isfinite(resid).all():
+    resid = np.asfortranarray(kernel.pairwise(training.points_x,
+                                              training.points_y))
+    n_rows, n_cols = resid.shape
+    width = max(1, _BLOCK_BYTES // (resid.itemsize * n_rows))
+    cross = np.empty((n_rows, width), order="F")
+    row_max = np.abs(resid).max(axis=1)
+    block_max = np.empty(n_rows)
+    # finite exactly when every kernel value is: NaN propagates through max
+    scale = float(row_max.max())
+    if not np.isfinite(scale):
         raise ValueError("kernel must be finite on the training product")
-    scale = float(np.abs(resid).max())
     if scale == 0.0:
         raise ValueError("kernel vanishes on the entire training product")
 
@@ -131,7 +147,7 @@ def eim_build(kernel, training, tolerance, max_terms=300):
     while True:
         # Worst row in max-norm, then the worst column inside it; ties break
         # to the lowest index so rebuilt caches are reproducible.
-        i = int(np.argmax(np.max(np.abs(resid), axis=1)))
+        i = int(np.argmax(row_max))
         j = int(np.argmax(np.abs(resid[i])))
         pivot = resid[i, j]
         if abs(pivot) <= _PIVOT_FLOOR * scale:
@@ -143,8 +159,18 @@ def eim_build(kernel, training, tolerance, max_terms=300):
         cols_sel.append(j)
         basis_rows.append(row)
         pivot_cols.append(col)
-        resid -= np.outer(col, row)
-        history.append(float(np.abs(resid).max()))
+        # np.outer rounds each product before the subtraction; a fused
+        # multiply-add (BLAS dger) rounds once and can flip exact ties on
+        # symmetric training grids, and with them the selected nodes.
+        row_max.fill(0.0)
+        for start in range(0, n_cols, width):
+            block = resid[:, start:start + width]
+            part = cross[:, :block.shape[1]]
+            np.outer(col, row[start:start + width], out=part)
+            np.subtract(block, part, out=block)
+            np.abs(block, out=part).max(axis=1, out=block_max)
+            np.maximum(row_max, block_max, out=row_max)
+        history.append(float(row_max.max()))
         if history[-1] <= tolerance * scale or len(rows_sel) == max_terms:
             break
 

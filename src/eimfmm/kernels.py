@@ -47,7 +47,8 @@ def _radial(fn):
     # Divide-by-zero at coincident points is silenced here; callers on the
     # near-field path zero those entries out explicitly.
     def profile(disp):
-        r = np.sqrt(np.sum(disp * disp, axis=-1))
+        # the same r^2 reduction as the near field's coincident mask
+        r = np.sqrt(np.einsum("...k,...k->...", disp, disp))
         with np.errstate(divide="ignore", invalid="ignore"):
             return fn(r)
 

@@ -4,8 +4,9 @@ For each level this builds the two directional interpolation models, the
 2^D parent/child translation matrices (coefficient maps folded in through
 triangular solves), and the compressed transfer operators: one shared
 column basis from a truncated SVD of the concatenated transfer blocks,
-then a per-offset truncated SVD.  Everything serializes to a
-versioned little-endian binary cache.
+taken through the small R factor of a QR of the transposed concatenation,
+then a per-offset truncated SVD.  Everything serializes to a versioned
+little-endian binary cache.
 """
 
 import hashlib
@@ -114,7 +115,7 @@ class M2lOperators:
         return u @ (v @ moments)
 
     def dense_block(self, t):
-        """Projected block as an explicit matrix (tests and fallbacks)."""
+        """Projected block as an explicit matrix, for inspection and tests."""
         tag, *factors = self.blocks[t]
         if tag == "dense":
             return factors[0]
@@ -188,7 +189,10 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     """Compressed transfer operators for every offset of one level.
 
     Takes a truncated SVD of the concatenation of all transfer blocks
-    (d_k rows) for a shared orthonormal column basis, then recompresses each
+    (d_k rows) for a shared orthonormal column basis.  Only its left
+    singular vectors and singular values are needed, so they come from the
+    d_k-by-d_k R factor of a QR of the transposed concatenation, and the
+    wide right factor is never formed.  It then recompresses each
     projected block with its own truncated SVD (keeping it dense when the
     block rank does not drop enough to pay for two products).  Both stages
     keep the smallest rank whose Frobenius tail stays within the tolerance:
@@ -215,7 +219,9 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
         # The shared basis must span row spaces too; symmetric kernels get
         # that for free because the offset set is closed under negation.
         fat = np.hstack(blocks + [b.T for b in blocks])
-    column_basis, svals, _ = np.linalg.svd(fat, full_matrices=False)
+    # fat = R^T Q^T: fat and R^T share left singular vectors and values
+    r_factor = np.linalg.qr(fat.T, mode="r")
+    column_basis, svals, _ = np.linalg.svd(r_factor.T)
     rank = _tail_rank(svals, eps)
     projector = np.ascontiguousarray(column_basis[:, :rank])
 

@@ -178,6 +178,57 @@ def test_rank_one_kernel_stops_immediately():
     assert model.d == 1
 
 
+def _reference_greedy(kernel, training, tolerance, max_terms=300):
+    """The greedy loop written plainly: an ``np.outer`` update and separate
+    |resid| passes for the pivot row and the recorded residual."""
+    resid = kernel.pairwise(training.points_x, training.points_y)
+    scale = float(np.abs(resid).max())
+    history, rows, cols = [scale], [], []
+    degenerate = False
+    while True:
+        i = int(np.argmax(np.max(np.abs(resid), axis=1)))
+        j = int(np.argmax(np.abs(resid[i])))
+        pivot = resid[i, j]
+        if abs(pivot) <= 1e-14 * scale:
+            degenerate = True
+            break
+        col = resid[:, j].copy()
+        row = resid[i] / pivot
+        rows.append(i)
+        cols.append(j)
+        resid -= np.outer(col, row)
+        history.append(float(np.abs(resid).max()))
+        if history[-1] <= tolerance * scale or len(rows) == max_terms:
+            break
+    return rows, cols, np.asarray(history), degenerate
+
+
+@pytest.mark.parametrize(
+    "case", ["laplace-3d-level3", "drift-2d", "gaussian-exhausted"]
+)
+def test_greedy_matches_reference_loop(case, drift_kernel):
+    # the in-place update must select exactly the nodes of the plain loop,
+    # also where symmetric grids make exact ties (laplace at resolution 4)
+    # and in the noise-level tail of an exhausted kernel
+    kernel, training, tol = {
+        "laplace-3d-level3": (ef.make_builtin_kernel("laplace"),
+                              small_training(dim=3, level=3, resolution=4), 1e-6),
+        "drift-2d": (drift_kernel, small_training(), 1e-8),
+        "gaussian-exhausted": (ef.make_builtin_kernel("gaussian"),
+                               small_training(), 1e-300),
+    }[case]
+    model = ef.eim_build(kernel, training, tol)
+    rows, cols, history, degenerate = _reference_greedy(kernel, training, tol)
+    assert np.array_equal(model.x_points, training.points_x[rows])
+    assert np.array_equal(model.y_points, training.points_y[cols])
+    assert model.d == len(rows)
+    assert model.degenerate == degenerate
+    # same arithmetic in the same order, so the history is bitwise equal
+    assert np.array_equal(model.residual_history, history)
+    if case == "gaussian-exhausted":
+        assert degenerate
+
+
 def test_eim_coefficients_wrapper(laplace_model):
     kernel, _, model = laplace_model
     rng = np.random.default_rng(2)

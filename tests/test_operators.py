@@ -202,6 +202,36 @@ def test_m2l_block_rank_accounting(small_cache):
                 assert ops.block_rank(t) == ops.rank
 
 
+def _direct_projector(kernel, level, eims, eps):
+    """Shared projector from a full SVD of the concatenated blocks."""
+    offsets = ef.transfer_offsets(CONFIG.dimension)
+    step = 2.0 * CONFIG.half_width(level)
+    px, py = eims.receiving.x_points, eims.radiating.y_points
+    blocks = [kernel.pairwise(px, py + step * off) for off in offsets]
+    if not kernel.is_symmetric:
+        blocks += [b.T for b in blocks]
+    basis, svals, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
+    return basis[:, : _tail_rank(svals, eps)]
+
+
+def test_m2l_projector_matches_direct_svd(small_cache, drift_kernel):
+    # the basis taken through the QR R factor spans the direct SVD's
+    # truncated left singular subspace, at the same rank
+    cases = [(KERNEL, level, small_cache.eims[level], TOL) for level in (2, 3)]
+    for level in (2, 3):
+        eims = ef.build_level_eims(drift_kernel, CONFIG, level, 1e-5, 300, 8, 1024)
+        assert eims.radiating.d == eims.receiving.d
+        # coarse enough that the projector drops directions
+        cases.append((drift_kernel, level, eims, 1e-3))
+    for kernel, level, eims, eps in cases:
+        direct = _direct_projector(kernel, level, eims, eps)
+        got = ef.assemble_m2l(kernel, CONFIG, level, eims, eps).projector
+        assert got.shape == direct.shape
+        assert got.shape[1] < got.shape[0]
+        gap = np.linalg.norm(got @ got.T - direct @ direct.T, 2)
+        assert gap <= 1e-9
+
+
 def test_tail_rank_rule():
     rng = np.random.default_rng(11)
     matrix = rng.standard_normal((50, 3)) @ rng.standard_normal((3, 40))
