@@ -2,9 +2,12 @@
 
 The multilevel pass follows the usual upward/transfer/downward shape, with
 per-box vectors whose lengths vary by level (each level keeps exactly the
-terms its interpolation models selected).  A SummationPlan precomputes
-everything independent of the source strengths, so repeated sweeps with new
-potentials only pay for the five far passes and the near product.
+terms its interpolation models selected), stored box-major as one (boxes,
+terms) array per level so that every gather and scatter moves whole rows.
+The leaf passes run over chunks of whole leaves, so no (terms, points)
+array is formed.  A SummationPlan precomputes everything independent of the
+source strengths, so repeated sweeps with new potentials only pay for the
+five far passes and the near product.
 """
 
 import os
@@ -21,10 +24,14 @@ from .operators import (
     make_cache_key,
     save_cache,
 )
-from .tree import build_tree, parity_rank, require_finite, transfer_offsets
+from .tree import (build_tree, child_offsets, parity_rank, require_finite,
+                   transfer_offsets)
 
 _COINCIDENT_DISTANCE = 1e-300
+# Points per chunk of the leaf moments and of the leaf evaluations.
 _POINT_CHUNK = 4096
+# Padding of the dense box lookup: the largest transfer offset component.
+_PAD = 3
 # Kernel evaluations per chunk of the near-field build and of direct_sum.
 _PAIR_CHUNK = 2**18
 
@@ -58,7 +65,7 @@ class FieldData:
 
     Every dict maps level -> array of shape (terms at that level, occupied
     boxes at that level), box columns ordered like the tree's occupied
-    flat-index arrays.
+    flat-index arrays: a transposed view of the pass's box-major array.
     """
 
     source_moments: dict = field(default_factory=dict)
@@ -91,6 +98,16 @@ def _masked_kernel_values(kernel, displacements):
     return values
 
 
+def _displacements(x, y):
+    """x - y broadcast to (n, m, D), one coordinate at a time: a broadcast
+    over an innermost axis of length D is several times slower."""
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    out = np.empty(shape)
+    for c in range(shape[-1]):
+        np.subtract(x[..., c], y[..., c], out=out[..., c])
+    return out
+
+
 def direct_sum(kernel, system):
     """Exact quadratic-cost summation; the oracle everything is judged by."""
     targets = system.targets
@@ -100,18 +117,18 @@ def direct_sum(kernel, system):
     step = max(1, _PAIR_CHUNK // max(1, sources.shape[0]))
     for start in range(0, targets.shape[0], step):
         chunk = targets[start : start + step]
-        disp = chunk[:, None, :] - sources[None, :, :]
+        disp = _displacements(chunk[:, None, :], sources[None, :, :])
         out[start : start + step] = _masked_kernel_values(kernel, disp) @ sigma
     return out
 
 
-def _leaf_centers(tree):
-    """Centers of each point's leaf, in domain-shifted coordinates; exact
-    dyadic arithmetic so recentering commutes with domain translation."""
+def _leaf_local(tree):
+    """Leaf-sorted points relative to their leaf's center; exact dyadic
+    arithmetic so recentering commutes with domain translation."""
     config = tree.config
     half = config.half_width(config.depth)
     multi = tree.leaf_multi[tree.order]
-    return (2 * multi + 1) * half - 0.5 * config.side
+    return tree.sorted_shifted - ((2 * multi + 1) * half - 0.5 * config.side)
 
 
 def _source_tree(sources, targets, target_tree):
@@ -124,20 +141,77 @@ def _source_tree(sources, targets, target_tree):
     return build_tree(sources, target_tree.config)
 
 
-def _match_boxes(tgt_multi, src_flat, offset, level, dimension):
-    """Positions of (target box, target box + offset) pairs at one level."""
-    n = 2**level
-    cand = tgt_multi + np.asarray(offset, dtype=np.int64)
-    valid = np.all((cand >= 0) & (cand < n), axis=1)
-    rows = np.nonzero(valid)[0]
-    if rows.size == 0 or len(src_flat) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    weights = np.int64(n) ** np.arange(dimension - 1, -1, -1, dtype=np.int64)
-    flat = cand[rows] @ weights
-    pos = np.minimum(np.searchsorted(src_flat, flat), len(src_flat) - 1)
-    hit = src_flat[pos] == flat
-    return rows[hit], pos[hit]
+def _box_lookup(target_multi, source_multi, level):
+    """(base, lookup, strides): the source box at integer offset off (each
+    component at most _PAD) from target box i is at position
+    lookup[base[i] + off @ strides], or nowhere if that is -1.  lookup spans
+    the level's box grid padded by _PAD boxes on every side."""
+    side = 2**level + 2 * _PAD
+    strides = side ** np.arange(target_multi.shape[1] - 1, -1, -1, dtype=np.int64)
+    lookup = np.full(side ** target_multi.shape[1], -1, dtype=np.intp)
+    lookup[(source_multi + _PAD) @ strides] = np.arange(source_multi.shape[0])
+    return (target_multi + _PAD) @ strides, lookup, strides
+
+
+def _child_groups(tree, level):
+    """Per parity rank: positions of the level's boxes of that parity and
+    of their parents one level up."""
+    multi = tree.level_multi[level]
+    parent = np.searchsorted(tree.level_flat[level - 1],
+                             tree._ravel(multi >> 1, level - 1))
+    ranks = parity_rank(multi)
+    sels = [np.flatnonzero(ranks == r) for r in range(2 ** multi.shape[1])]
+    return [(sel, parent[sel]) for sel in sels]
+
+
+def _add_rows(target, pos, values):
+    """target[pos] += values for distinct rows pos.  np.put of whole rows
+    as opaque records is several times faster than a fancy assignment."""
+    if values.size:
+        rows = target.take(pos, axis=0)
+        rows += values
+        record = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+        np.put(target.view(record), pos, rows.view(record))
+
+
+def _leaf_chunks(tree):
+    """Runs of whole consecutive leaves, at most _POINT_CHUNK points or a
+    single leaf each, as (first leaf, end leaf, first point, end point)."""
+    ends = tree.leaf_starts + tree.leaf_counts
+    l0 = 0
+    while l0 < ends.size:
+        p0 = int(tree.leaf_starts[l0])
+        l1 = max(l0 + 1, int(np.searchsorted(ends, p0 + _POINT_CHUNK, side="right")))
+        yield l0, l1, p0, int(ends[l1 - 1])
+        l0 = l1
+
+
+def _leaf_moments(kernel, tree, nodes, sigma):
+    """Per leaf, one row: the kernel between each node and each of the
+    leaf's sources recentered to the leaf, summed with the leaf-sorted
+    weights sigma."""
+    local = _leaf_local(tree)
+    out = np.empty((tree.leaf_starts.size, nodes.shape[0]))
+    for l0, l1, p0, p1 in _leaf_chunks(tree):
+        disp = _displacements(nodes[None, :, :], local[p0:p1, None, :])
+        weighted = kernel.from_displacements(disp) * sigma[p0:p1, None]
+        np.add.reduceat(weighted, tree.leaf_starts[l0:l1] - p0, axis=0,
+                        out=out[l0:l1])
+    return out
+
+
+def _leaf_values(kernel, tree, nodes, coeffs):
+    """At each point, in input order: the kernel between the point
+    recentered to its leaf and each node, dotted with its leaf's row of
+    coeffs."""
+    local = _leaf_local(tree)
+    out = np.empty(tree.n_points)
+    for l0, l1, p0, p1 in _leaf_chunks(tree):
+        disp = _displacements(local[p0:p1, None, :], nodes[None, :, :])
+        per_point = np.repeat(coeffs[l0:l1], tree.leaf_counts[l0:l1], axis=0)
+        out[tree.order[p0:p1]] = np.einsum(
+            "ij,ij->i", kernel.from_displacements(disp), per_point)
+    return out
 
 
 class SummationPlan:
@@ -164,41 +238,32 @@ class SummationPlan:
 
         depth = config.depth
         dim = config.dimension
-        # Parent positions and parity ranks for the two vertical passes.
-        self._src_parent = {}
-        self._src_parity = {}
-        self._tgt_parent = {}
-        self._tgt_parity = {}
-        for level in range(3, depth + 1):
-            src_multi = self.src_tree.level_multi[level]
-            self._src_parent[level] = np.searchsorted(
-                self.src_tree.level_flat[level - 1],
-                self.src_tree._ravel(src_multi >> 1, level - 1),
-            )
-            self._src_parity[level] = parity_rank(src_multi)
-            tgt_multi = self.tgt_tree.level_multi[level]
-            self._tgt_parent[level] = np.searchsorted(
-                self.tgt_tree.level_flat[level - 1],
-                self.tgt_tree._ravel(tgt_multi >> 1, level - 1),
-            )
-            self._tgt_parity[level] = parity_rank(tgt_multi)
+        # Child and parent positions per parity for the two vertical passes.
+        levels = range(3, depth + 1)
+        self._src_children = {k: _child_groups(self.src_tree, k) for k in levels}
+        self._tgt_children = {k: _child_groups(self.tgt_tree, k) for k in levels}
         # Transfer pair groups per level and offset.  A pair participates at
         # level k only when its parents are neighbors; otherwise it was
-        # already covered at a coarser level (vacuous at level 2).
+        # already covered at a coarser level (vacuous at level 2).  The
+        # parent gap depends only on the target's parity and the offset.
         offsets = transfer_offsets(dim)
+        gap = np.abs((child_offsets(dim)[:, None, :] + offsets) >> 1).max(axis=2)
         self._transfer_groups = {}
         for level in range(2, depth + 1):
             tgt_multi = self.tgt_tree.level_multi[level]
-            src_flat = self.src_tree.level_flat[level]
+            base, lookup, strides = _box_lookup(
+                tgt_multi, self.src_tree.level_multi[level], level)
+            parity = parity_rank(tgt_multi)
+            allowed = gap <= 1 if level > 2 else np.ones_like(gap, dtype=bool)
+            # Offsets share their sets of parity classes, so their rows too.
+            masks, which = np.unique(allowed, axis=1, return_inverse=True)
+            rows_of = [np.flatnonzero(mask[parity]) for mask in masks.T]
+            base_of = [base[rows] for rows in rows_of]
             groups = []
-            for off in offsets:
-                rows, pos = _match_boxes(tgt_multi, src_flat, off, level, dim)
-                if rows.size and level > 2:
-                    t = tgt_multi[rows]
-                    parent_gap = np.abs(((t + off) >> 1) - (t >> 1)).max(axis=1)
-                    keep = parent_gap <= 1
-                    rows, pos = rows[keep], pos[keep]
-                groups.append((rows, pos))
+            for off, m in zip(offsets, which.ravel()):
+                pos = lookup.take(base_of[m] + off @ strides)
+                hit = pos >= 0
+                groups.append((rows_of[m][hit], pos[hit]))
             self._transfer_groups[level] = groups
         self._near = None
 
@@ -208,66 +273,49 @@ class SummationPlan:
         """Far-field values at the targets, with per-phase timings."""
         kernel = self.kernel
         cache = self.cache
-        config = self.config
-        depth = config.depth
+        depth = self.config.depth
         src = self.src_tree
         tgt = self.tgt_tree
         timings = dict.fromkeys(FAR_PHASES, 0.0)
-        fields = FieldData()
 
         sigma = np.asarray(potentials, dtype=float)
         require_finite("potential", sigma)
         sigma = sigma[src.order]
 
         # Leaf moments: kernel between the leaf model's far nodes and each
-        # source, recentered to its leaf, segment-summed per leaf.
+        # source, recentered to its leaf, summed per leaf.
         t0 = time.perf_counter()
-        leaf_eims = cache.eims[depth]
-        nodes = leaf_eims.radiating.x_points
-        local = src.sorted_shifted - _leaf_centers(src)
-        weighted = np.empty((nodes.shape[0], local.shape[0]))
-        for start in range(0, local.shape[0], _POINT_CHUNK):
-            block = local[start : start + _POINT_CHUNK]
-            disp = nodes[:, None, :] - block[None, :, :]
-            weighted[:, start : start + block.shape[0]] = (
-                kernel.from_displacements(disp) * sigma[start : start + block.shape[0]]
-            )
-        moments = {depth: np.add.reduceat(weighted, src.leaf_starts, axis=1)}
+        moments = {depth: _leaf_moments(
+            kernel, src, cache.eims[depth].radiating.x_points, sigma)}
         timings["P2M"] += time.perf_counter() - t0
 
         # Upward sweep plus the per-level coefficient solves.
         t0 = time.perf_counter()
         for level in range(depth - 1, 1, -1):
             up = cache.m2m[level].matrices
-            parent_pos = self._src_parent[level + 1]
-            parity = self._src_parity[level + 1]
-            acc = np.zeros((up[0].shape[0], src.level_flat[level].size))
             child = moments[level + 1]
-            for rank in range(len(up)):
-                sel = np.nonzero(parity == rank)[0]
-                if sel.size:
-                    acc[:, parent_pos[sel]] += up[rank] @ child[:, sel]
+            acc = np.zeros((src.level_flat[level].size, up[0].shape[0]))
+            for mat, (sel, parent) in zip(up, self._src_children[level + 1]):
+                acc[parent] += child.take(sel, axis=0) @ mat.T
             moments[level] = acc
         coeffs = {
-            level: cache.eims[level].radiating.coefficients(moments[level])
+            level: cache.eims[level].radiating.coefficients(moments[level].T).T
             for level in range(2, depth + 1)
         }
         timings["M2M"] += time.perf_counter() - t0
 
-        # Transfer pass in the projected coordinates, grouped by offset.
+        # Transfer pass in the projected coordinates, grouped by offset; a
+        # target appears once per offset.
         t0 = time.perf_counter()
         transfer = {}
         for level in range(2, depth + 1):
             ops = cache.m2l[level]
-            recv_terms = cache.eims[level].receiving.d
-            out = np.zeros((recv_terms, tgt.level_flat[level].size))
-            projected = ops.projector.T @ coeffs[level]
-            gathered = np.zeros((ops.rank, out.shape[1]))
+            projected = coeffs[level] @ ops.projector
+            gathered = np.zeros((tgt.level_flat[level].size, ops.rank))
             for t, (tpos, spos) in enumerate(self._transfer_groups[level]):
-                if tpos.size:
-                    gathered[:, tpos] += ops.apply_block(t, projected[:, spos])
-            out += ops.projector @ gathered
-            transfer[level] = out
+                moved = ops.apply_block(t, projected.take(spos, axis=0).T)
+                _add_rows(gathered, tpos, moved.T)
+            transfer[level] = gathered @ ops.projector.T
         timings["M2L"] += time.perf_counter() - t0
 
         # Downward sweep; locals start as the transfer sums at level 2.
@@ -275,43 +323,27 @@ class SummationPlan:
         local_moments = {2: transfer[2]}
         for level in range(2, depth):
             down = cache.l2l[level].matrices
-            parent_pos = self._tgt_parent[level + 1]
-            parity = self._tgt_parity[level + 1]
-            arr = transfer[level + 1].copy()
             parent = local_moments[level]
-            for rank in range(len(down)):
-                sel = np.nonzero(parity == rank)[0]
-                if sel.size:
-                    arr[:, sel] += down[rank] @ parent[:, parent_pos[sel]]
+            arr = transfer[level + 1].copy()
+            for mat, (sel, ppos) in zip(down, self._tgt_children[level + 1]):
+                arr[sel] += parent.take(ppos, axis=0) @ mat.T
             local_moments[level + 1] = arr
-        local_coeffs = cache.eims[depth].receiving.coefficients(local_moments[depth])
+        receiving = cache.eims[depth].receiving
+        local_coeffs = receiving.coefficients(local_moments[depth].T).T
         timings["L2L"] += time.perf_counter() - t0
 
         # Evaluate the leaf interpolants at the targets.
         t0 = time.perf_counter()
-        ynodes = cache.eims[depth].receiving.y_points
-        tlocal = tgt.sorted_shifted - _leaf_centers(tgt)
-        leaf_of_point = np.repeat(
-            np.arange(tgt.leaf_starts.size), tgt.leaf_counts
-        )
-        per_point = local_coeffs[:, leaf_of_point]
-        far_sorted = np.empty(tlocal.shape[0])
-        for start in range(0, tlocal.shape[0], _POINT_CHUNK):
-            block = tlocal[start : start + _POINT_CHUNK]
-            disp = block[:, None, :] - ynodes[None, :, :]
-            vals = kernel.from_displacements(disp)
-            far_sorted[start : start + block.shape[0]] = np.sum(
-                vals * per_point[:, start : start + block.shape[0]].T, axis=1
-            )
-        far = np.empty_like(far_sorted)
-        far[tgt.order] = far_sorted
+        far = _leaf_values(kernel, tgt, receiving.y_points, local_coeffs)
         timings["L2P"] += time.perf_counter() - t0
 
-        fields.source_moments = moments
-        fields.source_coeffs = coeffs
-        fields.transfer_sums = transfer
-        fields.local_moments = local_moments
-        fields.local_coeffs = {depth: local_coeffs}
+        fields = FieldData(
+            source_moments={k: v.T for k, v in moments.items()},
+            source_coeffs={k: v.T for k, v in coeffs.items()},
+            transfer_sums={k: v.T for k, v in transfer.items()},
+            local_moments={k: v.T for k, v in local_moments.items()},
+            local_coeffs={depth: local_coeffs.T},
+        )
         return far, fields, timings
 
     # -- near field --------------------------------------------------------
@@ -361,14 +393,12 @@ def _near_matrix(kernel, target_tree, source_tree):
     deltas = np.array(list(np.ndindex(*(3,) * dim))) - 1
     if half:
         deltas = deltas[deltas.shape[0] // 2 :]  # the self offset is the middle one
-    nbr_start = np.zeros((tgt.leaf_starts.size, deltas.shape[0]), dtype=np.int64)
-    nbr_count = np.zeros_like(nbr_start)
-    for k, delta in enumerate(deltas):
-        rows, pos = _match_boxes(
-            tgt.level_multi[depth], src.level_flat[depth], delta, depth, dim
-        )
-        nbr_start[rows, k] = src.leaf_starts[pos]
-        nbr_count[rows, k] = src.leaf_counts[pos]
+    base, lookup, strides = _box_lookup(
+        tgt.level_multi[depth], src.level_multi[depth], depth)
+    # Position -1 (no source box there) picks the appended zero.
+    pos = lookup.take(base[:, None] + deltas @ strides)
+    nbr_start = np.append(src.leaf_starts, 0).take(pos)
+    nbr_count = np.append(src.leaf_counts, 0).take(pos)
     leaf_len = nbr_count.sum(axis=1)
     leaf_of_row = np.repeat(np.arange(tgt.leaf_starts.size), tgt.leaf_counts)
     row_len = leaf_len[leaf_of_row]
@@ -436,46 +466,29 @@ def monolevel_far_field(kernel, tree, system, eims, source_tree=None):
         source_tree = _source_tree(system.sources, system.targets, tree)
     src = source_tree
     tgt = tree
-    kernel_vals_needed = src.n_points > 0 and tgt.n_points > 0
-    if not kernel_vals_needed:
+    if src.n_points == 0 or tgt.n_points == 0:
         return np.zeros(tgt.n_points)
 
     sigma = np.asarray(system.potentials, dtype=float)[src.order]
     rad = eims.radiating
     recv = eims.receiving
-
-    local = src.sorted_shifted - _leaf_centers(src)
-    disp = rad.x_points[:, None, :] - local[None, :, :]
-    weighted = kernel.from_displacements(disp) * sigma
-    moments = np.add.reduceat(weighted, src.leaf_starts, axis=1)
-    coeffs = rad.coefficients(moments)
+    coeffs = rad.coefficients(_leaf_moments(kernel, src, rad.x_points, sigma).T).T
 
     tgt_multi = tgt.level_multi[depth]
     src_multi = src.level_multi[depth]
-    deltas = tgt_multi[:, None, :] - src_multi[None, :, :]
-    chebyshev = np.max(np.abs(deltas), axis=2)
+    chebyshev = np.abs(tgt_multi[:, None, :] - src_multi[None, :, :]).max(axis=2)
     t_idx, s_idx = np.nonzero(chebyshev >= 2)
     step = 2.0 * config.half_width(depth)
-    sums = np.zeros((recv.d, tgt_multi.shape[0]))
-    if t_idx.size:
-        # src minus tgt offsets name the transfer blocks, built on demand.
-        pair_delta = src_multi[s_idx] - tgt_multi[t_idx]
-        uniq, inverse = np.unique(pair_delta, axis=0, return_inverse=True)
-        for u, off in enumerate(uniq):
-            sel = np.nonzero(inverse == u)[0]
-            block = kernel.pairwise(recv.x_points, rad.y_points + step * off)
-            sums[:, t_idx[sel]] += block @ coeffs[:, s_idx[sel]]
-    local_coeffs = recv.coefficients(sums)
-
-    leaf_of_point = np.repeat(np.arange(tgt.leaf_starts.size), tgt.leaf_counts)
-    tlocal = tgt.sorted_shifted - _leaf_centers(tgt)
-    vals = kernel.from_displacements(
-        tlocal[:, None, :] - recv.y_points[None, :, :]
-    )
-    far_sorted = np.sum(vals * local_coeffs[:, leaf_of_point].T, axis=1)
-    far = np.empty_like(far_sorted)
-    far[tgt.order] = far_sorted
-    return far
+    sums = np.zeros((tgt_multi.shape[0], recv.d))
+    # src minus tgt offsets name the transfer blocks, built on demand.
+    pair_delta = src_multi[s_idx] - tgt_multi[t_idx]
+    uniq, inverse = np.unique(pair_delta, axis=0, return_inverse=True)
+    for u, off in enumerate(uniq):
+        sel = np.flatnonzero(inverse == u)
+        block = kernel.pairwise(recv.x_points, rad.y_points + step * off)
+        sums[t_idx[sel]] += coeffs[s_idx[sel]] @ block.T
+    local_coeffs = recv.coefficients(sums.T).T
+    return _leaf_values(kernel, tgt, recv.y_points, local_coeffs)
 
 
 def multilevel_far_field(kernel, tree, system, cache, source_tree=None):

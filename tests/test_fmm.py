@@ -250,6 +250,105 @@ def test_field_data_shapes(cloud, cache):
     assert list(fields.local_coeffs) == [CONFIG.depth]
 
 
+def _interaction_pairs(target_tree, source_tree, level):
+    """(target position, offset index, source position) for every
+    interaction-list entry of every target box that is an occupied source
+    box."""
+    src_pos = {flat: i for i, flat in enumerate(source_tree.level_flat[level].tolist())}
+    grid = (2**level,) * target_tree.config.dimension
+    expect = set()
+    for i, multi in enumerate(target_tree.level_multi[level].tolist()):
+        for box, t in ef.interaction_list(target_tree, ef.BoxId(level, tuple(multi))):
+            flat = int(np.ravel_multi_index(box.multi_index, grid))
+            if flat in src_pos:
+                expect.add((i, t, src_pos[flat]))
+    return expect
+
+
+@pytest.mark.parametrize("case", ["shared-3d-depth4", "clustered-sources-3d",
+                                  "2d-distinct"])
+def test_transfer_groups_match_interaction_list(case, cube_cloud, cache_store, cache):
+    points = cube_cloud[0][:3000]
+    if case == "2d-distinct":
+        config, ops = CONFIG, cache
+        rng = np.random.default_rng(5)
+        targets = rng.uniform(-0.5, 0.5, size=(300, 2))
+        sources = rng.uniform(-0.5, 0.5, size=(200, 2))
+    else:
+        config = ef.TreeConfig(dimension=3, side=1.0, depth=4)
+        ops = cache_store("gaussian", 4, 1e-4)
+        targets = sources = points
+        if case == "clustered-sources-3d":
+            # a tight blob and a sparse sprinkle: many empty source boxes
+            rng = np.random.default_rng(6)
+            blob = 0.3 + 0.05 * rng.standard_normal((400, 3))
+            sources = np.vstack([np.clip(blob, -0.5, 0.5), points[:30]])
+    plan = ef.SummationPlan(KERNEL, targets, sources, config, ops)
+    assert (plan.src_tree is plan.tgt_tree) == (case == "shared-3d-depth4")
+    for level in range(2, config.depth + 1):
+        got = set()
+        for t, (tpos, spos) in enumerate(plan._transfer_groups[level]):
+            # the transfer pass scatter-adds per offset: each target once
+            assert np.all(np.diff(tpos) > 0)
+            got.update(zip(tpos.tolist(), [t] * tpos.size, spos.tolist()))
+        assert got == _interaction_pairs(plan.tgt_tree, plan.src_tree, level)
+        assert got
+
+
+def test_far_pass_independent_of_chunk_size(cache, monkeypatch):
+    # clustered, so that small leaves share chunks and big ones exceed one
+    rng = np.random.default_rng(8)
+    blob = np.clip(0.2 + 0.08 * rng.standard_normal((500, 2)), -0.5, 0.5)
+    points = np.vstack([blob, rng.uniform(-0.5, 0.5, size=(100, 2))])
+    weights = rng.uniform(-1.0, 1.0, size=600)
+    plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache)
+    far, fields, _ = plan.apply_far(weights)
+
+    # dense per-point references for the two leaf passes
+    tree, depth = plan.tgt_tree, CONFIG.depth
+    leaf_of = np.empty(tree.n_points, dtype=np.int64)
+    leaf_of[tree.order] = np.repeat(np.arange(tree.leaf_counts.size), tree.leaf_counts)
+    half = CONFIG.half_width(depth)
+    local = tree.shifted - ((2 * tree.leaf_multi + 1) * half - 0.5 * CONFIG.side)
+    eims = cache.eims[depth]
+    moments = np.zeros((tree.leaf_counts.size, eims.radiating.d))
+    np.add.at(moments, leaf_of,
+              KERNEL.pairwise(eims.radiating.x_points, local).T * weights[:, None])
+    coeffs = fields.local_coeffs[depth][:, leaf_of]
+    values = np.einsum("ij,ji->i", KERNEL.pairwise(local, eims.receiving.y_points), coeffs)
+    scale = np.abs(moments).max()
+    assert np.abs(fields.source_moments[depth].T - moments).max() <= 1e-13 * scale
+    assert np.abs(far - values).max() <= 1e-13 * np.abs(values).max()
+
+    monkeypatch.setattr(ef.fmm, "_POINT_CHUNK", 5)
+    chunks = list(ef.fmm._leaf_chunks(tree))
+    counts = tree.leaf_counts
+    assert any(l1 - l0 > 1 for l0, l1, _, _ in chunks)
+    assert any(l1 - l0 == 1 and counts[l0] > 5 for l0, l1, _, _ in chunks)
+    small_far, small_fields, _ = plan.apply_far(weights)
+    assert np.abs(small_far - far).max() <= 1e-13 * np.abs(far).max()
+    for name in ("source_moments", "source_coeffs", "transfer_sums",
+                 "local_moments", "local_coeffs"):
+        big, small = getattr(fields, name), getattr(small_fields, name)
+        assert list(small) == list(big)
+        for level in big:
+            assert small[level].shape == big[level].shape
+            scale = np.abs(big[level]).max()
+            assert np.abs(small[level] - big[level]).max() <= 1e-13 * scale
+
+
+def test_add_rows_matches_fancy_add():
+    rng = np.random.default_rng(4)
+    for width in (3, 0):
+        target = rng.standard_normal((10, width))
+        pos = np.array([1, 4, 5, 9])
+        values = rng.standard_normal((4, width))
+        expect = target.copy()
+        expect[pos] += values
+        ef.fmm._add_rows(target, pos, values)
+        assert np.array_equal(target, expect)
+
+
 def test_plan_rejects_foreign_cache(cloud, cache):
     points, weights = cloud
     deeper = ef.TreeConfig(dimension=2, side=1.0, depth=4)
