@@ -1,21 +1,10 @@
 """Kernel-independent fast summation with greedy per-level interpolation."""
 
-from .eim import (
-    EimModel,
-    TrainingSet,
-    eim_build,
-    eim_coefficients,
-    eim_interpolate,
-    eim_residual,
-)
 from .fmm import (
-    FieldData,
     ParticleSystem,
     SummationPlan,
-    SummationResult,
     direct_sum,
     evaluate,
-    load_or_build_cache,
     monolevel_far_field,
     multilevel_far_field,
     near_field,
@@ -27,7 +16,6 @@ from .operators import (
     CacheKey,
     CacheMismatchError,
     CacheVersionError,
-    LevelEims,
     OperatorCache,
     assemble_l2l,
     assemble_m2l,
@@ -39,14 +27,9 @@ from .operators import (
 )
 from .tree import (
     BoxId,
-    Tree,
     TreeConfig,
-    box_center,
     build_tree,
     interaction_list,
-    level_geometry,
-    neighbor_list,
-    training_grids,
     transfer_offsets,
 )
 
@@ -59,41 +42,26 @@ __all__ = [
     "CacheKey",
     "CacheMismatchError",
     "CacheVersionError",
-    "EimModel",
-    "FieldData",
     "Kernel",
-    "LevelEims",
     "OperatorCache",
     "ParticleSystem",
     "SummationPlan",
-    "SummationResult",
-    "TrainingSet",
-    "Tree",
     "TreeConfig",
     "assemble_l2l",
     "assemble_m2l",
     "assemble_m2m",
-    "box_center",
     "build_level_eims",
     "build_operator_cache",
     "build_tree",
     "builtin_kernel_names",
     "direct_sum",
-    "eim_build",
-    "eim_coefficients",
-    "eim_interpolate",
-    "eim_residual",
     "evaluate",
     "interaction_list",
-    "level_geometry",
     "load_cache",
-    "load_or_build_cache",
     "make_builtin_kernel",
     "monolevel_far_field",
     "multilevel_far_field",
     "near_field",
-    "neighbor_list",
     "save_cache",
-    "training_grids",
     "transfer_offsets",
 ]

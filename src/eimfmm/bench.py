@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fmm import ALL_PHASES, ParticleSystem, direct_sum, evaluate
+from .fmm import (ALL_PHASES, ParticleSystem, direct_sum, evaluate,
+                  load_or_build_cache)
 from .kernels import builtin_kernel_names, make_builtin_kernel
 from .operators import CacheError, make_cache_key
 from .tree import TreeConfig
@@ -116,8 +117,6 @@ def run_benchmark(args):
     )
 
     if args.ranks_only:
-        from .fmm import load_or_build_cache
-
         t0 = time.perf_counter()
         cache, hit = load_or_build_cache(
             kernel, config, args.tol, compress_tol,

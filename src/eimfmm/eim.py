@@ -190,24 +190,3 @@ def eim_build(kernel, training, tolerance, max_terms=300):
         degenerate=degenerate,
     )
 
-
-def eim_coefficients(model, vector):
-    """Inverse-cross action on one sample vector (two triangular solves)."""
-    return model.coefficients(vector)
-
-
-def eim_interpolate(model, kernel, x, y):
-    """Evaluate the separable approximation at a single (x, y) pair."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    at_nodes_x = kernel.pairwise(model.x_points, y[np.newaxis, :])[:, 0]
-    at_nodes_y = kernel.pairwise(x[np.newaxis, :], model.y_points)[0]
-    return float(at_nodes_y @ model.coefficients(at_nodes_x))
-
-
-def eim_residual(model, kernel, training):
-    """Worst absolute interpolation error over the full training product."""
-    exact = kernel.pairwise(training.points_x, training.points_y)
-    at_nodes_y = kernel.pairwise(training.points_x, model.y_points)
-    at_nodes_x = kernel.pairwise(model.x_points, training.points_y)
-    return float(np.abs(exact - at_nodes_y @ model.coefficients(at_nodes_x)).max())

@@ -278,9 +278,7 @@ class SummationPlan:
         tgt = self.tgt_tree
         timings = dict.fromkeys(FAR_PHASES, 0.0)
 
-        sigma = np.asarray(potentials, dtype=float)
-        require_finite("potential", sigma)
-        sigma = sigma[src.order]
+        sigma = self._sorted_weights(potentials)
 
         # Leaf moments: kernel between the leaf model's far nodes and each
         # source, recentered to its leaf, summed per leaf.
@@ -351,11 +349,21 @@ class SummationPlan:
     def apply_near(self, potentials):
         """Exact near-field values at the targets; the near-field matrix is
         built on the first call and kept."""
-        require_finite("potential", potentials)
+        sigma = self._sorted_weights(potentials)
         if self._near is None:
             self._near = _near_matrix(self.kernel, self.tgt_tree, self.src_tree)
         return _near_product(self._near, self.kernel, self.tgt_tree,
-                             self.src_tree, potentials)
+                             self.src_tree, sigma)
+
+    def _sorted_weights(self, potentials):
+        """One finite potential per source, in leaf-sorted source order."""
+        sigma = np.asarray(potentials, dtype=float)
+        expected = (self.src_tree.n_points,)
+        if sigma.shape != expected:
+            raise ValueError(
+                f"potentials have shape {sigma.shape}, sources need {expected}")
+        require_finite("potential", sigma)
+        return sigma[self.src_tree.order]
 
 
 def _stores_half(kernel, target_tree, source_tree):
@@ -435,9 +443,8 @@ def _near_matrix(kernel, target_tree, source_tree):
     return csr_matrix((data, indices, indptr), shape=(tgt.n_points, src.n_points))
 
 
-def _near_product(matrix, kernel, target_tree, source_tree, potentials):
-    """Apply a matrix from _near_matrix to one set of potentials."""
-    sigma = np.asarray(potentials, dtype=float)[source_tree.order]
+def _near_product(matrix, kernel, target_tree, source_tree, sigma):
+    """Apply a matrix from _near_matrix to leaf-sorted potentials."""
     sorted_out = matrix @ sigma
     if _stores_half(kernel, target_tree, source_tree):
         sorted_out += matrix.T @ sigma
@@ -451,7 +458,8 @@ def near_field(kernel, tree, system, source_tree=None):
     if source_tree is None:
         source_tree = _source_tree(system.sources, system.targets, tree)
     matrix = _near_matrix(kernel, tree, source_tree)
-    return _near_product(matrix, kernel, tree, source_tree, system.potentials)
+    return _near_product(matrix, kernel, tree, source_tree,
+                         system.potentials[source_tree.order])
 
 
 def monolevel_far_field(kernel, tree, system, eims, source_tree=None):

@@ -1,12 +1,13 @@
 """Per-level precomputation for the multilevel engine.
 
 For each level this builds the two directional interpolation models, the
-2^D parent/child translation matrices (coefficient maps folded in through
-triangular solves), and the compressed transfer operators: one shared
-column basis from a truncated SVD of the concatenated transfer blocks,
-taken through the small R factor of a QR of the transposed concatenation,
-then a per-offset truncated SVD.  Everything serializes to a versioned
-little-endian binary cache.
+2^D parent/child translation matrices of M2M and L2L (one builder for
+both: a model's kernel sections at shifted nodes, its coefficient map
+folded in through triangular solves), and the compressed transfer
+operators: one shared column basis from a truncated SVD of the
+concatenated transfer blocks, taken through the small R factor of a QR of
+the transposed concatenation, then a per-offset truncated SVD.
+Everything serializes to a versioned little-endian binary cache.
 """
 
 import hashlib
@@ -60,24 +61,13 @@ class LevelEims:
 
 
 @dataclass
-class M2mOperators:
-    """2^D child-to-parent moment maps at one level, indexed by parity rank.
+class TranslationOperators:
+    """2^D parent/child maps at one level, indexed by the child's parity
+    rank, with a coefficient map folded in.
 
-    Each matrix maps the child level's moments (length d_{k+1}) to the
-    parent level's (length d_k) and already contains the child coefficient
-    map.
-    """
-
-    level: int
-    matrices: list
-
-
-@dataclass
-class L2lOperators:
-    """2^D parent-to-child local maps, indexed by the child's parity rank.
-
-    Each matrix samples the parent's interpolated incoming field at the
-    child's nodes (d_{k+1} by d_k); the parent coefficient map is folded in.
+    M2M maps the child level's moments (length d_{k+1}) to the parent
+    level's (d_k by d_{k+1}); L2L samples the parent's interpolated incoming
+    field at the child's nodes (d_{k+1} by d_k).
     """
 
     level: int
@@ -114,14 +104,6 @@ class M2lOperators:
         u, v = factors
         return u @ (v @ moments)
 
-    def dense_block(self, t):
-        """Projected block as an explicit matrix, for inspection and tests."""
-        tag, *factors = self.blocks[t]
-        if tag == "dense":
-            return factors[0]
-        u, v = factors
-        return u @ v
-
 
 def build_level_eims(kernel, config, level, tolerance, max_terms,
                      resolution, x_budget=8192):
@@ -144,37 +126,31 @@ def build_level_eims(kernel, config, level, tolerance, max_terms,
 
 
 def assemble_m2m(kernel, config, level, eims, child_eims):
-    """Child-to-parent moment operators between two consecutive levels."""
-    if child_eims.level != level + 1:
-        raise ValueError("child models must live one level below")
-    half_child = config.half_width(level + 1)
-    signs = 2 * child_offsets(config.dimension) - 1
-    mats = []
-    for bits in signs:
-        # Parent nodes seen from the child center.
-        shift = -bits * half_child
-        geom = kernel.pairwise(
-            eims.radiating.x_points + shift, child_eims.radiating.y_points
-        )
-        mats.append(child_eims.radiating.coefficients_t(geom.T).T)
-    return M2mOperators(level=level, matrices=mats)
+    """Child-to-parent moment operators between two consecutive levels:
+    the parent's far nodes seen from each child center."""
+    return _translation(kernel, config, level, child_eims,
+                        eims.radiating.x_points, child_eims.radiating, -1)
 
 
 def assemble_l2l(kernel, config, level, eims, child_eims):
-    """Parent-to-child local operators between two consecutive levels."""
+    """Parent-to-child local operators between two consecutive levels:
+    the child's nodes seen from the parent center."""
+    return _translation(kernel, config, level, child_eims,
+                        child_eims.receiving.x_points, eims.receiving, 1)
+
+
+def _translation(kernel, config, level, child_eims, points, model, sign):
+    """Per child parity: kernel between points shifted by sign times the
+    child's center offset and the model's y nodes, through the model's
+    coefficient map."""
     if child_eims.level != level + 1:
         raise ValueError("child models must live one level below")
     half_child = config.half_width(level + 1)
-    signs = 2 * child_offsets(config.dimension) - 1
     mats = []
-    for bits in signs:
-        # Child nodes seen from the parent center.
-        shift = bits * half_child
-        geom = kernel.pairwise(
-            child_eims.receiving.x_points + shift, eims.receiving.y_points
-        )
-        mats.append(eims.receiving.coefficients_t(geom.T).T)
-    return L2lOperators(level=level, matrices=mats)
+    for bits in 2 * child_offsets(config.dimension) - 1:
+        geom = kernel.pairwise(points + sign * bits * half_child, model.y_points)
+        mats.append(model.coefficients_t(geom.T).T)
+    return TranslationOperators(level=level, matrices=mats)
 
 
 def _tail_rank(svals, rel_tol):
@@ -292,8 +268,8 @@ class OperatorCache:
 
     key: CacheKey
     eims: dict = field(default_factory=dict)      # level -> LevelEims
-    m2m: dict = field(default_factory=dict)       # level -> M2mOperators
-    l2l: dict = field(default_factory=dict)       # level -> L2lOperators
+    m2m: dict = field(default_factory=dict)       # level -> TranslationOperators
+    l2l: dict = field(default_factory=dict)       # level -> TranslationOperators
     m2l: dict = field(default_factory=dict)       # level -> M2lOperators
 
     @property
@@ -531,8 +507,8 @@ def load_cache(path, expected_key=None):
         if _r_u64(body):
             m2m = [_r_array(body) for _ in range(2**dim)]
             l2l = [_r_array(body) for _ in range(2**dim)]
-            cache.m2m[level] = M2mOperators(level, m2m)
-            cache.l2l[level] = L2lOperators(level, l2l)
+            cache.m2m[level] = TranslationOperators(level, m2m)
+            cache.l2l[level] = TranslationOperators(level, l2l)
         projector = _r_array(body)
         nblocks = _r_u64(body)
         if nblocks != len(transfer_offsets(dim)):

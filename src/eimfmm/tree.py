@@ -66,15 +66,6 @@ class LevelGeometry:
     far_outer: float   # side - half_width
     far_inner: float   # 3 * half_width, open exclusion bound
 
-    def in_source_box(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.max(np.abs(pts), axis=1) <= self.half_width
-
-    def in_far_region(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        m = np.max(np.abs(pts), axis=1)
-        return (m <= self.far_outer) & (m >= self.far_inner)
-
 
 def level_geometry(config, level):
     """Per-level reference geometry; valid for 0 <= level <= depth."""
@@ -225,13 +216,6 @@ def transfer_index(delta):
         raise ValueError(f"{tuple(delta)} is not a valid transfer offset") from None
 
 
-def box_center(config, box):
-    """Analytic center of a box; exact dyadic arithmetic for a dyadic side."""
-    multi = np.asarray(box.multi_index, dtype=np.int64)
-    half = config.half_width(box.level)
-    return config.center_array() + ((2 * multi + 1) * half - 0.5 * config.side)
-
-
 def require_finite(name, values):
     """Refuse NaN or infinite entries, naming the first offending row."""
     values = np.asarray(values)
@@ -321,45 +305,11 @@ class Tree:
     def n_points(self):
         return self.points.shape[0]
 
-    def leaf_of(self, point_index):
-        """BoxId of the leaf containing one input point."""
-        return BoxId(self.config.depth, tuple(self.leaf_multi[point_index].tolist()))
-
-    def points_in(self, box):
-        """Indices (into the original point order) of the points in a box."""
-        if box.level != self.config.depth:
-            raise ValueError("per-box point lists exist at the leaf level only")
-        flat = self._ravel(
-            np.asarray(box.multi_index, dtype=np.int64)[np.newaxis, :], box.level
-        )[0]
-        pos = np.searchsorted(self.level_flat[box.level], flat)
-        if pos == len(self.level_flat[box.level]) or self.level_flat[box.level][pos] != flat:
-            return np.empty(0, dtype=np.intp)
-        s = self.leaf_starts[pos]
-        return self.order[s : s + self.leaf_counts[pos]]
-
-    def occupancy(self):
-        """Leaf flat index -> point count, for cross-checks."""
-        return dict(zip(self.level_flat[self.config.depth].tolist(),
-                        self.leaf_counts.tolist()))
-
 
 def build_tree(points, config):
     """Bin points into the uniform hierarchy; errors name the first point
     outside the domain cube."""
     return Tree(points, config)
-
-
-def neighbor_list(tree, box):
-    """Same-level boxes within Chebyshev index distance 1, box included.
-
-    This is exactly the complement of well-separation on a uniform grid.
-    """
-    n = 2**box.level
-    ranges = [
-        range(max(0, i - 1), min(n - 1, i + 1) + 1) for i in box.multi_index
-    ]
-    return [BoxId(box.level, combo) for combo in itertools.product(*ranges)]
 
 
 def interaction_list(tree, box):

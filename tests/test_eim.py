@@ -4,11 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eimfmm as ef
+from eimfmm.eim import TrainingSet, eim_build
+from eimfmm.tree import level_geometry, training_grids
 
 
 def small_training(dim=2, level=2, resolution=6):
     config = ef.TreeConfig(dimension=dim, side=1.0, depth=3)
-    return ef.training_grids(ef.level_geometry(config, level), resolution)
+    return training_grids(level_geometry(config, level), resolution)
+
+
+def grid_residual(model, kernel, training):
+    """Worst absolute interpolation error over the full training product."""
+    exact = kernel.pairwise(training.points_x, training.points_y)
+    at_nodes_y = kernel.pairwise(training.points_x, model.y_points)
+    at_nodes_x = kernel.pairwise(model.x_points, training.points_y)
+    return np.abs(exact - at_nodes_y @ model.coefficients(at_nodes_x)).max()
 
 
 @pytest.fixture(scope="module")
@@ -16,14 +26,14 @@ def laplace_model():
     # resolution 8 keeps the greedy well away from grid exhaustion at 1e-7
     kernel = ef.make_builtin_kernel("laplace")
     training = small_training(resolution=8)
-    return kernel, training, ef.eim_build(kernel, training, 1e-7)
+    return kernel, training, eim_build(kernel, training, 1e-7)
 
 
 def test_training_set_validation():
     with pytest.raises(ValueError):
-        ef.TrainingSet(np.empty((0, 2)), np.ones((3, 2)))
+        TrainingSet(np.empty((0, 2)), np.ones((3, 2)))
     with pytest.raises(ValueError):
-        ef.TrainingSet(np.ones((3, 2)), np.ones((3, 3)))
+        TrainingSet(np.ones((3, 2)), np.ones((3, 3)))
 
 
 def test_certified_stop_and_history(laplace_model):
@@ -40,7 +50,7 @@ def test_certified_tail_matches_recomputation(laplace_model):
     # the incrementally tracked residual must agree with a from-scratch one
     # up to the d rank-one updates' accumulated roundoff
     kernel, training, model = laplace_model
-    recomputed = ef.eim_residual(model, kernel, training)
+    recomputed = grid_residual(model, kernel, training)
     slack = 10 * model.d * np.finfo(float).eps * model.residual_history[0]
     assert abs(recomputed - model.residual_history[-1]) <= slack
 
@@ -134,7 +144,9 @@ def test_interpolate_single_pair(laplace_model):
     kernel, training, model = laplace_model
     x = training.points_x[5]
     y = training.points_y[7]
-    approx = ef.eim_interpolate(model, kernel, x, y)
+    at_nodes_x = kernel.pairwise(model.x_points, y[np.newaxis, :])[:, 0]
+    at_nodes_y = kernel.pairwise(x[np.newaxis, :], model.y_points)[0]
+    approx = at_nodes_y @ model.coefficients(at_nodes_x)
     assert approx == pytest.approx(kernel.evaluate(x, y), abs=2e-8 * model.residual_history[0])
 
 
@@ -142,22 +154,22 @@ def test_interpolation_grid_error_within_tolerance():
     kernel = ef.make_builtin_kernel("gaussian")
     training = small_training(resolution=7)
     for tol in (1e-3, 1e-6, 1e-9):
-        model = ef.eim_build(kernel, training, tol)
-        err = ef.eim_residual(model, kernel, training)
+        model = eim_build(kernel, training, tol)
+        err = grid_residual(model, kernel, training)
         assert err <= tol * model.residual_history[0] * (1 + 1e-12)
 
 
 def test_tolerance_monotonicity():
     kernel = ef.make_builtin_kernel("multiquadric")
     training = small_training()
-    sizes = [ef.eim_build(kernel, training, tol).d for tol in (1e-2, 1e-5, 1e-8)]
+    sizes = [eim_build(kernel, training, tol).d for tol in (1e-2, 1e-5, 1e-8)]
     assert sizes == sorted(sizes)
 
 
 def test_max_terms_cap():
     kernel = ef.make_builtin_kernel("gaussian")
     training = small_training()
-    model = ef.eim_build(kernel, training, 1e-300, max_terms=5)
+    model = eim_build(kernel, training, 1e-300, max_terms=5)
     assert model.d == 5
     assert len(model.residual_history) == 6
     assert not model.degenerate
@@ -166,7 +178,7 @@ def test_max_terms_cap():
 def test_degenerate_flag_on_numerically_exhausted_kernel():
     kernel = ef.make_builtin_kernel("gaussian")
     training = small_training()
-    model = ef.eim_build(kernel, training, 1e-300, max_terms=300)
+    model = eim_build(kernel, training, 1e-300, max_terms=300)
     assert model.degenerate
     assert model.residual_history[-1] < 1e-12 * model.residual_history[0]
 
@@ -174,7 +186,7 @@ def test_degenerate_flag_on_numerically_exhausted_kernel():
 def test_rank_one_kernel_stops_immediately():
     # exp(sum(x - y)) factorizes exactly, so one term suffices
     sep = ef.Kernel("separable", lambda d: np.exp(d.sum(axis=-1)), True)
-    model = ef.eim_build(sep, small_training(), 1e-300, max_terms=50)
+    model = eim_build(sep, small_training(), 1e-300, max_terms=50)
     assert model.d == 1
 
 
@@ -217,7 +229,7 @@ def test_greedy_matches_reference_loop(case, drift_kernel):
         "gaussian-exhausted": (ef.make_builtin_kernel("gaussian"),
                                small_training(), 1e-300),
     }[case]
-    model = ef.eim_build(kernel, training, tol)
+    model = eim_build(kernel, training, tol)
     rows, cols, history, degenerate = _reference_greedy(kernel, training, tol)
     assert np.array_equal(model.x_points, training.points_x[rows])
     assert np.array_equal(model.y_points, training.points_y[cols])
@@ -229,19 +241,12 @@ def test_greedy_matches_reference_loop(case, drift_kernel):
         assert degenerate
 
 
-def test_eim_coefficients_wrapper(laplace_model):
-    kernel, _, model = laplace_model
-    rng = np.random.default_rng(2)
-    rhs = rng.standard_normal(model.d)
-    assert np.array_equal(ef.eim_coefficients(model, rhs), model.coefficients(rhs))
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_coefficients_solve_property(seed):
     # property: for any rhs, A @ coefficients(rhs) == rhs
     kernel = ef.make_builtin_kernel("gaussian")
-    model = ef.eim_build(kernel, small_training(resolution=4), 1e-6)
+    model = eim_build(kernel, small_training(resolution=4), 1e-6)
     a = kernel.pairwise(model.x_points, model.y_points)
     rhs = np.random.default_rng(seed).standard_normal(model.d)
     back = a @ model.coefficients(rhs)
@@ -251,7 +256,7 @@ def test_coefficients_solve_property(seed):
 def test_build_on_3d_levels_matches_2d_structure():
     kernel = ef.make_builtin_kernel("gaussian")
     config = ef.TreeConfig(dimension=3, side=1.0, depth=4)
-    training = ef.training_grids(ef.level_geometry(config, 3), 5)
-    model = ef.eim_build(kernel, training, 1e-4)
+    training = training_grids(level_geometry(config, 3), 5)
+    model = eim_build(kernel, training, 1e-4)
     assert model.dimension == 3
     assert model.d == len(model.x_points) == len(model.y_points)

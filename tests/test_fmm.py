@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import eimfmm as ef
+from eimfmm.fmm import load_or_build_cache
 
 KERNEL = ef.make_builtin_kernel("gaussian")
 CONFIG = ef.TreeConfig(dimension=2, side=1.0, depth=3)
@@ -369,6 +370,18 @@ def test_plan_rejects_non_finite_weights(cloud, cache):
             apply(bad)
 
 
+def test_plan_rejects_wrong_length_weights(cloud, cache):
+    # both passes need exactly one weight per source: a longer vector is
+    # not truncated, a column vector is not flattened
+    points, weights = cloud
+    plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache)
+    n = weights.size
+    for bad in (np.append(weights, np.ones(7)), weights[:-1], weights[:, None]):
+        for apply in (plan.apply_far, plan.apply_near):
+            with pytest.raises(ValueError, match=rf"shape \({bad.shape[0]},.*\({n},\)"):
+                apply(bad)
+
+
 def test_evaluate_cache_path_round_trip(cloud, tmp_path):
     points, weights = cloud
     system = ef.ParticleSystem(points, points, weights)
@@ -390,10 +403,10 @@ def test_evaluate_cache_path_round_trip(cloud, tmp_path):
 
 def test_load_or_build_cache_flags(tmp_path):
     path = tmp_path / "ops.bin"
-    cache, hit = ef.load_or_build_cache(KERNEL, CONFIG, 1e-3, resolution=6,
-                                        x_budget=256, cache_path=str(path))
+    cache, hit = load_or_build_cache(KERNEL, CONFIG, 1e-3, resolution=6,
+                                     x_budget=256, cache_path=str(path))
     assert not hit
-    again, hit = ef.load_or_build_cache(KERNEL, CONFIG, 1e-3, resolution=6,
-                                        x_budget=256, cache_path=str(path))
+    again, hit = load_or_build_cache(KERNEL, CONFIG, 1e-3, resolution=6,
+                                     x_budget=256, cache_path=str(path))
     assert hit
     assert again.key == cache.key

@@ -12,8 +12,9 @@ import pytest
 
 import eimfmm as ef
 from eimfmm import operators
-from eimfmm.operators import _tail_rank
-from eimfmm.tree import child_offsets
+from eimfmm.eim import TrainingSet, eim_build
+from eimfmm.operators import LevelEims, _tail_rank
+from eimfmm.tree import child_offsets, level_geometry, training_grids
 
 EPS = np.finfo(float).eps
 KERNEL = ef.make_builtin_kernel("gaussian")
@@ -54,7 +55,7 @@ def test_symmetric_receiving_shares_nodes(small_cache):
 
 def test_level_model_node_roles(small_cache):
     for level in (2, 3):
-        geo = ef.level_geometry(CONFIG, level)
+        geo = level_geometry(CONFIG, level)
         rad = small_cache.eims[level].radiating
         assert np.abs(rad.y_points).max() <= geo.half_width
         assert np.abs(rad.x_points).max(axis=1).min() >= geo.far_inner
@@ -167,7 +168,7 @@ def test_m2l_blocks_reconstruct_kernel(small_cache):
         # the certified budget is Frobenius over the block concatenation
         fat_norm = np.sqrt(sum(np.linalg.norm(e) ** 2 for e in exact))
         for t in range(len(offsets)):
-            approx = ops.projector @ ops.dense_block(t) @ ops.projector.T
+            approx = ops.projector @ ops.apply_block(t, ops.projector.T)
             assert np.linalg.norm(approx - exact[t]) <= 5.0 * TOL * fat_norm
 
 
@@ -178,10 +179,11 @@ def test_m2l_apply_block_matches_dense(small_cache, loose_cache):
         for level in (2, 3):
             ops = cache.m2l[level]
             block = rng.uniform(-1.0, 1.0, (ops.rank, 5))
-            for t, (tag, *_) in enumerate(ops.blocks):
+            for t, (tag, *factors) in enumerate(ops.blocks):
                 seen.add(tag)
                 got = ops.apply_block(t, block)
-                expect = ops.dense_block(t) @ block
+                dense = factors[0] if tag == "dense" else factors[0] @ factors[1]
+                expect = dense @ block
                 scale = max(np.abs(expect).max(), 1e-30)
                 assert np.abs(got - expect).max() <= 1e-13 * scale
     assert seen == {"dense", "lowrank"}  # both storage layouts exercised
@@ -266,7 +268,7 @@ def test_nonsymmetric_kernel_builds_both_directions(drift_kernel):
     offsets = ef.transfer_offsets(2)
     for level in (2, 3):
         pair = cache.eims[level]
-        geo = ef.level_geometry(CONFIG, level)
+        geo = level_geometry(CONFIG, level)
         assert np.abs(pair.receiving.x_points).max() <= geo.half_width
         assert np.abs(pair.receiving.y_points).max(axis=1).min() >= geo.far_inner
         ops = cache.m2l[level]
@@ -277,20 +279,20 @@ def test_nonsymmetric_kernel_builds_both_directions(drift_kernel):
         ]
         fat_norm = np.sqrt(sum(np.linalg.norm(e) ** 2 for e in exact))
         for t in range(len(offsets)):
-            approx = ops.projector @ ops.dense_block(t) @ ops.projector.T
+            approx = ops.projector @ ops.apply_block(t, ops.projector.T)
             assert np.linalg.norm(approx - exact[t]) <= 5.0 * 1e-5 * fat_norm
 
 
 def test_m2l_unequal_term_counts_rejected(drift_kernel):
     drift = drift_kernel
-    geo = ef.level_geometry(CONFIG, 2)
-    train = ef.training_grids(geo, 6, 256)
-    radiating = ef.eim_build(drift, train, 1e-12, max_terms=6)
-    receiving = ef.eim_build(
-        drift, ef.TrainingSet(train.points_y, train.points_x), 1e-12, max_terms=9
+    geo = level_geometry(CONFIG, 2)
+    train = training_grids(geo, 6, 256)
+    radiating = eim_build(drift, train, 1e-12, max_terms=6)
+    receiving = eim_build(
+        drift, TrainingSet(train.points_y, train.points_x), 1e-12, max_terms=9
     )
     assert radiating.d != receiving.d
-    pair = ef.LevelEims(level=2, radiating=radiating, receiving=receiving)
+    pair = LevelEims(level=2, radiating=radiating, receiving=receiving)
     with pytest.raises(NotImplementedError):
         ef.assemble_m2l(drift, CONFIG, 2, pair, 1e-6)
 

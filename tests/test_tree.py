@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eimfmm as ef
-from eimfmm.tree import _unrank_hollow, child_offsets, parity_rank
+from eimfmm.fmm import _leaf_local, _near_matrix
+from eimfmm.tree import (_unrank_hollow, child_offsets, level_geometry,
+                         parity_rank, training_grids)
 
 
 def test_config_validation():
@@ -27,25 +30,22 @@ def test_half_width_halves_per_level():
 
 def test_level_geometry_regions():
     config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
-    geo = ef.level_geometry(config, 2)
+    geo = level_geometry(config, 2)
     l = geo.half_width
     assert geo.far_inner == pytest.approx(3 * l)
     assert geo.far_outer == pytest.approx(1.0 - l)
-    assert geo.in_source_box(np.array([0.9 * l, -0.9 * l]))
-    assert not geo.in_far_region(np.array([2.0 * l, 0.0]))
-    assert geo.in_far_region(np.array([3.5 * l, 0.0]))
-    assert not geo.in_far_region(np.array([geo.far_outer * 1.01, 0.0]))
     with pytest.raises(ValueError):
-        ef.level_geometry(config, 5)
+        level_geometry(config, 5)
 
 
 def test_training_grid_membership_and_spacing():
     config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
     for level in (2, 3):
-        geo = ef.level_geometry(config, level)
-        grids = ef.training_grids(geo, 6, x_budget=500)
-        assert all(geo.in_source_box(p) for p in grids.points_y)
-        assert all(geo.in_far_region(p) for p in grids.points_x)
+        geo = level_geometry(config, level)
+        grids = training_grids(geo, 6, x_budget=500)
+        assert np.abs(grids.points_y).max() <= geo.half_width
+        far = np.abs(grids.points_x).max(axis=1)
+        assert far.min() >= geo.far_inner and far.max() <= geo.far_outer
         assert len(grids.points_y) == 36
         assert len(grids.points_x) <= 500 + 125
         # both grids share the same spacing
@@ -56,7 +56,7 @@ def test_training_grid_membership_and_spacing():
 def test_training_grid_needs_far_region():
     config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
     with pytest.raises(ValueError, match="far region"):
-        ef.training_grids(ef.level_geometry(config, 0), 4)
+        training_grids(level_geometry(config, 0), 4)
 
 
 def test_shell_pattern_identical_across_levels():
@@ -64,8 +64,8 @@ def test_shell_pattern_identical_across_levels():
     config = ef.TreeConfig(dimension=3, side=1.0, depth=5)
     ref = None
     for level in (2, 3, 4):
-        geo = ef.level_geometry(config, level)
-        pts = ef.training_grids(geo, 5, x_budget=1000).points_x
+        geo = level_geometry(config, level)
+        pts = training_grids(geo, 5, x_budget=1000).points_x
         shell = pts[np.max(np.abs(pts), axis=1) < 7 * geo.half_width]
         scaled = np.sort((shell / geo.half_width).round(9).view("f8"))
         if ref is None:
@@ -121,13 +121,20 @@ def test_transfer_offsets_counts_and_symmetry():
 
 
 def test_box_center_exact_dyadic():
+    # leaf-local coordinates subtract an exact dyadic leaf center: a point at
+    # a leaf's center maps to zero, and a dyadic shift of the domain center
+    # leaves every coordinate bitwise unchanged
     config = ef.TreeConfig(dimension=2, side=1.0, depth=3)
-    origin_box = ef.BoxId(level=3, multi_index=(0, 0))
-    c = ef.box_center(config, origin_box)
-    assert np.array_equal(c, np.array([-0.5 + 1 / 16, -0.5 + 1 / 16]))
-    shifted = ef.TreeConfig(dimension=2, side=1.0, depth=3, center=(0.25, -0.25))
-    c2 = ef.box_center(shifted, origin_box)
-    assert np.array_equal(c2 - c, np.array([0.25, -0.25]))
+    rng = np.random.default_rng(3)
+    pts = np.vstack([[-0.5 + 1 / 16, -0.5 + 1 / 16],
+                     rng.uniform(-0.5, 0.5, size=(100, 2))])
+    tree = ef.build_tree(pts, config)
+    local = _leaf_local(tree)
+    assert np.array_equal(local[np.flatnonzero(tree.order == 0)[0]], [0.0, 0.0])
+    shift = (0.25, -0.25)
+    shifted = ef.TreeConfig(dimension=2, side=1.0, depth=3, center=shift)
+    moved = ef.build_tree(pts + np.asarray(shift), shifted)
+    assert np.array_equal(_leaf_local(moved), local)
 
 
 @pytest.fixture(scope="module")
@@ -144,29 +151,31 @@ def test_leaf_assignment_brute_force(small_tree):
     n = 2**config.depth
     for i in range(0, 400, 7):
         expect = np.clip(((points[i] + 0.5) // width).astype(np.int64), 0, n - 1)
-        assert tree.leaf_of(i) == ef.BoxId(config.depth, tuple(expect))
+        assert np.array_equal(tree.leaf_multi[i], expect)
 
 
 def test_points_in_boxes_partition(small_tree):
     points, config, tree = small_tree
     seen = np.zeros(400, dtype=bool)
-    for flat, multi in zip(tree.level_flat[config.depth], tree.level_multi[config.depth]):
-        idx = tree.points_in(ef.BoxId(config.depth, tuple(multi)))
+    for i, multi in enumerate(tree.level_multi[config.depth]):
+        start = tree.leaf_starts[i]
+        idx = tree.order[start : start + tree.leaf_counts[i]]
         assert not seen[idx].any()
         seen[idx] = True
-        # membership: every point inside the closed box
-        center = ef.box_center(config, ef.BoxId(config.depth, tuple(multi)))
-        half = config.half_width(config.depth)
-        assert np.all(np.abs(points[idx] - center) <= half + 1e-12)
+        assert np.all(tree.leaf_multi[idx] == multi)
     assert seen.all()
+    # membership: every point inside its closed leaf
+    assert np.abs(_leaf_local(tree)).max() <= config.half_width(config.depth)
 
 
 def test_occupancy_counts(small_tree):
     points, config, tree = small_tree
-    occ = tree.occupancy()
-    assert set(occ) == set(tree.level_flat[config.depth].tolist())
-    assert sum(occ.values()) == 400
-    assert all(v >= 1 for v in occ.values())
+    width = 2 * config.half_width(config.depth)
+    leaves = np.clip(((points + 0.5) // width).astype(int), 0, 2**config.depth - 1)
+    brute = collections.Counter(map(tuple, leaves.tolist()))
+    occupied = dict(zip(map(tuple, tree.level_multi[config.depth].tolist()),
+                        tree.leaf_counts.tolist()))
+    assert occupied == brute
     assert sum(tree.leaf_counts) == 400
     # coarser levels never have more occupied boxes than finer ones
     for level in range(1, config.depth + 1):
@@ -177,9 +186,7 @@ def test_boundary_points_clamped():
     config = ef.TreeConfig(dimension=2, side=1.0, depth=2)
     pts = np.array([[0.5, 0.5], [-0.5, 0.5], [0.5, -0.23], [-0.5, -0.5]])
     tree = ef.build_tree(pts, config)
-    assert tree.leaf_of(0) == ef.BoxId(2, (3, 3))
-    assert tree.leaf_of(1) == ef.BoxId(2, (0, 3))
-    assert tree.leaf_of(3) == ef.BoxId(2, (0, 0))
+    assert tree.leaf_multi[[0, 1, 3]].tolist() == [[3, 3], [0, 3], [0, 0]]
 
 
 def test_points_outside_domain_rejected():
@@ -193,18 +200,25 @@ def test_points_outside_domain_rejected():
 
 
 def test_neighbor_list_brute_force(small_tree):
+    # each near-field row holds exactly the sources in leaves within
+    # Chebyshev distance 1 of its target's leaf; the half path (a shared
+    # tree) keeps those at a lexicographically nonnegative leaf offset
     points, config, tree = small_tree
-    n = 2**config.depth
-    occupied = {tuple(m) for m in tree.level_multi[config.depth]}
-    for multi in list(occupied)[:25]:
-        box = ef.BoxId(config.depth, multi)
-        got = {b.multi_index for b in ef.neighbor_list(tree, box)}
-        # geometric neighborhood clamped to the domain, occupancy ignored
-        expect = set(
-            itertools.product(*(range(max(0, c - 1), min(n, c + 2)) for c in multi))
-        )
-        assert got == expect
-        assert tuple(int(c) for c in multi) in got
+    kernel = ef.make_builtin_kernel("gaussian")
+    rng = np.random.default_rng(78)
+    other = ef.build_tree(rng.uniform(-0.5, 0.5, size=(300, 3)), config)
+    for src in (other, tree):
+        matrix = _near_matrix(kernel, tree, src)
+        delta = src.leaf_multi[None, :, :] - tree.leaf_multi[:, None, :]
+        expect = np.abs(delta).max(axis=2) <= 1
+        if src is tree:
+            lead = np.take_along_axis(
+                delta, (delta != 0).argmax(axis=2)[..., None], axis=2)[..., 0]
+            expect &= lead >= 0  # first nonzero component (0 if none)
+        for row in range(tree.n_points):
+            cols = matrix.indices[matrix.indptr[row] : matrix.indptr[row + 1]]
+            got = np.sort(src.order[cols])
+            assert np.array_equal(got, np.flatnonzero(expect[tree.order[row]]))
 
 
 def test_interaction_list_brute_force(small_tree):
