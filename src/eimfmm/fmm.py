@@ -4,10 +4,18 @@ The multilevel pass follows the usual upward/transfer/downward shape, with
 per-box vectors whose lengths vary by level (each level keeps exactly the
 terms its interpolation models selected), stored box-major as one (boxes,
 terms) array per level so that every gather and scatter moves whole rows.
-The leaf passes run over chunks of whole leaves, so no (terms, points)
-array is formed.  A SummationPlan precomputes everything independent of the
-source strengths, so repeated sweeps with new potentials only pay for the
-five far passes and the near product.
+A SummationPlan precomputes everything independent of the source
+strengths, so repeated sweeps with new potentials only pay for the five far
+passes and the near product.  That includes, per level, the radiating
+model's coefficient solve composed with the transfer projector: the upward
+pass carries moments only and runs no triangular solve; the one solve left
+in a sweep is the leaf receiving model's, after the downward sum.
+
+Kernel evaluations go in chunks of at most _EVAL_CHUNK values (whole leaves
+in the leaf passes, whole rows in the near build), so every displacement
+array stays cache-sized.  Displacements are built as one contiguous plane
+per coordinate and handed to the kernel as an (..., D) view of those
+planes.
 """
 
 import os
@@ -28,15 +36,14 @@ from .tree import (build_tree, child_offsets, parity_rank, require_finite,
                    transfer_offsets)
 
 _COINCIDENT_DISTANCE = 1e-300
-# Points per chunk of the leaf moments and of the leaf evaluations.
-_POINT_CHUNK = 4096
+# Kernel evaluations per chunk of the leaf passes, the near-field build and
+# direct_sum.
+_EVAL_CHUNK = 2**16
 # Padding of the dense box lookup: the largest transfer offset component.
 _PAD = 3
-# Kernel evaluations per chunk of the near-field build and of direct_sum.
-_PAIR_CHUNK = 2**18
 
 FAR_PHASES = ("P2M", "M2M", "M2L", "L2L", "L2P")
-ALL_PHASES = FAR_PHASES + ("near",)
+ALL_PHASES = FAR_PHASES + ("near_build", "near")
 
 
 @dataclass
@@ -69,7 +76,6 @@ class FieldData:
     """
 
     source_moments: dict = field(default_factory=dict)
-    source_coeffs: dict = field(default_factory=dict)
     transfer_sums: dict = field(default_factory=dict)
     local_moments: dict = field(default_factory=dict)
     local_coeffs: dict = field(default_factory=dict)
@@ -99,13 +105,15 @@ def _masked_kernel_values(kernel, displacements):
 
 
 def _displacements(x, y):
-    """x - y broadcast to (n, m, D), one coordinate at a time: a broadcast
-    over an innermost axis of length D is several times slower."""
+    """x - y broadcast to (..., D), as the view of one contiguous plane per
+    coordinate: each subtraction writes a whole plane, and a reduction over
+    the view's last axis runs several times faster than over a contiguous
+    innermost axis of length D."""
     shape = np.broadcast_shapes(x.shape, y.shape)
-    out = np.empty(shape)
-    for c in range(shape[-1]):
-        np.subtract(x[..., c], y[..., c], out=out[..., c])
-    return out
+    planes = np.empty((shape[-1],) + shape[:-1])
+    for c, plane in enumerate(planes):
+        np.subtract(x[..., c], y[..., c], out=plane)
+    return np.moveaxis(planes, 0, -1)
 
 
 def direct_sum(kernel, system):
@@ -114,7 +122,7 @@ def direct_sum(kernel, system):
     sources = system.sources
     sigma = system.potentials
     out = np.empty(targets.shape[0])
-    step = max(1, _PAIR_CHUNK // max(1, sources.shape[0]))
+    step = max(1, _EVAL_CHUNK // max(1, sources.shape[0]))
     for start in range(0, targets.shape[0], step):
         chunk = targets[start : start + step]
         disp = _displacements(chunk[:, None, :], sources[None, :, :])
@@ -174,14 +182,16 @@ def _add_rows(target, pos, values):
         np.put(target.view(record), pos, rows.view(record))
 
 
-def _leaf_chunks(tree):
-    """Runs of whole consecutive leaves, at most _POINT_CHUNK points or a
-    single leaf each, as (first leaf, end leaf, first point, end point)."""
+def _leaf_chunks(tree, terms):
+    """Runs of whole consecutive leaves, at most _EVAL_CHUNK // terms points
+    (so _EVAL_CHUNK kernel values against terms nodes) or a single leaf
+    each, as (first leaf, end leaf, first point, end point)."""
+    points = _EVAL_CHUNK // terms
     ends = tree.leaf_starts + tree.leaf_counts
     l0 = 0
     while l0 < ends.size:
         p0 = int(tree.leaf_starts[l0])
-        l1 = max(l0 + 1, int(np.searchsorted(ends, p0 + _POINT_CHUNK, side="right")))
+        l1 = max(l0 + 1, int(np.searchsorted(ends, p0 + points, side="right")))
         yield l0, l1, p0, int(ends[l1 - 1])
         l0 = l1
 
@@ -192,7 +202,7 @@ def _leaf_moments(kernel, tree, nodes, sigma):
     weights sigma."""
     local = _leaf_local(tree)
     out = np.empty((tree.leaf_starts.size, nodes.shape[0]))
-    for l0, l1, p0, p1 in _leaf_chunks(tree):
+    for l0, l1, p0, p1 in _leaf_chunks(tree, nodes.shape[0]):
         disp = _displacements(nodes[None, :, :], local[p0:p1, None, :])
         weighted = kernel.from_displacements(disp) * sigma[p0:p1, None]
         np.add.reduceat(weighted, tree.leaf_starts[l0:l1] - p0, axis=0,
@@ -206,7 +216,7 @@ def _leaf_values(kernel, tree, nodes, coeffs):
     coeffs."""
     local = _leaf_local(tree)
     out = np.empty(tree.n_points)
-    for l0, l1, p0, p1 in _leaf_chunks(tree):
+    for l0, l1, p0, p1 in _leaf_chunks(tree, nodes.shape[0]):
         disp = _displacements(local[p0:p1, None, :], nodes[None, :, :])
         per_point = np.repeat(coeffs[l0:l1], tree.leaf_counts[l0:l1], axis=0)
         out[tree.order[p0:p1]] = np.einsum(
@@ -265,6 +275,13 @@ class SummationPlan:
                 hit = pos >= 0
                 groups.append((rows_of[m][hit], pos[hit]))
             self._transfer_groups[level] = groups
+        # The radiating coefficient solve composed with the transfer
+        # projector, (terms, rank) per level: the transfer pass projects
+        # moments straight through it.
+        self._folded = {
+            level: cache.eims[level].radiating.coefficients_t(cache.m2l[level].projector)
+            for level in range(2, depth + 1)
+        }
         self._near = None
 
     # -- far field ---------------------------------------------------------
@@ -287,7 +304,8 @@ class SummationPlan:
             kernel, src, cache.eims[depth].radiating.x_points, sigma)}
         timings["P2M"] += time.perf_counter() - t0
 
-        # Upward sweep plus the per-level coefficient solves.
+        # Upward sweep on the moments; their coefficient solves are folded
+        # into the transfer projection.
         t0 = time.perf_counter()
         for level in range(depth - 1, 1, -1):
             up = cache.m2m[level].matrices
@@ -296,10 +314,6 @@ class SummationPlan:
             for mat, (sel, parent) in zip(up, self._src_children[level + 1]):
                 acc[parent] += child.take(sel, axis=0) @ mat.T
             moments[level] = acc
-        coeffs = {
-            level: cache.eims[level].radiating.coefficients(moments[level].T).T
-            for level in range(2, depth + 1)
-        }
         timings["M2M"] += time.perf_counter() - t0
 
         # Transfer pass in the projected coordinates, grouped by offset; a
@@ -308,7 +322,7 @@ class SummationPlan:
         transfer = {}
         for level in range(2, depth + 1):
             ops = cache.m2l[level]
-            projected = coeffs[level] @ ops.projector
+            projected = moments[level] @ self._folded[level]
             gathered = np.zeros((tgt.level_flat[level].size, ops.rank))
             for t, (tpos, spos) in enumerate(self._transfer_groups[level]):
                 moved = ops.apply_block(t, projected.take(spos, axis=0).T)
@@ -337,7 +351,6 @@ class SummationPlan:
 
         fields = FieldData(
             source_moments={k: v.T for k, v in moments.items()},
-            source_coeffs={k: v.T for k, v in coeffs.items()},
             transfer_sums={k: v.T for k, v in transfer.items()},
             local_moments={k: v.T for k, v in local_moments.items()},
             local_coeffs={depth: local_coeffs.T},
@@ -350,10 +363,14 @@ class SummationPlan:
         """Exact near-field values at the targets; the near-field matrix is
         built on the first call and kept."""
         sigma = self._sorted_weights(potentials)
+        return _near_product(self._near_built(), self.kernel, self.tgt_tree,
+                             self.src_tree, sigma)
+
+    def _near_built(self):
+        """The near-field matrix, built on first use."""
         if self._near is None:
             self._near = _near_matrix(self.kernel, self.tgt_tree, self.src_tree)
-        return _near_product(self._near, self.kernel, self.tgt_tree,
-                             self.src_tree, sigma)
+        return self._near
 
     def _sorted_weights(self, potentials):
         """One finite potential per source, in leaf-sorted source order."""
@@ -390,7 +407,7 @@ def _near_matrix(kernel, target_tree, source_tree):
     keeps the columns sorted.  When _stores_half holds, only the self
     offset and the lexicographically positive offsets are stored, with the
     self blocks halved: the near field is then H @ sigma + H.T @ sigma.
-    Rows are filled in chunks of at most _PAIR_CHUNK pairs (or one row),
+    Rows are filled in chunks of at most _EVAL_CHUNK pairs (or one row),
     straight into arrays sized from the leaf counts.
     """
     tgt = target_tree
@@ -416,10 +433,12 @@ def _near_matrix(kernel, target_tree, source_tree):
     np.cumsum(row_len, out=indptr[1:])
     data = np.empty(nnz)
     indices = np.empty(nnz, dtype=index_dtype)
+    tgt_planes = np.ascontiguousarray(tgt.sorted_points.T)
+    src_planes = np.ascontiguousarray(src.sorted_points.T)
 
     r0 = 0
     while r0 < tgt.n_points:
-        r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + _PAIR_CHUNK,
+        r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + _EVAL_CHUNK,
                                              side="right")) - 1)
         p0, p1 = int(indptr[r0]), int(indptr[r1])
         leaves = leaf_of_row[r0:r1]
@@ -430,9 +449,16 @@ def _near_matrix(kernel, target_tree, source_tree):
         pattern_start = np.cumsum(leaf_len[l0:l1]) - leaf_len[l0:l1]
         lens = row_len[r0:r1]
         cols = pattern[_ragged_arange(pattern_start[leaves - l0], lens)]
-        disp = np.repeat(tgt.sorted_points[r0:r1], lens, axis=0)
-        disp -= src.sorted_points[cols]
-        values = _masked_kernel_values(kernel, disp)
+        # Gathered one coordinate plane at a time.  The mask takes r^2 from
+        # these planes and the kernel computes its own: handing r^2 over
+        # would need a radial entry point next to from_displacements, which
+        # a Kernel wrapping another (one that counts evaluations, say) does
+        # not forward, so wrapped and bare runs would round differently.
+        planes = np.empty((dim, p1 - p0))
+        for c, plane in enumerate(planes):
+            src_planes[c].take(cols, out=plane)
+            np.subtract(np.repeat(tgt_planes[c, r0:r1], lens), plane, out=plane)
+        values = _masked_kernel_values(kernel, planes.T)
         if half:
             # the self block leads every row
             own = tgt.leaf_counts[leaves]
@@ -521,6 +547,9 @@ def evaluate(kernel, system, config, tolerance, compress_tol=None,
 
     plan = SummationPlan(kernel, system.targets, system.sources, config, cache)
     far, fields, timings = plan.apply_far(system.potentials)
+    t0 = time.perf_counter()
+    plan._near_built()
+    timings["near_build"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     near = plan.apply_near(system.potentials)
     timings["near"] = time.perf_counter() - t0

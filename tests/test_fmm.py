@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import eimfmm as ef
+from eimfmm.eim import EimModel
 from eimfmm.fmm import load_or_build_cache
 
 KERNEL = ef.make_builtin_kernel("gaussian")
@@ -206,7 +207,7 @@ def test_far_and_near_are_linear(cloud, cache):
     far_o, _, _ = plan.apply_far(other)
     far_mix, _, _ = plan.apply_far(2.0 * weights - 3.0 * other)
     scale = np.abs(far_mix).max()
-    assert np.abs(far_mix - (2.0 * far_w - 3.0 * far_o)).max() <= 1e-12 * scale
+    assert np.abs(far_mix - (2.0 * far_w - 3.0 * far_o)).max() <= 1e-13 * scale
     near_mix = plan.apply_near(2.0 * weights - 3.0 * other)
     combo = 2.0 * plan.apply_near(weights) - 3.0 * plan.apply_near(other)
     assert np.abs(near_mix - combo).max() <= 1e-12 * np.abs(near_mix).max()
@@ -245,7 +246,6 @@ def test_field_data_shapes(cloud, cache):
     for level in (2, 3):
         boxes = tree.level_flat[level].size
         assert fields.source_moments[level].shape == (terms[level], boxes)
-        assert fields.source_coeffs[level].shape == (terms[level], boxes)
         assert fields.transfer_sums[level].shape == (terms[level], boxes)
         assert fields.local_moments[level].shape == (terms[level], boxes)
     assert list(fields.local_coeffs) == [CONFIG.depth]
@@ -321,21 +321,102 @@ def test_far_pass_independent_of_chunk_size(cache, monkeypatch):
     assert np.abs(fields.source_moments[depth].T - moments).max() <= 1e-13 * scale
     assert np.abs(far - values).max() <= 1e-13 * np.abs(values).max()
 
-    monkeypatch.setattr(ef.fmm, "_POINT_CHUNK", 5)
-    chunks = list(ef.fmm._leaf_chunks(tree))
+    # five points per chunk against the leaf models' nodes
+    terms = eims.radiating.d
+    assert eims.receiving.d == terms
+    monkeypatch.setattr(ef.fmm, "_EVAL_CHUNK", 5 * terms)
+    chunks = list(ef.fmm._leaf_chunks(tree, terms))
     counts = tree.leaf_counts
     assert any(l1 - l0 > 1 for l0, l1, _, _ in chunks)
     assert any(l1 - l0 == 1 and counts[l0] > 5 for l0, l1, _, _ in chunks)
+    assert all(p1 - p0 <= 5 or l1 - l0 == 1 for l0, l1, p0, p1 in chunks)
     small_far, small_fields, _ = plan.apply_far(weights)
     assert np.abs(small_far - far).max() <= 1e-13 * np.abs(far).max()
-    for name in ("source_moments", "source_coeffs", "transfer_sums",
-                 "local_moments", "local_coeffs"):
+    for name in ("source_moments", "transfer_sums", "local_moments",
+                 "local_coeffs"):
         big, small = getattr(fields, name), getattr(small_fields, name)
         assert list(small) == list(big)
         for level in big:
             assert small[level].shape == big[level].shape
             scale = np.abs(big[level]).max()
             assert np.abs(small[level] - big[level]).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("case", ["gaussian-2d", "laplace-3d"])
+def test_folded_projection_matches_solve_then_project(case, cloud, cache,
+                                                      cube_cloud, cache_store):
+    # the plan's folded matrices stand for the radiating solve followed by
+    # the transfer projection, level by level.  The products cancel heavily
+    # (the pivot factors' condition numbers reach 2e5), so the rounding is
+    # measured against the magnitudes summed, |moments| @ |folded|.
+    if case == "gaussian-2d":
+        points, weights = cloud
+        kernel, config, ops = KERNEL, CONFIG, cache
+    else:
+        points, weights = cube_cloud[0][:3000], cube_cloud[1][:3000]
+        kernel = ef.make_builtin_kernel("laplace")
+        config = ef.TreeConfig(dimension=3, side=1.0, depth=4)
+        ops = cache_store("laplace", 4, 1e-4)
+    plan = ef.SummationPlan(kernel, points, points, config, ops)
+    _, fields, _ = plan.apply_far(weights)
+    assert sorted(fields.source_moments) == list(range(2, config.depth + 1))
+    for level, moments in fields.source_moments.items():
+        coeffs = ops.eims[level].radiating.coefficients(moments)
+        expect = coeffs.T @ ops.m2l[level].projector
+        folded = plan._folded[level]
+        got = moments.T @ folded
+        scale = np.abs(moments.T) @ np.abs(folded)
+        assert np.all(np.abs(got - expect) <= 1e-13 * scale)
+
+
+def test_warm_far_pass_solves_only_for_the_leaf_receiving_model(cloud, cache,
+                                                                monkeypatch):
+    points, weights = cloud
+    plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache)
+    calls = []
+    for name in ("coefficients", "coefficients_t"):
+        original = getattr(EimModel, name)
+
+        def counted(model, rhs, name=name, original=original):
+            calls.append((name, model))
+            return original(model, rhs)
+
+        monkeypatch.setattr(EimModel, name, counted)
+    plan.apply_far(weights)
+    assert len(calls) == 1
+    name, model = calls[0]
+    assert name == "coefficients"
+    assert model is cache.eims[CONFIG.depth].receiving
+
+
+def test_displacements_are_coordinate_planes():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((7, 1, 3))
+    y = rng.standard_normal((1, 5, 3))
+    disp = ef.fmm._displacements(x, y)
+    assert disp.shape == (7, 5, 3)
+    assert np.array_equal(disp, x - y)
+    # a view of one contiguous (7, 5) plane per coordinate
+    assert disp.base.shape == (3, 7, 5)
+    assert disp.base.flags.c_contiguous
+
+
+def test_near_matrix_independent_of_chunk_budget(cloud, monkeypatch):
+    points, _ = cloud
+    tree = ef.build_tree(points, CONFIG)
+    # the shared tree stores half the pairs, the second tree all of them
+    for source_tree in (tree, ef.build_tree(points, CONFIG)):
+        full = ef.fmm._near_matrix(KERNEL, tree, source_tree)
+        assert np.diff(full.indptr).max() > 50
+        # one row per chunk, then several rows per chunk
+        for budget in (50, 1000):
+            monkeypatch.setattr(ef.fmm, "_EVAL_CHUNK", budget)
+            small = ef.fmm._near_matrix(KERNEL, tree, source_tree)
+            assert np.array_equal(small.indptr, full.indptr)
+            assert np.array_equal(small.indices, full.indices)
+            assert np.all(np.abs(small.data - full.data)
+                          <= np.spacing(np.abs(full.data)))
+        monkeypatch.undo()
 
 
 def test_add_rows_matches_fancy_add():
