@@ -47,6 +47,10 @@ def generate_points(kind, count, seed, semi_axes=DEFAULT_SEMI_AXES):
         raise ValueError("semi-axes must be three positive numbers")
     if kind == "sphere":
         axes = np.full(3, 0.5)
+    elif np.sum((0.5 / axes) ** 2) <= 1.0:
+        # the box corners lie inside the ellipsoid, so no surface point
+        # falls in the box and the redraw loop below would never end
+        raise ValueError("semi-axes put the whole box inside the ellipsoid")
     out = np.empty((count, 3))
     have = 0
     while have < count:

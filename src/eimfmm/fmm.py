@@ -7,7 +7,7 @@ terms) array per level so that every gather and scatter moves whole rows.
 A SummationPlan precomputes everything independent of the source
 strengths, so repeated sweeps with new potentials only pay for the five far
 passes and the near product.  That includes, per level, the radiating
-model's coefficient solve composed with the transfer projector: the upward
+model's coefficient solve composed with the transfer row basis: the upward
 pass carries moments only and runs no triangular solve; the one solve left
 in a sweep is the leaf receiving model's, after the downward sum.
 
@@ -275,11 +275,11 @@ class SummationPlan:
                 hit = pos >= 0
                 groups.append((rows_of[m][hit], pos[hit]))
             self._transfer_groups[level] = groups
-        # The radiating coefficient solve composed with the transfer
-        # projector, (terms, rank) per level: the transfer pass projects
-        # moments straight through it.
+        # The radiating coefficient solve composed with the transfer row
+        # basis, (terms, r_v) per level: the transfer pass projects moments
+        # straight through it.
         self._folded = {
-            level: cache.eims[level].radiating.coefficients_t(cache.m2l[level].projector)
+            level: cache.eims[level].radiating.coefficients_t(cache.m2l[level].row_basis)
             for level in range(2, depth + 1)
         }
         self._near = None

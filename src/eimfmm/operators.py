@@ -4,9 +4,10 @@ For each level this builds the two directional interpolation models, the
 2^D parent/child translation matrices of M2M and L2L (one builder for
 both: a model's kernel sections at shifted nodes, its coefficient map
 folded in through triangular solves), and the compressed transfer
-operators: one shared column basis from a truncated SVD of the
-concatenated transfer blocks, taken through the small R factor of a QR of
-the transposed concatenation, then a per-offset truncated SVD.
+operators, the same way for every kernel: a column basis and a row basis
+from truncated SVDs of the concatenated transfer blocks and of their
+transposes (one basis serves both for a symmetric kernel), each taken
+through the small R factor of a QR, then a per-offset truncated SVD.
 Everything serializes to a versioned little-endian binary cache.
 """
 
@@ -23,7 +24,7 @@ from .eim import EimModel, TrainingSet, eim_build
 from .tree import child_offsets, level_geometry, training_grids, transfer_offsets
 
 CACHE_MAGIC = b"EIMFMM01"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 class CacheError(Exception):
@@ -78,14 +79,17 @@ class TranslationOperators:
 class M2lOperators:
     """Compressed same-level transfer operators.
 
-    ``projector`` is the shared column-orthonormal basis (d_k by rank).
-    ``blocks[t]`` holds the operator for transfer offset t in projected
-    coordinates: either ("dense", C) with C rank-by-rank, or
-    ("lowrank", U, V) with U rank-by-s and V s-by-rank.
+    The transfer block of offset t is approximated by projector @ C_t @
+    row_basis.T.  ``projector`` is the orthonormal column basis on the
+    receiving side (d_recv by rank), ``row_basis`` the orthonormal basis on
+    the radiating side (d_rad by r_v); for a symmetric kernel they are the
+    same array.  ``blocks[t]`` holds C_t: either ("dense", C) with C
+    rank-by-r_v, or ("lowrank", U, V) with U rank-by-s and V s-by-r_v.
     """
 
     level: int
     projector: np.ndarray
+    row_basis: np.ndarray
     blocks: list
 
     @property
@@ -94,10 +98,10 @@ class M2lOperators:
 
     def block_rank(self, t):
         tag, *factors = self.blocks[t]
-        return factors[0].shape[1] if tag == "lowrank" else self.projector.shape[1]
+        return factors[0].shape[1] if tag == "lowrank" else self.rank
 
     def apply_block(self, t, moments):
-        """Projected transfer block applied to (rank, n) moment columns."""
+        """C_t applied to (r_v, n) moment columns projected on row_basis."""
         tag, *factors = self.blocks[t]
         if tag == "dense":
             return factors[0] @ moments
@@ -112,6 +116,16 @@ def build_level_eims(kernel, config, level, tolerance, max_terms,
         raise ValueError(f"level {level} outside 2..{config.depth}")
     geo = level_geometry(config, level)
     train = training_grids(geo, resolution, x_budget)
+    if kernel.is_symmetric:
+        # The flag selects the transposed receiving model, the half near
+        # field and V = U, all silently wrong for a kernel that breaks it:
+        # compare both orders on a fixed subsample of <= 64 x 64 pairs.
+        xs, ys = (p[::-(-len(p) // 64)] for p in (train.points_x, train.points_y))
+        forward = kernel.pairwise(xs, ys)
+        gap = np.abs(forward - kernel.pairwise(ys, xs).T).max()
+        if gap > tolerance * np.abs(forward).max():
+            raise ValueError(f"kernel {kernel.name!r} is declared symmetric, "
+                             "but K(x, y) != K(y, x) on its training pairs")
     radiating = eim_build(kernel, train, tolerance, max_terms)
     if kernel.is_symmetric:
         receiving = radiating.transposed()
@@ -161,18 +175,27 @@ def _tail_rank(svals, rel_tol):
     return int(np.count_nonzero(tails > rel_tol * norm))
 
 
+def _column_basis(fat, eps):
+    """Orthonormal basis of the truncated left singular subspace of a wide
+    matrix, at the smallest rank whose Frobenius tail is within eps.  fat =
+    R^T Q^T for a QR of its transpose, so fat and the small R^T share left
+    singular vectors and values, and the wide right factor is never formed.
+    """
+    r_factor = np.linalg.qr(fat.T, mode="r")
+    basis, svals, _ = np.linalg.svd(r_factor.T)
+    return np.ascontiguousarray(basis[:, :_tail_rank(svals, eps)])
+
+
 def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     """Compressed transfer operators for every offset of one level.
 
-    Takes a truncated SVD of the concatenation of all transfer blocks
-    (d_k rows) for a shared orthonormal column basis.  Only its left
-    singular vectors and singular values are needed, so they come from the
-    d_k-by-d_k R factor of a QR of the transposed concatenation, and the
-    wide right factor is never formed.  It then recompresses each
-    projected block with its own truncated SVD (keeping it dense when the
-    block rank does not drop enough to pay for two products).  Both stages
-    keep the smallest rank whose Frobenius tail stays within the tolerance:
-    eps at the first stage, eps/2 per block.
+    Projects the transfer blocks B_t from both sides: a column basis U from
+    the concatenation of all blocks (d_recv rows), a row basis V from the
+    concatenation of their transposes (d_rad rows), each a truncated SVD.
+    Every block is stored as U^T B_t V, recompressed with its own truncated
+    SVD (kept dense when the block rank does not drop enough to pay for two
+    products).  Both stages keep the smallest rank whose Frobenius tail
+    stays within the tolerance: eps per basis, eps/2 per block.
     """
     if level < 2:
         raise ValueError("transfer operators exist at levels >= 2 only")
@@ -183,37 +206,23 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     step = 2.0 * config.half_width(level)
     px = eims.receiving.x_points
     py = eims.radiating.y_points
-    if px.shape[0] != py.shape[0] and not kernel.is_symmetric:
-        raise NotImplementedError(
-            "single-projector compression needs equal term counts in both "
-            "directional models"
-        )
     blocks = [kernel.pairwise(px, py + step * off) for off in offsets]
-    if kernel.is_symmetric:
-        fat = np.hstack(blocks)
-    else:
-        # The shared basis must span row spaces too; symmetric kernels get
-        # that for free because the offset set is closed under negation.
-        fat = np.hstack(blocks + [b.T for b in blocks])
-    # fat = R^T Q^T: fat and R^T share left singular vectors and values
-    r_factor = np.linalg.qr(fat.T, mode="r")
-    column_basis, svals, _ = np.linalg.svd(r_factor.T)
-    rank = _tail_rank(svals, eps)
-    projector = np.ascontiguousarray(column_basis[:, :rank])
-
-    out_blocks = []
-    for block in blocks:
-        projected = projector.T @ block @ projector
-        out_blocks.append(_recompress_block(projected, eps, rank))
-    return M2lOperators(level=level, projector=projector, blocks=out_blocks)
+    projector = _column_basis(np.hstack(blocks), eps)
+    # For a symmetric kernel the offset set is closed under negation and
+    # B_t^T = B_{-t}: the transposes are the same columns, so V is U.
+    row_basis = projector if kernel.is_symmetric else _column_basis(
+        np.hstack([b.T for b in blocks]), eps)
+    out_blocks = [_recompress_block(projector.T @ b @ row_basis, eps)
+                  for b in blocks]
+    return M2lOperators(level, projector, row_basis, out_blocks)
 
 
-def _recompress_block(projected, eps, rank):
+def _recompress_block(projected, eps):
     """Per-offset second stage: truncated SVD within eps/2, square-root
     split.  Falls back to the dense block when the rank does not drop."""
     u_small, svals, vt_small = np.linalg.svd(projected)
     keep = _tail_rank(svals, 0.5 * eps)
-    if keep > 0.8 * rank:
+    if keep > 0.8 * min(projected.shape):
         return ("dense", projected)
     roots = np.sqrt(svals[:keep])
     u = u_small[:, :keep] * roots[np.newaxis, :]
@@ -319,13 +328,10 @@ def _w_f64(fh, value):
     fh.write(struct.pack("<d", float(value)))
 
 
-def _w_bytes(fh, data):
+def _w_str(fh, text):
+    data = text.encode()
     _w_u64(fh, len(data))
     fh.write(data)
-
-
-def _w_str(fh, text):
-    _w_bytes(fh, text.encode())
 
 
 def _w_array(fh, arr):
@@ -353,13 +359,9 @@ def _r_f64(fh):
     return struct.unpack("<d", _read(fh, 8))[0]
 
 
-def _r_bytes(fh):
-    return _read(fh, _r_u64(fh))
-
-
 def _r_str(fh):
     try:
-        return _r_bytes(fh).decode()
+        return _read(fh, _r_u64(fh)).decode()
     except UnicodeDecodeError as exc:
         raise CacheCorruptError("undecodable name in cache file") from exc
 
@@ -390,26 +392,21 @@ def _r_key(fh):
     return CacheKey(*(_KEY_CODECS[f.type][1](fh) for f in fields(CacheKey)))
 
 
+_EIM_ARRAYS = ("x_points", "y_points", "basis_matrix", "pivot_matrix",
+               "residual_history")
+
+
 def _w_eim(fh, model):
     _w_str(fh, model.kernel_id)
     _w_u64(fh, model.d)
     _w_u64(fh, 1 if model.degenerate else 0)
-    _w_array(fh, model.x_points)
-    _w_array(fh, model.y_points)
-    _w_array(fh, model.basis_matrix)
-    _w_array(fh, model.pivot_matrix)
-    _w_array(fh, model.residual_history)
+    for name in _EIM_ARRAYS:
+        _w_array(fh, getattr(model, name))
 
 
 def _r_eim(fh):
-    kernel_id = _r_str(fh)
-    d = _r_u64(fh)
-    degenerate = bool(_r_u64(fh))
-    x_points = _r_array(fh)
-    y_points = _r_array(fh)
-    basis = _r_array(fh)
-    pivots = _r_array(fh)
-    history = _r_array(fh)
+    kernel_id, d, degenerate = _r_str(fh), _r_u64(fh), bool(_r_u64(fh))
+    x_points, y_points, basis, pivots, history = (_r_array(fh) for _ in _EIM_ARRAYS)
     if x_points.shape[0] != d or basis.shape != (d, d) or pivots.shape != (d, d):
         raise CacheCorruptError("inconsistent model block in cache file")
     return EimModel(kernel_id, x_points, y_points, basis, pivots, history,
@@ -436,6 +433,7 @@ def save_cache(cache, path):
                 _w_array(body, mat)
         trans = cache.m2l[level]
         _w_array(body, trans.projector)
+        _w_array(body, trans.row_basis)
         _w_u64(body, len(trans.blocks))
         for tag, *factors in trans.blocks:
             _w_u64(body, 0 if tag == "dense" else 1)
@@ -510,6 +508,7 @@ def load_cache(path, expected_key=None):
             cache.m2m[level] = TranslationOperators(level, m2m)
             cache.l2l[level] = TranslationOperators(level, l2l)
         projector = _r_array(body)
+        row_basis = _r_array(body)
         nblocks = _r_u64(body)
         if nblocks != len(transfer_offsets(dim)):
             raise CacheCorruptError("wrong transfer block count in cache file")
@@ -519,7 +518,7 @@ def load_cache(path, expected_key=None):
                 blocks.append(("lowrank", _r_array(body), _r_array(body)))
             else:
                 blocks.append(("dense", _r_array(body)))
-        cache.m2l[level] = M2lOperators(level, projector, blocks)
+        cache.m2l[level] = M2lOperators(level, projector, row_basis, blocks)
     if body.read(1):
         raise CacheCorruptError("trailing bytes inside cache payload")
     return cache

@@ -28,8 +28,8 @@ class TreeConfig:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-        if not (self.side > 0.0):
-            raise ValueError("side must be positive")
+        if not (0.0 < self.side < np.inf):
+            raise ValueError("side must be positive and finite")
         if self.depth < 2:
             # Levels 0 and 1 have no well-separated boxes, so a shallower
             # tree has an empty far field and nothing to accelerate.
@@ -40,6 +40,7 @@ class TreeConfig:
             c = np.asarray(self.center, dtype=float)
         if c.shape != (self.dimension,):
             raise ValueError("center must have one coordinate per dimension")
+        require_finite("center coordinate", c)
         object.__setattr__(self, "center", tuple(float(v) for v in c))
 
     def half_width(self, level):

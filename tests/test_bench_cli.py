@@ -67,6 +67,11 @@ def test_generate_points_validation():
         bench.generate_points("torus", 10, seed=0)
     with pytest.raises(ValueError):
         bench.generate_points("ellipsoid", 10, seed=0, semi_axes=(0.5, -0.1, 0.2))
+    # an ellipsoid holding the whole box has no surface point inside it
+    with pytest.raises(ValueError, match="inside the ellipsoid"):
+        bench.generate_points("ellipsoid", 10, seed=0, semi_axes=(5.0, 5.0, 5.0))
+    assert bench.main(["--kernel", "gaussian", "--dist", "ellipsoid",
+                       "--semi-axes", "5", "5", "5", "--n", "10"]) == 1
 
 
 # -- CLI exit codes ----------------------------------------------------------

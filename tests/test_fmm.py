@@ -17,6 +17,25 @@ def cache():
     return ef.build_operator_cache(KERNEL, CONFIG, TOL, resolution=8, x_budget=1024)
 
 
+DRIFT_CONFIG = ef.TreeConfig(dimension=3, side=1.0, depth=3)
+DRIFT_TOL = 1e-4
+
+
+def _drift_profile(disp):
+    """exp(-r) (1 + 0.5 x_0): K(x, y) != K(y, x) through the first
+    displacement component."""
+    r = np.sqrt(np.einsum("...k,...k->...", disp, disp))
+    return np.exp(-r) * (1.0 + 0.5 * disp[..., 0])
+
+
+DRIFT_3D = ef.Kernel("drift-exp-3d", _drift_profile, is_symmetric=False)
+
+
+@pytest.fixture(scope="module")
+def drift_cache():
+    return ef.build_operator_cache(DRIFT_3D, DRIFT_CONFIG, DRIFT_TOL)
+
+
 @pytest.fixture(scope="module")
 def cloud():
     rng = np.random.default_rng(99)
@@ -171,6 +190,42 @@ def test_monolevel_equals_multilevel(cloud, cache):
     multi, _ = ef.multilevel_far_field(KERNEL, tree, system, cache)
     scale = np.abs(multi).max()
     assert np.abs(mono - multi).max() <= 100.0 * TOL * scale
+
+
+def test_nonsymmetric_kernel_oracle_accuracy(cube_cloud, drift_cache):
+    # the two directional models pick different term counts, which the
+    # two-sided transfer compression has to absorb
+    assert any(pair.radiating.d != pair.receiving.d
+               for pair in drift_cache.eims.values())
+    points, weights = cube_cloud
+    system = ef.ParticleSystem(points, points, weights)
+    plan = ef.SummationPlan(DRIFT_3D, points, points, DRIFT_CONFIG, drift_cache)
+    far, _, _ = plan.apply_far(weights)
+    total = far + plan.apply_near(weights)
+    expect = ef.direct_sum(DRIFT_3D, system)
+    rel = np.linalg.norm(total - expect) / np.linalg.norm(expect)
+    assert rel <= 100.0 * DRIFT_TOL
+
+
+def test_nonsymmetric_monolevel_equals_multilevel(cube_cloud, drift_cache):
+    points, weights = cube_cloud[0][:2000], cube_cloud[1][:2000]
+    tree = ef.build_tree(points, DRIFT_CONFIG)
+    system = ef.ParticleSystem(points, points, weights)
+    mono = ef.monolevel_far_field(DRIFT_3D, tree, system, drift_cache.eims[3])
+    multi, _ = ef.multilevel_far_field(DRIFT_3D, tree, system, drift_cache)
+    gap = np.abs(mono - multi).max() / np.abs(multi).max()
+    assert gap <= 100.0 * DRIFT_TOL
+
+
+def test_nonsymmetric_2d_evaluate_matches_direct(drift_kernel):
+    rng = np.random.default_rng(3)
+    points = rng.uniform(-0.5, 0.5, size=(4000, 2))
+    system = ef.ParticleSystem(points, points, rng.uniform(-1.0, 1.0, 4000))
+    config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
+    result = ef.evaluate(drift_kernel, system, config, 1e-6)
+    expect = ef.direct_sum(drift_kernel, system)
+    rel = np.linalg.norm(result.total - expect) / np.linalg.norm(expect)
+    assert rel <= 100.0 * 1e-6
 
 
 def test_monolevel_needs_leaf_models(cloud, cache):
@@ -342,9 +397,10 @@ def test_far_pass_independent_of_chunk_size(cache, monkeypatch):
             assert np.abs(small[level] - big[level]).max() <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("case", ["gaussian-2d", "laplace-3d"])
+@pytest.mark.parametrize("case", ["gaussian-2d", "laplace-3d", "drift-3d"])
 def test_folded_projection_matches_solve_then_project(case, cloud, cache,
-                                                      cube_cloud, cache_store):
+                                                      cube_cloud, cache_store,
+                                                      drift_cache):
     # the plan's folded matrices stand for the radiating solve followed by
     # the transfer projection, level by level.  The products cancel heavily
     # (the pivot factors' condition numbers reach 2e5), so the rounding is
@@ -352,17 +408,20 @@ def test_folded_projection_matches_solve_then_project(case, cloud, cache,
     if case == "gaussian-2d":
         points, weights = cloud
         kernel, config, ops = KERNEL, CONFIG, cache
-    else:
+    elif case == "laplace-3d":
         points, weights = cube_cloud[0][:3000], cube_cloud[1][:3000]
         kernel = ef.make_builtin_kernel("laplace")
         config = ef.TreeConfig(dimension=3, side=1.0, depth=4)
         ops = cache_store("laplace", 4, 1e-4)
+    else:
+        points, weights = cube_cloud[0][:3000], cube_cloud[1][:3000]
+        kernel, config, ops = DRIFT_3D, DRIFT_CONFIG, drift_cache
     plan = ef.SummationPlan(kernel, points, points, config, ops)
     _, fields, _ = plan.apply_far(weights)
     assert sorted(fields.source_moments) == list(range(2, config.depth + 1))
     for level, moments in fields.source_moments.items():
         coeffs = ops.eims[level].radiating.coefficients(moments)
-        expect = coeffs.T @ ops.m2l[level].projector
+        expect = coeffs.T @ ops.m2l[level].row_basis
         folded = plan._folded[level]
         got = moments.T @ folded
         scale = np.abs(moments.T) @ np.abs(folded)

@@ -28,6 +28,12 @@ def small_cache():
 
 
 @pytest.fixture(scope="module")
+def drift_cache(drift_kernel):
+    return ef.build_operator_cache(drift_kernel, CONFIG, 1e-5, resolution=8,
+                                   x_budget=1024)
+
+
+@pytest.fixture(scope="module")
 def loose_cache():
     # coarse tolerance drives the per-offset recompression into its dense
     # fallback for most near offsets
@@ -42,6 +48,15 @@ def test_build_level_eims_rejects_bad_level():
         ef.build_level_eims(KERNEL, CONFIG, 1, TOL, 50, 6)
     with pytest.raises(ValueError):
         ef.build_level_eims(KERNEL, CONFIG, CONFIG.depth + 1, TOL, 50, 6)
+
+
+def test_kernel_declared_symmetric_is_checked(drift_kernel):
+    liar = ef.Kernel("drift-declared-symmetric", drift_kernel.from_displacements,
+                     is_symmetric=True)
+    with pytest.raises(ValueError, match="drift-declared-symmetric"):
+        ef.build_level_eims(liar, CONFIG, 2, TOL, 50, 6)
+    with pytest.raises(ValueError, match="declared symmetric"):
+        ef.build_operator_cache(liar, CONFIG, 1e-3, resolution=6, x_budget=256)
 
 
 def test_symmetric_receiving_shares_nodes(small_cache):
@@ -148,11 +163,12 @@ def test_m2l_validation(small_cache):
         ef.assemble_m2l(KERNEL, CONFIG, 2, pair, 0.0)
 
 
-def test_m2l_projector_orthonormal(small_cache):
-    for level in (2, 3):
-        p = small_cache.m2l[level].projector
-        gram = p.T @ p
-        assert np.abs(gram - np.eye(p.shape[1])).max() <= 1e-12
+def test_m2l_projector_orthonormal(small_cache, drift_cache):
+    for cache in (small_cache, drift_cache):
+        for level in (2, 3):
+            for p in (cache.m2l[level].projector, cache.m2l[level].row_basis):
+                gram = p.T @ p
+                assert np.abs(gram - np.eye(p.shape[1])).max() <= 1e-12
 
 
 def test_m2l_blocks_reconstruct_kernel(small_cache):
@@ -189,49 +205,59 @@ def test_m2l_apply_block_matches_dense(small_cache, loose_cache):
     assert seen == {"dense", "lowrank"}  # both storage layouts exercised
 
 
-def test_m2l_block_rank_accounting(small_cache):
-    for level in (2, 3):
-        ops = small_cache.m2l[level]
-        assert ops.rank == ops.projector.shape[1]
-        for t, (tag, *factors) in enumerate(ops.blocks):
-            if tag == "lowrank":
-                u, v = factors
-                assert u.shape == (ops.rank, ops.block_rank(t))
-                assert v.shape == (ops.block_rank(t), ops.rank)
-                assert ops.block_rank(t) <= ops.rank
-            else:
-                assert factors[0].shape == (ops.rank, ops.rank)
-                assert ops.block_rank(t) == ops.rank
+def test_m2l_block_rank_accounting(small_cache, drift_cache):
+    for cache in (small_cache, drift_cache):
+        for level in (2, 3):
+            ops = cache.m2l[level]
+            assert ops.rank == ops.projector.shape[1]
+            r_v = ops.row_basis.shape[1]
+            for t, (tag, *factors) in enumerate(ops.blocks):
+                if tag == "lowrank":
+                    u, v = factors
+                    assert u.shape == (ops.rank, ops.block_rank(t))
+                    assert v.shape == (ops.block_rank(t), r_v)
+                    assert ops.block_rank(t) <= min(ops.rank, r_v)
+                else:
+                    assert factors[0].shape == (ops.rank, r_v)
+                    assert ops.block_rank(t) == ops.rank
 
 
-def _direct_projector(kernel, level, eims, eps):
-    """Shared projector from a full SVD of the concatenated blocks."""
+def _exact_blocks(kernel, level, eims):
     offsets = ef.transfer_offsets(CONFIG.dimension)
     step = 2.0 * CONFIG.half_width(level)
     px, py = eims.receiving.x_points, eims.radiating.y_points
-    blocks = [kernel.pairwise(px, py + step * off) for off in offsets]
-    if not kernel.is_symmetric:
-        blocks += [b.T for b in blocks]
-    basis, svals, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
-    return basis[:, : _tail_rank(svals, eps)]
+    return [kernel.pairwise(px, py + step * off) for off in offsets]
+
+
+def _direct_bases(kernel, level, eims, eps):
+    """Column and row bases from full SVDs of the concatenated blocks and of
+    their transposes."""
+    blocks = _exact_blocks(kernel, level, eims)
+    bases = []
+    for fat in (np.hstack(blocks), np.hstack([b.T for b in blocks])):
+        basis, svals, _ = np.linalg.svd(fat, full_matrices=False)
+        bases.append(basis[:, : _tail_rank(svals, eps)])
+    return bases
 
 
 def test_m2l_projector_matches_direct_svd(small_cache, drift_kernel):
-    # the basis taken through the QR R factor spans the direct SVD's
+    # each basis taken through the QR R factor spans the direct SVD's
     # truncated left singular subspace, at the same rank
     cases = [(KERNEL, level, small_cache.eims[level], TOL) for level in (2, 3)]
     for level in (2, 3):
         eims = ef.build_level_eims(drift_kernel, CONFIG, level, 1e-5, 300, 8, 1024)
-        assert eims.radiating.d == eims.receiving.d
-        # coarse enough that the projector drops directions
+        # coarse enough that the bases drop directions
         cases.append((drift_kernel, level, eims, 1e-3))
     for kernel, level, eims, eps in cases:
-        direct = _direct_projector(kernel, level, eims, eps)
-        got = ef.assemble_m2l(kernel, CONFIG, level, eims, eps).projector
-        assert got.shape == direct.shape
-        assert got.shape[1] < got.shape[0]
-        gap = np.linalg.norm(got @ got.T - direct @ direct.T, 2)
-        assert gap <= 1e-9
+        ops = ef.assemble_m2l(kernel, CONFIG, level, eims, eps)
+        for got, direct in zip((ops.projector, ops.row_basis),
+                               _direct_bases(kernel, level, eims, eps)):
+            assert got.shape == direct.shape
+            assert got.shape[1] < got.shape[0]
+            gap = np.linalg.norm(got @ got.T - direct @ direct.T, 2)
+            assert gap <= 1e-9
+        if kernel.is_symmetric:
+            assert ops.row_basis is ops.projector
 
 
 def test_tail_rank_rule():
@@ -259,31 +285,33 @@ def test_cache_level_summaries(small_cache):
     assert sorted(small_cache.m2m) == sorted(small_cache.l2l) == [2]
 
 
-def test_nonsymmetric_kernel_builds_both_directions(drift_kernel):
+def _assert_blocks_reconstructed(kernel, level, eims, ops, eps):
+    """U @ C_t @ V^T against every exact block, within the Frobenius budget
+    of the block concatenation."""
+    exact = _exact_blocks(kernel, level, eims)
+    fat_norm = np.sqrt(sum(np.linalg.norm(e) ** 2 for e in exact))
+    for t, block in enumerate(exact):
+        approx = ops.projector @ ops.apply_block(t, ops.row_basis.T)
+        assert np.linalg.norm(approx - block) <= 5.0 * eps * fat_norm
+
+
+def test_nonsymmetric_kernel_builds_both_directions(drift_kernel, drift_cache):
     drift = drift_kernel
     assert drift.evaluate([0.1, 0.0], [0.0, 0.0]) != drift.evaluate(
         [0.0, 0.0], [0.1, 0.0]
     )
-    cache = ef.build_operator_cache(drift, CONFIG, 1e-5, resolution=8, x_budget=1024)
-    offsets = ef.transfer_offsets(2)
     for level in (2, 3):
-        pair = cache.eims[level]
+        pair = drift_cache.eims[level]
         geo = level_geometry(CONFIG, level)
         assert np.abs(pair.receiving.x_points).max() <= geo.half_width
         assert np.abs(pair.receiving.y_points).max(axis=1).min() >= geo.far_inner
-        ops = cache.m2l[level]
-        step = 2.0 * CONFIG.half_width(level)
-        exact = [
-            drift.pairwise(pair.receiving.x_points, pair.radiating.y_points + step * off)
-            for off in offsets
-        ]
-        fat_norm = np.sqrt(sum(np.linalg.norm(e) ** 2 for e in exact))
-        for t in range(len(offsets)):
-            approx = ops.projector @ ops.apply_block(t, ops.projector.T)
-            assert np.linalg.norm(approx - exact[t]) <= 5.0 * 1e-5 * fat_norm
+        ops = drift_cache.m2l[level]
+        assert ops.row_basis.shape[0] == pair.radiating.d
+        assert ops.projector.shape[0] == pair.receiving.d
+        _assert_blocks_reconstructed(drift, level, pair, ops, 1e-5)
 
 
-def test_m2l_unequal_term_counts_rejected(drift_kernel):
+def test_m2l_unequal_term_counts_assemble(drift_kernel):
     drift = drift_kernel
     geo = level_geometry(CONFIG, 2)
     train = training_grids(geo, 6, 256)
@@ -291,10 +319,11 @@ def test_m2l_unequal_term_counts_rejected(drift_kernel):
     receiving = eim_build(
         drift, TrainingSet(train.points_y, train.points_x), 1e-12, max_terms=9
     )
-    assert radiating.d != receiving.d
+    assert (radiating.d, receiving.d) == (6, 9)
     pair = LevelEims(level=2, radiating=radiating, receiving=receiving)
-    with pytest.raises(NotImplementedError):
-        ef.assemble_m2l(drift, CONFIG, 2, pair, 1e-6)
+    ops = ef.assemble_m2l(drift, CONFIG, 2, pair, 1e-6)
+    assert ops.projector.shape[0] == 9 and ops.row_basis.shape[0] == 6
+    _assert_blocks_reconstructed(drift, 2, pair, ops, 1e-6)
 
 
 # -- serialization -----------------------------------------------------------
@@ -308,7 +337,7 @@ def _assert_models_equal(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-def test_cache_round_trip_bitwise(small_cache, tmp_path):
+def _assert_round_trip_bitwise(small_cache, tmp_path):
     path = tmp_path / "ops.bin"
     ef.save_cache(small_cache, path)
     loaded = ef.load_cache(path, expected_key=small_cache.key)
@@ -331,6 +360,7 @@ def test_cache_round_trip_bitwise(small_cache, tmp_path):
         got_ops = loaded.m2l[level]
         expect_ops = small_cache.m2l[level]
         assert np.array_equal(got_ops.projector, expect_ops.projector)
+        assert np.array_equal(got_ops.row_basis, expect_ops.row_basis)
         assert len(got_ops.blocks) == len(expect_ops.blocks)
         for got, expect in zip(got_ops.blocks, expect_ops.blocks):
             assert got[0] == expect[0]
@@ -340,6 +370,32 @@ def test_cache_round_trip_bitwise(small_cache, tmp_path):
     again = tmp_path / "ops2.bin"
     ef.save_cache(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_cache_round_trip_bitwise(small_cache, tmp_path):
+    _assert_round_trip_bitwise(small_cache, tmp_path)
+    # a symmetric kernel's row basis is its column basis
+    for ops in small_cache.m2l.values():
+        assert np.array_equal(ops.row_basis, ops.projector)
+
+
+def test_nonsymmetric_cache_round_trip_bitwise(drift_cache, tmp_path):
+    _assert_round_trip_bitwise(drift_cache, tmp_path)
+    assert any(ops.row_basis.shape != ops.projector.shape
+               or not np.array_equal(ops.row_basis, ops.projector)
+               for ops in drift_cache.m2l.values())
+
+
+def test_cache_refuses_version_2_file(small_cache, tmp_path):
+    path = tmp_path / "ops.bin"
+    ef.save_cache(small_cache, path)
+    data = bytearray(path.read_bytes())
+    offset = len(operators.CACHE_MAGIC)
+    assert data[offset] == 3
+    data[offset] = 2
+    path.write_bytes(bytes(data))
+    with pytest.raises(ef.CacheVersionError, match="version 2"):
+        ef.load_cache(path)
 
 
 def test_cache_build_deterministic(tmp_path):

@@ -19,6 +19,12 @@ def test_config_validation():
         ef.TreeConfig(depth=1)
     with pytest.raises(ValueError):
         ef.TreeConfig(side=-1.0)
+    for side in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ef.TreeConfig(side=side)
+    for center in ((np.nan, 0.0, 0.0), (0.0, -np.inf, 0.0)):
+        with pytest.raises(ValueError, match="not finite"):
+            ef.TreeConfig(center=center)
 
 
 def test_half_width_halves_per_level():
