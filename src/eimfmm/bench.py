@@ -11,7 +11,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,11 +20,15 @@ from .kernels import builtin_kernel_names, make_builtin_kernel
 from .operators import CacheError, make_cache_key
 from .tree import TreeConfig
 
-ORACLE_POINT_LIMIT = 100_000
+# Targets the oracle sums exactly; every target when n is at most this.
+ORACLE_TARGETS = 10_000
 _BOUNDARY_INSET = 1.0 - 1e-9
 
 DEFAULT_DEPTHS = {"cube": 4, "sphere": 5, "ellipsoid": 6}
 DEFAULT_SEMI_AXES = (0.5, 0.25, 0.125)
+# The run settings a report records, in report order.
+_CONFIG_KEYS = ("kernel", "dist", "n", "depth", "tol", "compress_tol", "train_res",
+                "x_budget", "seed", "semi_axes", "ranks_only")
 
 
 def generate_points(kind, count, seed, semi_axes=DEFAULT_SEMI_AXES):
@@ -66,37 +69,13 @@ def generate_points(kind, count, seed, semi_axes=DEFAULT_SEMI_AXES):
     return out
 
 
-@dataclass
-class RunReport:
-    config: dict
-    terms_per_level: dict = field(default_factory=dict)
-    ranks_per_level: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    cache_hit: bool = False
-    cache_build_seconds: float = 0.0
-    oracle_ran: bool = False
-    oracle_skipped_reason: str = ""
-    oracle_seconds: float = 0.0
-    errors: dict = None
-
-    def to_dict(self):
-        return {
-            "config": self.config,
-            "terms_per_level": {str(k): v for k, v in self.terms_per_level.items()},
-            "ranks_per_level": {str(k): v for k, v in self.ranks_per_level.items()},
-            "timings": self.timings,
-            "cache": {"hit": self.cache_hit, "build_seconds": self.cache_build_seconds},
-            "oracle": {
-                "ran": self.oracle_ran,
-                "skipped_reason": self.oracle_skipped_reason,
-                "seconds": self.oracle_seconds,
-            },
-            "errors": self.errors,
-        }
-
-
 def run_benchmark(args):
-    """Execute one benchmark per the parsed CLI arguments."""
+    """Execute one benchmark per the parsed CLI arguments.
+
+    Returns the nested report dict that the json format writes.  --oracle
+    compares the total with an exact sum at every target when n <=
+    ORACLE_TARGETS, else at ORACLE_TARGETS distinct targets drawn from --seed.
+    """
     kernel = make_builtin_kernel(args.kernel)
     depth = args.depth if args.depth is not None else DEFAULT_DEPTHS[args.dist]
     config = TreeConfig(dimension=3, side=1.0, depth=depth)
@@ -104,21 +83,7 @@ def run_benchmark(args):
         kernel, config, args.tol, args.compress_tol,
         resolution=args.train_res, x_budget=args.x_budget,
     ).compress_tol
-    report = RunReport(
-        config={
-            "kernel": args.kernel,
-            "dist": args.dist,
-            "n": args.n,
-            "depth": depth,
-            "tol": args.tol,
-            "compress_tol": compress_tol,
-            "train_res": args.train_res,
-            "x_budget": args.x_budget,
-            "seed": args.seed,
-            "semi_axes": list(args.semi_axes),
-            "ranks_only": args.ranks_only,
-        }
-    )
+    timings, oracle, errors = {}, {"targets": 0, "seconds": 0.0}, None
 
     if args.ranks_only:
         t0 = time.perf_counter()
@@ -127,75 +92,73 @@ def run_benchmark(args):
             resolution=args.train_res, x_budget=args.x_budget,
             cache_path=args.cache,
         )
-        report.cache_build_seconds = time.perf_counter() - t0
-        report.cache_hit = hit
-        report.terms_per_level = cache.terms_per_level()
-        report.ranks_per_level = cache.ranks_per_level()
-        return report
-
-    points = generate_points(args.dist, args.n, args.seed, args.semi_axes)
-    rng = np.random.default_rng(args.seed + 1)
-    potentials = rng.uniform(-1.0, 1.0, size=args.n)
-    system = ParticleSystem(targets=points, sources=points, potentials=potentials)
-
-    result = evaluate(
-        kernel, system, config, args.tol, compress_tol=compress_tol,
-        resolution=args.train_res, x_budget=args.x_budget,
-        cache_path=args.cache,
-    )
-    report.terms_per_level = result.cache.terms_per_level()
-    report.ranks_per_level = result.cache.ranks_per_level()
-    report.timings = {phase: result.timings[phase] for phase in ALL_PHASES}
-    report.cache_hit = result.cache_hit
-    report.cache_build_seconds = result.cache_build_seconds
-
-    want_oracle = args.oracle or args.force_oracle
-    if want_oracle and args.n > ORACLE_POINT_LIMIT and not args.force_oracle:
-        report.oracle_skipped_reason = (
-            f"n={args.n} exceeds {ORACLE_POINT_LIMIT}; pass --force-oracle to override"
+        build_seconds = time.perf_counter() - t0
+    else:
+        points = generate_points(args.dist, args.n, args.seed, args.semi_axes)
+        rng = np.random.default_rng(args.seed + 1)
+        potentials = rng.uniform(-1.0, 1.0, size=args.n)
+        system = ParticleSystem(targets=points, sources=points, potentials=potentials)
+        result = evaluate(
+            kernel, system, config, args.tol, compress_tol=compress_tol,
+            resolution=args.train_res, x_budget=args.x_budget,
+            cache_path=args.cache,
         )
-    elif want_oracle:
+        cache, hit = result.cache, result.cache_hit
+        build_seconds = result.cache_build_seconds
+        timings = {phase: result.timings[phase] for phase in ALL_PHASES}
+
+    if args.oracle and not args.ranks_only:
+        rng = np.random.default_rng(args.seed + 2)
+        sample = (np.arange(args.n) if args.n <= ORACLE_TARGETS else
+                  np.sort(rng.choice(args.n, ORACLE_TARGETS, replace=False)))
         t0 = time.perf_counter()
-        exact = direct_sum(kernel, system)
-        report.oracle_seconds = time.perf_counter() - t0
-        report.oracle_ran = True
+        exact = direct_sum(kernel, ParticleSystem(points[sample], points, potentials))
+        oracle = {"targets": int(sample.size), "seconds": time.perf_counter() - t0}
         scale = np.linalg.norm(exact)
         peak = np.max(np.abs(exact))
-        diff = result.total - exact
-        report.errors = {
+        diff = result.total[sample] - exact
+        errors = {
             "rel_l2": float(np.linalg.norm(diff) / scale) if scale > 0 else 0.0,
             "rel_max": float(np.max(np.abs(diff)) / peak) if peak > 0 else 0.0,
         }
-    return report
+
+    resolved = dict(vars(args), depth=depth, compress_tol=compress_tol,
+                    semi_axes=list(args.semi_axes))
+    return {
+        "config": {key: resolved[key] for key in _CONFIG_KEYS},
+        # int level keys; json writes them as strings
+        "terms_per_level": cache.terms_per_level(),
+        "ranks_per_level": cache.ranks_per_level(),
+        "timings": timings,
+        "cache": {"hit": hit, "build_seconds": build_seconds},
+        "oracle": oracle,
+        "errors": errors,
+    }
 
 
 def _text_report(report):
-    lines = []
-    cfg = report.config
-    lines.append(
+    cfg = report["config"]
+    lines = [
         "kernel={kernel} dist={dist} n={n} depth={depth} tol={tol:g} "
-        "compress_tol={compress_tol:g} train_res={train_res} seed={seed}".format(**cfg)
-    )
-    lines.append(
-        f"cache: {'hit' if report.cache_hit else 'built'} "
-        f"in {report.cache_build_seconds:.3f} s"
-    )
-    if report.terms_per_level:
-        lines.append("level  terms  rank")
-        for level in sorted(report.terms_per_level):
-            rank = report.ranks_per_level.get(level, "")
-            lines.append(f"{level:>5}  {report.terms_per_level[level]:>5}  {rank:>4}")
-    if report.timings:
-        parts = [f"{phase} {report.timings[phase]:.4f}" for phase in ALL_PHASES]
+        "compress_tol={compress_tol:g} train_res={train_res} seed={seed}".format(**cfg),
+        f"cache: {'hit' if report['cache']['hit'] else 'built'} "
+        f"in {report['cache']['build_seconds']:.3f} s",
+    ]
+    terms, ranks = report["terms_per_level"], report["ranks_per_level"]
+    lines.append("level  terms  rank")
+    for level in sorted(terms):
+        lines.append(f"{level:>5}  {terms[level]:>5}  {ranks.get(level, ''):>4}")
+    timings = report["timings"]
+    if timings:
+        parts = [f"{phase} {timings[phase]:.4f}" for phase in ALL_PHASES]
         lines.append("phase timings (s): " + "  ".join(parts))
-    if report.oracle_ran:
+    errors, oracle = report["errors"], report["oracle"]
+    if errors is not None:
         lines.append(
-            f"oracle: rel l2 error {report.errors['rel_l2']:.3e}, "
-            f"rel max error {report.errors['rel_max']:.3e} "
-            f"(direct sum {report.oracle_seconds:.3f} s)"
+            f"oracle: rel l2 error {errors['rel_l2']:.3e}, "
+            f"rel max error {errors['rel_max']:.3e} over {oracle['targets']} "
+            f"of {cfg['n']} targets (direct sum {oracle['seconds']:.3f} s)"
         )
-    elif report.oracle_skipped_reason:
-        lines.append(f"oracle: skipped ({report.oracle_skipped_reason})")
     return "\n".join(lines) + "\n"
 
 
@@ -203,33 +166,30 @@ def _csv_report(report):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["section", "name", "level", "value"])
-    for key, value in report.config.items():
+    for key, value in report["config"].items():
         writer.writerow(["config", key, "", value])
-    for level in sorted(report.terms_per_level):
-        writer.writerow(["terms", "d", level, report.terms_per_level[level]])
-    for level in sorted(report.ranks_per_level):
-        writer.writerow(["rank", "r", level, report.ranks_per_level[level]])
-    for phase in ALL_PHASES:
-        if phase in report.timings:
-            writer.writerow(["timing", phase, "", report.timings[phase]])
-    writer.writerow(["cache", "hit", "", int(report.cache_hit)])
-    writer.writerow(["cache", "build_seconds", "", report.cache_build_seconds])
-    if report.errors is not None:
-        for name, value in report.errors.items():
-            writer.writerow(["error", name, "", value])
+    for level, terms in sorted(report["terms_per_level"].items()):
+        writer.writerow(["terms", "d", level, terms])
+    for level, rank in sorted(report["ranks_per_level"].items()):
+        writer.writerow(["rank", "r", level, rank])
+    for phase, seconds in report["timings"].items():
+        writer.writerow(["timing", phase, "", seconds])
+    writer.writerow(["cache", "hit", "", int(report["cache"]["hit"])])
+    writer.writerow(["cache", "build_seconds", "", report["cache"]["build_seconds"]])
+    for name, value in (report["errors"] or {}).items():
+        writer.writerow(["error", name, "", value])
     return buf.getvalue()
+
+
+_RENDERERS = {"text": _text_report, "csv": _csv_report,
+              "json": lambda report: json.dumps(report, indent=2) + "\n"}
 
 
 def emit_report(report, fmt="text", path=None):
     """Render the report and write it to path or stdout; returns the text."""
-    if fmt == "text":
-        rendered = _text_report(report)
-    elif fmt == "json":
-        rendered = json.dumps(report.to_dict(), indent=2) + "\n"
-    elif fmt == "csv":
-        rendered = _csv_report(report)
-    else:
+    if fmt not in _RENDERERS:
         raise ValueError(f"unknown report format {fmt!r}")
+    rendered = _RENDERERS[fmt](report)
     if path is None:
         sys.stdout.write(rendered)
     else:
@@ -259,26 +219,31 @@ def build_parser():
     parser.add_argument("--semi-axes", type=float, nargs=3,
                         default=list(DEFAULT_SEMI_AXES), metavar=("A", "B", "C"))
     parser.add_argument("--oracle", action="store_true",
-                        help="compare against the exact direct sum")
-    parser.add_argument("--force-oracle", action="store_true",
-                        help="run the oracle even above the point-count guard")
+                        help="compare against the exact direct sum at up to "
+                             f"{ORACLE_TARGETS} seeded targets")
     parser.add_argument("--ranks-only", action="store_true",
                         help="build the operators and report per-level sizes only")
     parser.add_argument("--cache", default=None, help="operator cache file")
     parser.add_argument("--out", default=None, help="report destination (default stdout)")
-    parser.add_argument("--format", default="text", choices=("text", "json", "csv"))
+    parser.add_argument("--format", default="text", choices=sorted(_RENDERERS))
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.n < 1:
-        parser.error("--n must be positive")
-    if args.depth is not None and args.depth < 2:
-        parser.error("--depth must be at least 2")
-    if args.tol <= 0 or (args.compress_tol is not None and args.compress_tol <= 0):
-        parser.error("tolerances must be positive")
+    for bad, message in [
+        (args.n < 1, "--n must be positive"),
+        (args.depth is not None and args.depth < 2, "--depth must be at least 2"),
+        (args.tol <= 0, "--tol must be positive"),
+        (args.compress_tol is not None and args.compress_tol <= 0,
+         "--compress-tol must be positive"),
+        (args.train_res < 2, "--train-res must be at least 2"),
+        (args.x_budget < 1, "--x-budget must be positive"),
+        (args.seed < 0, "--seed must be non-negative"),
+    ]:
+        if bad:
+            parser.error(message)
     try:
         report = run_benchmark(args)
         emit_report(report, fmt=args.format, path=args.out)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix, get_index_dtype
 
+from .kernels import _displacements
 from .operators import (
     CacheMismatchError,
     build_operator_cache,
@@ -58,6 +59,11 @@ class ParticleSystem:
         self.targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
         if self.sources is not self.targets:
             self.sources = np.atleast_2d(np.asarray(self.sources, dtype=float))
+        if (self.targets.ndim != 2 or self.sources.ndim != 2
+                or self.targets.shape[1] != self.sources.shape[1]):
+            raise ValueError(
+                f"targets {self.targets.shape} and sources {self.sources.shape} "
+                "must be (n, D) arrays of one point dimension D")
         self.potentials = np.asarray(self.potentials, dtype=float)
         if self.potentials.shape != (self.sources.shape[0],):
             raise ValueError("need exactly one potential per source point")
@@ -102,18 +108,6 @@ def _masked_kernel_values(kernel, displacements):
     if tiny.any():
         values = np.where(tiny, 0.0, values)
     return values
-
-
-def _displacements(x, y):
-    """x - y broadcast to (..., D), as the view of one contiguous plane per
-    coordinate: each subtraction writes a whole plane, and a reduction over
-    the view's last axis runs several times faster than over a contiguous
-    innermost axis of length D."""
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    planes = np.empty((shape[-1],) + shape[:-1])
-    for c, plane in enumerate(planes):
-        np.subtract(x[..., c], y[..., c], out=plane)
-    return np.moveaxis(planes, 0, -1)
 
 
 def direct_sum(kernel, system):

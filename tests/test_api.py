@@ -4,6 +4,7 @@ import pathlib
 import re
 
 import eimfmm as ef
+from eimfmm.bench import build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -26,3 +27,12 @@ def test_readme_api_section_lists_all():
     assert len(listed) == len(set(listed))
     assert sorted(listed) == sorted(ef.__all__)
     assert all(hasattr(ef, name) for name in ef.__all__)
+
+
+def test_readme_cli_flags_exist():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Benchmark CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(--[a-z][a-z-]*)", section))
+    options = {opt for action in build_parser()._actions for opt in action.option_strings}
+    assert "--oracle" in named
+    assert named <= options, sorted(named - options)

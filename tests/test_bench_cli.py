@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+import eimfmm as ef
 import eimfmm.bench as bench
 
 # every engine run in this file uses the same cache key
@@ -83,6 +84,9 @@ def test_generate_points_validation():
     ["--kernel", "gaussian", "--tol", "-1e-4"],
     ["--kernel", "gaussian", "--compress-tol", "0"],
     ["--kernel", "nosuch"],
+    ["--kernel", "gaussian", "--train-res", "1"],
+    ["--kernel", "gaussian", "--x-budget", "0"],
+    ["--kernel", "gaussian", "--seed", "-1"],
 ])
 def test_cli_rejects_bad_arguments(argv):
     with pytest.raises(SystemExit) as err:
@@ -118,6 +122,7 @@ def test_cli_text_report(cache_file, capsys):
     for phase in bench.ALL_PHASES:
         assert phase in out
     assert "oracle: rel l2 error" in out
+    assert "over 400 of 400 targets" in out
     assert "cache: hit" in out
 
 
@@ -130,6 +135,14 @@ def test_cli_out_file_instead_of_stdout(cache_file, tmp_path, capsys):
     assert "kernel=gaussian" in dest.read_text()
 
 
+def _without_timings(doc):
+    doc = json.loads(json.dumps(doc))
+    doc.pop("timings")
+    doc["cache"].pop("build_seconds")
+    doc["oracle"].pop("seconds")
+    return doc
+
+
 def test_cli_json_deterministic_apart_from_timings(cache_file, tmp_path):
     outs = []
     for run in range(2):
@@ -139,13 +152,9 @@ def test_cli_json_deterministic_apart_from_timings(cache_file, tmp_path):
                                     "--format", "json", "--out", str(dest)])
         assert code == 0
         outs.append(json.loads(dest.read_text()))
-    for doc in outs:
-        doc.pop("timings")
-        doc["cache"].pop("build_seconds")
-        doc["oracle"].pop("seconds")
-    assert outs[0] == outs[1]
+    assert _without_timings(outs[0]) == _without_timings(outs[1])
     assert outs[0]["errors"]["rel_l2"] <= 100.0 * 1e-3
-    assert outs[0]["oracle"]["ran"] is True
+    assert outs[0]["oracle"]["targets"] == 400
 
 
 def test_cli_csv_report(cache_file, tmp_path):
@@ -172,28 +181,61 @@ def test_cli_ranks_only(cache_file, tmp_path):
     assert doc["terms_per_level"]
     assert doc["ranks_per_level"]
     assert doc["timings"] == {}
-    assert doc["oracle"]["ran"] is False
+    assert doc["oracle"]["targets"] == 0
     assert doc["errors"] is None
 
 
-def test_oracle_point_guard(cache_file, tmp_path, monkeypatch):
-    monkeypatch.setattr(bench, "ORACLE_POINT_LIMIT", 100)
-    dest = tmp_path / "guarded.json"
-    code = bench.main(COMMON + ["--n", "200", "--oracle", "--cache", cache_file,
-                                "--format", "json", "--out", str(dest)])
-    assert code == 0
-    doc = json.loads(dest.read_text())
-    assert doc["oracle"]["ran"] is False
-    assert "exceeds" in doc["oracle"]["skipped_reason"]
-    assert doc["errors"] is None
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The kernel, system and result of the bench's own evaluate call."""
+    seen = {}
 
-    code = bench.main(COMMON + ["--n", "200", "--oracle", "--force-oracle",
-                                "--cache", cache_file,
-                                "--format", "json", "--out", str(dest)])
-    assert code == 0
-    doc = json.loads(dest.read_text())
-    assert doc["oracle"]["ran"] is True
+    def spy(kernel, system, *args, **kwargs):
+        seen.update(kernel=kernel, system=system,
+                    result=ef.evaluate(kernel, system, *args, **kwargs))
+        return seen["result"]
+
+    monkeypatch.setattr(bench, "evaluate", spy)
+    return seen
+
+
+def _errors(total, exact):
+    diff = total - exact
+    return {"rel_l2": float(np.linalg.norm(diff) / np.linalg.norm(exact)),
+            "rel_max": float(np.abs(diff).max() / np.abs(exact).max())}
+
+
+def test_oracle_sums_every_target_up_to_the_limit(cache_file, evaluated):
+    assert 400 <= bench.ORACLE_TARGETS
+    report = bench.run_benchmark(bench.build_parser().parse_args(
+        COMMON + ["--n", "400", "--oracle", "--cache", cache_file]))
+    system = evaluated["system"]
+    full = ef.direct_sum(evaluated["kernel"], system)
+    assert report["oracle"]["targets"] == 400
+    assert report["errors"] == _errors(evaluated["result"].total, full)
+
+
+def test_oracle_samples_seeded_targets(cache_file, evaluated, monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "ORACLE_TARGETS", 100)
+    docs = []
+    for run in range(2):
+        dest = tmp_path / f"sampled{run}.json"
+        code = bench.main(COMMON + ["--n", "200", "--seed", "5", "--oracle",
+                                    "--cache", cache_file,
+                                    "--format", "json", "--out", str(dest)])
+        assert code == 0
+        docs.append(json.loads(dest.read_text()))
+    assert _without_timings(docs[0]) == _without_timings(docs[1])
+    doc = docs[0]
+    assert doc["oracle"]["targets"] == 100
+    # 100 distinct targets drawn from the third stream of --seed, sorted
+    sample = np.sort(np.random.default_rng(5 + 2).choice(200, 100, replace=False))
+    system = evaluated["system"]
+    exact = ef.direct_sum(evaluated["kernel"], ef.ParticleSystem(
+        system.targets[sample], system.sources, system.potentials))
+    assert doc["errors"] == _errors(evaluated["result"].total[sample], exact)
     assert doc["errors"]["rel_l2"] <= 100.0 * 1e-3
+    assert doc["errors"]["rel_max"] <= 100.0 * 1e-3
 
 
 def test_cache_reuse_reproduces_errors(tmp_path):
@@ -211,9 +253,8 @@ def test_cache_reuse_reproduces_errors(tmp_path):
 
 
 def test_emit_report_rejects_unknown_format():
-    report = bench.RunReport(config={})
     with pytest.raises(ValueError):
-        bench.emit_report(report, fmt="xml")
+        bench.emit_report({}, fmt="xml")
 
 
 def test_parser_defaults():

@@ -1,5 +1,7 @@
 """Summation engine against quadratic-cost oracles on small 2D clouds."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,19 @@ def test_particle_system_validation():
     )
     assert system.sources.shape == (1, 2)
     assert system.potentials.dtype == float
+
+
+@pytest.mark.parametrize("targets, sources", [
+    (np.zeros((4, 3)), np.zeros((5, 2))),
+    (np.zeros((4, 1, 3)), np.zeros((5, 3))),
+    (np.zeros((4, 3)), np.zeros((5, 1, 3))),
+])
+def test_particle_system_rejects_mismatched_shapes(targets, sources):
+    # refused where the arrays enter, naming both shapes, not later inside
+    # the broadcast of direct_sum or the tree build
+    shapes = f"targets {targets.shape} and sources {sources.shape}"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        ef.ParticleSystem(targets, sources, np.ones(5))
 
 
 def test_direct_sum_matches_naive(cloud):
@@ -452,7 +467,7 @@ def test_displacements_are_coordinate_planes():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((7, 1, 3))
     y = rng.standard_normal((1, 5, 3))
-    disp = ef.fmm._displacements(x, y)
+    disp = ef.kernels._displacements(x, y)
     assert disp.shape == (7, 5, 3)
     assert np.array_equal(disp, x - y)
     # a view of one contiguous (7, 5) plane per coordinate

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eimfmm as ef
+from eimfmm.tree import level_geometry, training_grids
 
 VECTORS = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -48,6 +49,20 @@ def test_pairwise_matches_scalar(name):
     for i in range(7):
         for j in range(5):
             assert mat[i, j] == pytest.approx(kernel.evaluate(px[i], py[j]), rel=1e-15)
+
+
+def test_pairwise_rounds_like_an_in_order_sum():
+    # The greedy build breaks ties in |residual| by index, so the last bit
+    # of r^2 on the training product can change the chosen nodes.  pairwise
+    # takes its displacements in the leaf passes' coordinate-plane layout,
+    # where r^2 is summed coordinate by coordinate in order.
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=4)
+    train = training_grids(level_geometry(config, 4), 7, 8192)
+    values = ef.make_builtin_kernel("laplace").pairwise(train.points_x, train.points_y)
+    d = train.points_x[:, None, :] - train.points_y[None, :, :]
+    r2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
+    assert values.shape == (10240, 343)
+    assert np.array_equal(values, 1.0 / np.sqrt(r2))
 
 
 @pytest.mark.parametrize("name", ["laplace", "oscillatory", "gaussian", "multiquadric"])
