@@ -107,7 +107,7 @@ def run_benchmark(args):
         build_seconds = result.cache_build_seconds
         timings = {phase: result.timings[phase] for phase in ALL_PHASES}
 
-    if args.oracle and not args.ranks_only:
+    if args.oracle:
         rng = np.random.default_rng(args.seed + 2)
         sample = (np.arange(args.n) if args.n <= ORACLE_TARGETS else
                   np.sort(rng.choice(args.n, ORACLE_TARGETS, replace=False)))
@@ -241,6 +241,8 @@ def main(argv=None):
         (args.train_res < 2, "--train-res must be at least 2"),
         (args.x_budget < 1, "--x-budget must be positive"),
         (args.seed < 0, "--seed must be non-negative"),
+        (args.ranks_only and args.oracle,
+         "--oracle needs a summation, which --ranks-only skips"),
     ]:
         if bad:
             parser.error(message)

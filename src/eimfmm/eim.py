@@ -3,25 +3,25 @@
 The builder walks a residual matrix over the full training product, picking
 at each step the row with the worst max-norm and the worst column within
 that row, then subtracting the resulting rank-1 cross.  The residual is
-held in Fortran order and updated in place one cache-sized block of
-columns at a time, with the same rounding as a plain ``np.outer`` update;
-the row maxima of each block are taken while it is still in cache, and
-they give both the recorded max residual and the next step's row.  A
-built model keeps the selected nodes plus two triangular factors; every
-linear action goes through forward/back substitution, the inverses are
-never formed.
+the only array of the training product's size: it is allocated once in
+Fortran order and filled straight from the kernel, a chunk of whole rows
+at a time, then updated in place a block of whole columns at a time, each
+chunk and block at most _EVAL_CHUNK values (or one row or column).  The
+update rounds like a plain ``np.outer`` update; the row maxima of each
+block are taken while it is still in cache, and they give both the
+recorded max residual and the next step's row.  A built model keeps the
+selected nodes plus two triangular factors; every linear action goes
+through forward/back substitution, the inverses are never formed.
 """
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from . import kernels
+
 # A pivot this far below the first residual means the kernel section has
 # numerically exhausted its rank on the training grid.
 _PIVOT_FLOOR = 1e-14
-
-# Bytes of residual columns updated together; the block and its cross stay
-# in cache between the subtraction and the row maxima.
-_BLOCK_BYTES = 1 << 19
 
 
 class TrainingSet:
@@ -125,12 +125,21 @@ def eim_build(kernel, training, tolerance, max_terms=300):
         raise ValueError("max_terms must be at least 1")
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
-    resid = np.asfortranarray(kernel.pairwise(training.points_x,
-                                              training.points_y))
-    n_rows, n_cols = resid.shape
-    width = max(1, _BLOCK_BYTES // (resid.itemsize * n_rows))
+    px, py = training.points_x, training.points_y
+    n_rows, n_cols = px.shape[0], py.shape[0]
+    # Each chunk's row maxima are taken from its kernel values, so no
+    # second residual-sized array is ever formed.
+    resid = np.empty((n_rows, n_cols), order="F")
+    row_max = np.empty(n_rows)
+    step = max(1, kernels._EVAL_CHUNK // n_cols)
+    for start in range(0, n_rows, step):
+        values = kernel.pairwise(px[start:start + step], py)
+        resid[start:start + step] = values
+        np.abs(values).max(axis=1, out=row_max[start:start + step])
+    # Residual columns updated together: the block and its cross stay in
+    # cache between the subtraction and the row maxima.
+    width = max(1, kernels._EVAL_CHUNK // n_rows)
     cross = np.empty((n_rows, width), order="F")
-    row_max = np.abs(resid).max(axis=1)
     block_max = np.empty(n_rows)
     # finite exactly when every kernel value is: NaN propagates through max
     scale = float(row_max.max())

@@ -11,11 +11,11 @@ model's coefficient solve composed with the transfer row basis: the upward
 pass carries moments only and runs no triangular solve; the one solve left
 in a sweep is the leaf receiving model's, after the downward sum.
 
-Kernel evaluations go in chunks of at most _EVAL_CHUNK values (whole leaves
-in the leaf passes, whole rows in the near build), so every displacement
-array stays cache-sized.  Displacements are built as one contiguous plane
-per coordinate and handed to the kernel as an (..., D) view of those
-planes.
+Kernel evaluations go in chunks of at most kernels._EVAL_CHUNK values
+(whole leaves in the leaf passes, whole rows in the near build), so every
+displacement array stays cache-sized.  Displacements are built as one
+contiguous plane per coordinate and handed to the kernel as an (..., D)
+view of those planes.
 """
 
 import os
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix, get_index_dtype
 
+from . import kernels
 from .kernels import _displacements
 from .operators import (
     CacheMismatchError,
@@ -37,9 +38,6 @@ from .tree import (build_tree, child_offsets, parity_rank, require_finite,
                    transfer_offsets)
 
 _COINCIDENT_DISTANCE = 1e-300
-# Kernel evaluations per chunk of the leaf passes, the near-field build and
-# direct_sum.
-_EVAL_CHUNK = 2**16
 # Padding of the dense box lookup: the largest transfer offset component.
 _PAD = 3
 
@@ -116,7 +114,7 @@ def direct_sum(kernel, system):
     sources = system.sources
     sigma = system.potentials
     out = np.empty(targets.shape[0])
-    step = max(1, _EVAL_CHUNK // max(1, sources.shape[0]))
+    step = max(1, kernels._EVAL_CHUNK // max(1, sources.shape[0]))
     for start in range(0, targets.shape[0], step):
         chunk = targets[start : start + step]
         disp = _displacements(chunk[:, None, :], sources[None, :, :])
@@ -180,7 +178,7 @@ def _leaf_chunks(tree, terms):
     """Runs of whole consecutive leaves, at most _EVAL_CHUNK // terms points
     (so _EVAL_CHUNK kernel values against terms nodes) or a single leaf
     each, as (first leaf, end leaf, first point, end point)."""
-    points = _EVAL_CHUNK // terms
+    points = kernels._EVAL_CHUNK // terms
     ends = tree.leaf_starts + tree.leaf_counts
     l0 = 0
     while l0 < ends.size:
@@ -432,8 +430,8 @@ def _near_matrix(kernel, target_tree, source_tree):
 
     r0 = 0
     while r0 < tgt.n_points:
-        r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + _EVAL_CHUNK,
-                                             side="right")) - 1)
+        stop = indptr[r0] + kernels._EVAL_CHUNK
+        r1 = max(r0 + 1, int(np.searchsorted(indptr, stop, side="right")) - 1)
         p0, p1 = int(indptr[r0]), int(indptr[r1])
         leaves = leaf_of_row[r0:r1]
         l0 = leaves[0]

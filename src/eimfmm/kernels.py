@@ -10,6 +10,10 @@ singular kernels may emit inf at r = 0 without consequence.
 import numpy as np
 
 _OSCILLATION_FREQ = 20.0
+# Values per chunk of every bulk pass over kernel values, so that each
+# chunk's temporaries stay cache-sized: the greedy residual fill and update,
+# the leaf passes, the near-field build and direct_sum.
+_EVAL_CHUNK = 2**16
 
 
 class Kernel:

@@ -7,8 +7,10 @@ folded in through triangular solves), and the compressed transfer
 operators, the same way for every kernel: a column basis and a row basis
 from truncated SVDs of the concatenated transfer blocks and of their
 transposes (one basis serves both for a symmetric kernel), each taken
-through the small R factor of a QR, then a per-offset truncated SVD.
-Everything serializes to a versioned little-endian binary cache.
+through the small R factor of a QR, then a per-offset truncated SVD.  The
+QR operand, the largest array of the build, is filled straight from the
+kernel and factored in place; the per-offset stage evaluates each block
+again.  Everything serializes to a versioned little-endian binary cache.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ import tempfile
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy.linalg import qr
 
 from .eim import EimModel, TrainingSet, eim_build
 from .tree import child_offsets, level_geometry, training_grids, transfer_offsets
@@ -175,13 +178,22 @@ def _tail_rank(svals, rel_tol):
     return int(np.count_nonzero(tails > rel_tol * norm))
 
 
-def _column_basis(fat, eps):
-    """Orthonormal basis of the truncated left singular subspace of a wide
-    matrix, at the smallest rank whose Frobenius tail is within eps.  fat =
-    R^T Q^T for a QR of its transpose, so fat and the small R^T share left
-    singular vectors and values, and the wide right factor is never formed.
+def _column_basis(blocks, count, eps):
+    """Orthonormal basis of the truncated left singular subspace of the wide
+    matrix [B_0 B_1 ...] of count equal-shaped blocks, at the smallest rank
+    whose Frobenius tail is within eps.  The blocks' transposes fill one
+    Fortran-ordered operand, factored in place by a QR: the wide matrix is
+    R^T Q^T, so it and the small R^T share left singular vectors and
+    values, and neither the wide matrix nor Q is ever formed.
     """
-    r_factor = np.linalg.qr(fat.T, mode="r")
+    operand = None
+    for t, block in enumerate(blocks):
+        height, width = block.shape
+        if operand is None:
+            operand = np.empty((count * width, height), order="F")
+        operand[t * width:(t + 1) * width] = block.T
+    # raw mode returns the factored operand itself and R, its upper triangle
+    _, r_factor = qr(operand, mode="raw", overwrite_a=True, check_finite=False)
     basis, svals, _ = np.linalg.svd(r_factor.T)
     return np.ascontiguousarray(basis[:, :_tail_rank(svals, eps)])
 
@@ -196,6 +208,11 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     SVD (kept dense when the block rank does not drop enough to pay for two
     products).  Both stages keep the smallest rank whose Frobenius tail
     stays within the tolerance: eps per basis, eps/2 per block.
+
+    No list of blocks is held: each basis evaluates every block straight
+    into its one QR operand, and the per-offset stage evaluates them again,
+    one at a time (twice per block in all for a symmetric kernel, three
+    times otherwise).
     """
     if level < 2:
         raise ValueError("transfer operators exist at levels >= 2 only")
@@ -206,14 +223,17 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     step = 2.0 * config.half_width(level)
     px = eims.receiving.x_points
     py = eims.radiating.y_points
-    blocks = [kernel.pairwise(px, py + step * off) for off in offsets]
-    projector = _column_basis(np.hstack(blocks), eps)
+
+    def blocks():
+        return (kernel.pairwise(px, py + step * off) for off in offsets)
+
+    projector = _column_basis(blocks(), len(offsets), eps)
     # For a symmetric kernel the offset set is closed under negation and
     # B_t^T = B_{-t}: the transposes are the same columns, so V is U.
     row_basis = projector if kernel.is_symmetric else _column_basis(
-        np.hstack([b.T for b in blocks]), eps)
+        (b.T for b in blocks()), len(offsets), eps)
     out_blocks = [_recompress_block(projector.T @ b @ row_basis, eps)
-                  for b in blocks]
+                  for b in blocks()]
     return M2lOperators(level, projector, row_basis, out_blocks)
 
 

@@ -87,6 +87,7 @@ def test_generate_points_validation():
     ["--kernel", "gaussian", "--train-res", "1"],
     ["--kernel", "gaussian", "--x-budget", "0"],
     ["--kernel", "gaussian", "--seed", "-1"],
+    ["--kernel", "gaussian", "--ranks-only", "--oracle"],
 ])
 def test_cli_rejects_bad_arguments(argv):
     with pytest.raises(SystemExit) as err:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,42 @@ def test_greedy_matches_reference_loop(case, drift_kernel):
     assert np.array_equal(model.residual_history, history)
     if case == "gaussian-exhausted":
         assert degenerate
+
+
+def test_greedy_independent_of_chunk_budget(monkeypatch):
+    kernel = ef.make_builtin_kernel("laplace")
+    training = small_training(dim=3, level=3, resolution=5)
+    n_rows, n_cols = training.points_x.shape[0], training.points_y.shape[0]
+    full = eim_build(kernel, training, 1e-6)
+    # fill chunks of seven whole rows (update blocks of one column), then
+    # two fill chunks (blocks of 62 columns); each leaves a shorter last one
+    for rows in (7, n_rows // 2 + 1):
+        assert n_rows % rows != 0
+        monkeypatch.setattr(ef.kernels, "_EVAL_CHUNK", rows * n_cols + 3)
+        chunked = eim_build(kernel, training, 1e-6)
+        for name in ("x_points", "y_points", "basis_matrix", "pivot_matrix",
+                     "residual_history"):
+            assert np.array_equal(getattr(chunked, name),
+                                  getattr(full, name)), (rows, name)
+
+
+def test_greedy_holds_one_residual():
+    # every other array is a pivot row or column, or a few chunks of kernel
+    # values: the fill's displacements and the update's cross block
+    kernel = ef.make_builtin_kernel("laplace")
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=3)
+    training = training_grids(level_geometry(config, 3), 6, 1024)
+    n_rows, n_cols = training.points_x.shape[0], training.points_y.shape[0]
+    assert n_cols < ef.kernels._EVAL_CHUNK
+    tracemalloc.start()
+    try:
+        model = eim_build(kernel, training, 1e-6, max_terms=66)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    residual = 8 * n_rows * n_cols
+    pivots = 8 * model.d * (n_rows + n_cols)
+    assert peak <= residual + pivots + 8 * (8 * ef.kernels._EVAL_CHUNK)
 
 
 @settings(max_examples=25, deadline=None)

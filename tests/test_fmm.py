@@ -394,7 +394,7 @@ def test_far_pass_independent_of_chunk_size(cache, monkeypatch):
     # five points per chunk against the leaf models' nodes
     terms = eims.radiating.d
     assert eims.receiving.d == terms
-    monkeypatch.setattr(ef.fmm, "_EVAL_CHUNK", 5 * terms)
+    monkeypatch.setattr(ef.kernels, "_EVAL_CHUNK", 5 * terms)
     chunks = list(ef.fmm._leaf_chunks(tree, terms))
     counts = tree.leaf_counts
     assert any(l1 - l0 > 1 for l0, l1, _, _ in chunks)
@@ -484,7 +484,7 @@ def test_near_matrix_independent_of_chunk_budget(cloud, monkeypatch):
         assert np.diff(full.indptr).max() > 50
         # one row per chunk, then several rows per chunk
         for budget in (50, 1000):
-            monkeypatch.setattr(ef.fmm, "_EVAL_CHUNK", budget)
+            monkeypatch.setattr(ef.kernels, "_EVAL_CHUNK", budget)
             small = ef.fmm._near_matrix(KERNEL, tree, source_tree)
             assert np.array_equal(small.indptr, full.indptr)
             assert np.array_equal(small.indices, full.indices)

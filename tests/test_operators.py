@@ -6,6 +6,7 @@ synthetic source/field configurations whose exact answers are computable.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ import eimfmm as ef
 from eimfmm import operators
 from eimfmm.eim import TrainingSet, eim_build
 from eimfmm.operators import LevelEims, _tail_rank
-from eimfmm.tree import child_offsets, level_geometry, training_grids
+from eimfmm.tree import (child_offsets, level_geometry, training_grids,
+                         transfer_offsets)
 
 EPS = np.finfo(float).eps
 KERNEL = ef.make_builtin_kernel("gaussian")
@@ -324,6 +326,24 @@ def test_m2l_unequal_term_counts_assemble(drift_kernel):
     ops = ef.assemble_m2l(drift, CONFIG, 2, pair, 1e-6)
     assert ops.projector.shape[0] == 9 and ops.row_basis.shape[0] == 6
     _assert_blocks_reconstructed(drift, 2, pair, ops, 1e-6)
+
+
+def test_m2l_holds_one_operand():
+    # the QR operand of all transfer blocks is the only large array: the
+    # blocks are evaluated into it and factored in place, never listed,
+    # stacked or copied
+    laplace = ef.make_builtin_kernel("laplace")
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=3)
+    eims = ef.build_level_eims(laplace, config, 3, 1e-4, 300, 6, 1024)
+    assert eims.terms == 66
+    operand = 8 * len(transfer_offsets(3)) * eims.radiating.d * eims.receiving.d
+    tracemalloc.start()
+    try:
+        ef.assemble_m2l(laplace, config, 3, eims, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * operand
 
 
 # -- serialization -----------------------------------------------------------
