@@ -7,6 +7,8 @@ near-field summation masks out coincident pairs before calling in, so the
 singular kernels may emit inf at r = 0 without consequence.
 """
 
+import numbers
+
 import numpy as np
 
 _OSCILLATION_FREQ = 20.0
@@ -21,12 +23,25 @@ class Kernel:
 
     ``profile`` maps an (..., D) array of displacements to values of shape
     (...,).  Instances are immutable and safe to evaluate concurrently.
+
+    ``scaling`` declares an integer degree p of homogeneity, K(a x, a y) =
+    a^p K(x, y) for every a > 0, or None for no such promise.  The name
+    identifies the kernel (operator caches are keyed by it), so a kernel
+    named after a builtin that declares no scaling takes the builtin's: a
+    wrapper around a builtin under its name (one that counts evaluations,
+    say) builds the same operators as the builtin.
     """
 
-    def __init__(self, name, profile, is_symmetric):
+    def __init__(self, name, profile, is_symmetric, scaling=None):
+        if scaling is None:
+            scaling = _SCALING.get(name)
+        elif not isinstance(scaling, numbers.Integral):
+            raise ValueError(f"scaling must be an integer degree or None, "
+                             f"not {scaling!r}")
         self.name = name
         self._profile = profile
         self.is_symmetric = is_symmetric
+        self.scaling = None if scaling is None else int(scaling)
 
     def evaluate(self, point_x, point_y):
         """Scalar kernel value for one argument pair."""
@@ -79,6 +94,8 @@ _BUILTINS = {
     "gaussian": lambda r: np.exp(-(r * r)),
     "multiquadric": lambda r: np.sqrt(r * r + 1.0),
 }
+# Degree p of the builtins with K(a d) = a^p K(d).
+_SCALING = {"laplace": -1}
 
 
 def make_builtin_kernel(name):
@@ -86,7 +103,9 @@ def make_builtin_kernel(name):
 
     Supported: laplace (1/r), oscillatory (cos(20 r)/r), gaussian
     (exp(-r^2)), multiquadric (sqrt(r^2 + 1)), with r the Euclidean
-    distance.  All four are symmetric.
+    distance.  All four are symmetric.  laplace declares scaling=-1, so
+    its operators are built at the deepest tree level only and rescaled to
+    every coarser one.
     """
     try:
         fn = _BUILTINS[name]

@@ -10,7 +10,10 @@ transposes (one basis serves both for a symmetric kernel), each taken
 through the small R factor of a QR, then a per-offset truncated SVD.  The
 QR operand, the largest array of the build, is filled straight from the
 kernel and factored in place; the per-offset stage evaluates each block
-again.  Everything serializes to a versioned little-endian binary cache.
+again.  A kernel that declares a degree p, K(a d) = a^p K(d), is built at
+the deepest level only: every coarser level is that level rescaled by exact
+powers of two (see _rescaled).  Everything serializes to a versioned
+little-endian binary cache.
 """
 
 import hashlib
@@ -27,7 +30,7 @@ from .eim import EimModel, TrainingSet, eim_build
 from .tree import child_offsets, level_geometry, training_grids, transfer_offsets
 
 CACHE_MAGIC = b"EIMFMM01"
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 
 class CacheError(Exception):
@@ -114,21 +117,23 @@ class M2lOperators:
 
 def build_level_eims(kernel, config, level, tolerance, max_terms,
                      resolution, x_budget=8192):
-    """Greedy models for one level, on grids over the reference domains."""
+    """Greedy models for one level, on grids over the reference domains.
+
+    For a kernel that declares a scaling, a level above the deepest gets
+    the deepest level's models, rescaled: bitwise what build_operator_cache
+    stores for it.
+    """
     if not (2 <= level <= config.depth):
         raise ValueError(f"level {level} outside 2..{config.depth}")
+    if kernel.scaling is not None and level < config.depth:
+        deepest = build_level_eims(kernel, config, config.depth, tolerance,
+                                   max_terms, resolution, x_budget)
+        return _rescaled(kernel, deepest, config.depth - level)
     geo = level_geometry(config, level)
     train = training_grids(geo, resolution, x_budget)
-    if kernel.is_symmetric:
-        # The flag selects the transposed receiving model, the half near
-        # field and V = U, all silently wrong for a kernel that breaks it:
-        # compare both orders on a fixed subsample of <= 64 x 64 pairs.
-        xs, ys = (p[::-(-len(p) // 64)] for p in (train.points_x, train.points_y))
-        forward = kernel.pairwise(xs, ys)
-        gap = np.abs(forward - kernel.pairwise(ys, xs).T).max()
-        if gap > tolerance * np.abs(forward).max():
-            raise ValueError(f"kernel {kernel.name!r} is declared symmetric, "
-                             "but K(x, y) != K(y, x) on its training pairs")
+    # the deepest level stands in for every coarser one of a scaling kernel
+    factors = 2.0 ** np.arange(1, level - 1) if kernel.scaling is not None else ()
+    _check_promises(kernel, train, tolerance, factors)
     radiating = eim_build(kernel, train, tolerance, max_terms)
     if kernel.is_symmetric:
         receiving = radiating.transposed()
@@ -140,6 +145,54 @@ def build_level_eims(kernel, config, level, tolerance, max_terms,
             max_terms,
         )
     return LevelEims(level=level, radiating=radiating, receiving=receiving)
+
+
+def _check_promises(kernel, train, tolerance, factors):
+    """Refuse a kernel that breaks what it declares, on a fixed subsample of
+    <= 64 x 64 of the training pairs.  Symmetry selects the transposed
+    receiving model, the half near field and V = U; a scaling selects
+    operators rescaled from this level at every factor a.  Each is silently
+    wrong for a kernel that breaks it, so K(y, x) must match K(x, y), and
+    K(a x, a y) must match a^p K(x, y), within tolerance of the largest
+    value compared."""
+    xs, ys = (p[::-(-len(p) // 64)] for p in (train.points_x, train.points_y))
+    forward = kernel.pairwise(xs, ys)
+    checks = []
+    if kernel.is_symmetric:
+        checks.append(("declared symmetric, but K(x, y) != K(y, x)",
+                       forward, kernel.pairwise(ys, xs).T))
+    for a in factors:
+        checks.append((f"declared scaling={kernel.scaling}, but K(a x, a y) != "
+                       f"a^{kernel.scaling} K(x, y) at a = {a:g}",
+                       forward * a ** kernel.scaling, kernel.pairwise(a * xs, a * ys)))
+    for broken, expect, got in checks:
+        if not np.abs(got - expect).max() <= tolerance * np.abs(expect).max():
+            raise ValueError(f"kernel {kernel.name!r} is {broken} on its "
+                             "training pairs")
+
+
+def _rescaled(kernel, ops, coarser):
+    """The operators ``ops`` of a kernel of degree p, K(a d) = a^p K(d),
+    moved ``coarser`` levels up the tree (down when negative), to boxes
+    a = 2^coarser times wider.
+
+    Every node scales by a and every kernel value by a^p, both exact powers
+    of two, so a rescaled greedy model is bitwise the greedy run on the
+    rescaled training grid: pivots and residuals scale by a^p, the unit
+    triangular basis is unchanged.  The transfer blocks scale by a^p, so
+    the bases are unchanged and so is each block's right factor; the dense
+    block or left factor takes the a^p.
+    """
+    level = ops.level - coarser
+    a, gain = 2.0 ** coarser, 2.0 ** (coarser * kernel.scaling)
+    if isinstance(ops, M2lOperators):
+        blocks = [(tag, first * gain, *rest) for tag, first, *rest in ops.blocks]
+        return M2lOperators(level, ops.projector, ops.row_basis, blocks)
+    radiating, receiving = (
+        EimModel(m.kernel_id, m.x_points * a, m.y_points * a, m.basis_matrix,
+                 m.pivot_matrix * gain, m.residual_history * gain, m.degenerate)
+        for m in (ops.radiating, ops.receiving))
+    return LevelEims(level, radiating, receiving)
 
 
 def assemble_m2m(kernel, config, level, eims, child_eims):
@@ -213,12 +266,21 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     into its one QR operand, and the per-offset stage evaluates them again,
     one at a time (twice per block in all for a symmetric kernel, three
     times otherwise).
+
+    For a kernel that declares a scaling, a level above the deepest
+    rescales its models to the deepest level, assembles there and rescales
+    the result back: bitwise what build_operator_cache stores for it.
     """
     if level < 2:
         raise ValueError("transfer operators exist at levels >= 2 only")
     eps = float(compression_tolerance)
     if eps <= 0.0:
         raise ValueError("compression tolerance must be positive")
+    if kernel.scaling is not None and level < config.depth:
+        coarser = config.depth - level
+        deepest = assemble_m2l(kernel, config, config.depth,
+                               _rescaled(kernel, eims, -coarser), eps)
+        return _rescaled(kernel, deepest, coarser)
     offsets = transfer_offsets(config.dimension)
     step = 2.0 * config.half_width(level)
     px = eims.receiving.x_points
@@ -314,25 +376,37 @@ class OperatorCache:
 
 def build_operator_cache(kernel, config, tolerance, compress_tol=None,
                          max_terms=300, resolution=7, x_budget=8192):
-    """Precompute every level's operators for a tree configuration."""
+    """Precompute every level's operators for a tree configuration.
+
+    A kernel that declares a scaling gets its greedy models and transfer
+    operators built at the deepest level only, and every coarser level
+    rescaled from them.
+    """
     key = make_cache_key(kernel, config, tolerance, compress_tol, max_terms,
                          resolution, x_budget)
     cache = OperatorCache(key=key)
-    for level in range(2, config.depth + 1):
-        cache.eims[level] = build_level_eims(
-            kernel, config, level, tolerance, max_terms, resolution, x_budget
-        )
-    for level in range(2, config.depth):
+    depth = config.depth
+    cache.eims[depth] = build_level_eims(kernel, config, depth, tolerance,
+                                         max_terms, resolution, x_budget)
+    for level in range(2, depth):
+        cache.eims[level] = (
+            build_level_eims(kernel, config, level, tolerance, max_terms,
+                             resolution, x_budget) if kernel.scaling is None
+            else _rescaled(kernel, cache.eims[depth], depth - level))
+    for level in range(2, depth):
         cache.m2m[level] = assemble_m2m(
             kernel, config, level, cache.eims[level], cache.eims[level + 1]
         )
         cache.l2l[level] = assemble_l2l(
             kernel, config, level, cache.eims[level], cache.eims[level + 1]
         )
-    for level in range(2, config.depth + 1):
-        cache.m2l[level] = assemble_m2l(
-            kernel, config, level, cache.eims[level], key.compress_tol
-        )
+    cache.m2l[depth] = assemble_m2l(kernel, config, depth, cache.eims[depth],
+                                    key.compress_tol)
+    for level in range(2, depth):
+        cache.m2l[level] = (
+            assemble_m2l(kernel, config, level, cache.eims[level],
+                         key.compress_tol) if kernel.scaling is None
+            else _rescaled(kernel, cache.m2l[depth], depth - level))
     return cache
 
 

@@ -89,6 +89,26 @@ def test_builtin_symmetry(x, y):
         assert a == b or (np.isinf(a) and np.isinf(b))
 
 
+def test_builtin_scaling_declarations():
+    # laplace alone is homogeneous, of degree -1, and exactly so in floating
+    # point at power-of-two factors
+    laplace = ef.make_builtin_kernel("laplace")
+    assert laplace.scaling == -1
+    assert all(ef.make_builtin_kernel(name).scaling is None
+               for name in ef.builtin_kernel_names() if name != "laplace")
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-1, 1, size=(2, 20, 3))
+    assert np.array_equal(laplace.pairwise(8.0 * x, 8.0 * y),
+                          laplace.pairwise(x, y) / 8.0)
+    # a kernel under a builtin's name takes its declaration unless it makes
+    # its own; a new name declares nothing by default
+    profile = laplace.from_displacements
+    assert ef.Kernel("laplace", profile, True).scaling == -1
+    assert ef.Kernel("laplace", profile, True, scaling=-2).scaling == -2
+    assert ef.Kernel("inverse", profile, True).scaling is None
+    assert ef.Kernel("inverse", profile, True, scaling=np.int64(-1)).scaling == -1
+
+
 def test_translation_invariance():
     rng = np.random.default_rng(2)
     x, y, shift = rng.uniform(-1, 1, size=(3, 3))

@@ -20,6 +20,7 @@ from eimfmm.tree import (child_offsets, level_geometry, training_grids,
 
 EPS = np.finfo(float).eps
 KERNEL = ef.make_builtin_kernel("gaussian")
+LAPLACE = ef.make_builtin_kernel("laplace")
 CONFIG = ef.TreeConfig(dimension=2, side=1.0, depth=3)
 TOL = 1e-6
 
@@ -59,6 +60,71 @@ def test_kernel_declared_symmetric_is_checked(drift_kernel):
         ef.build_level_eims(liar, CONFIG, 2, TOL, 50, 6)
     with pytest.raises(ValueError, match="declared symmetric"):
         ef.build_operator_cache(liar, CONFIG, 1e-3, resolution=6, x_budget=256)
+
+
+def test_kernel_declared_scaling_is_checked():
+    gauss = ef.Kernel("gauss-declared-degree-1", KERNEL.from_displacements,
+                      is_symmetric=True, scaling=-1)
+    with pytest.raises(ValueError, match="declared scaling=-1"):
+        ef.build_operator_cache(gauss, CONFIG, 1e-3, resolution=6, x_budget=256)
+    inverse = ef.Kernel("inverse-declared-degree-2", LAPLACE.from_displacements,
+                        is_symmetric=True, scaling=-2)
+    # a coarser level is built from the deepest, where the check runs
+    with pytest.raises(ValueError, match="inverse-declared-degree-2"):
+        ef.build_level_eims(inverse, CONFIG, 2, TOL, 50, 6)
+    with pytest.raises(ValueError, match="integer"):
+        ef.Kernel("half-degree", LAPLACE.from_displacements, True, scaling=-0.5)
+
+
+def test_scaling_kernel_per_level_steps_match_build(tmp_path):
+    # the coarser levels are derived from the deepest one either way, so a
+    # cache assembled one public step per level and layer, as a traced
+    # build makes it, has the build's bytes
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=4)
+    tol, resolution, x_budget = 1e-3, 5, 512
+    built = ef.build_operator_cache(LAPLACE, config, tol, resolution=resolution,
+                                    x_budget=x_budget)
+    stepped = ef.OperatorCache(key=built.key)
+    levels = range(2, config.depth + 1)
+    for level in levels:
+        stepped.eims[level] = ef.build_level_eims(LAPLACE, config, level, tol,
+                                                  300, resolution, x_budget)
+    for level in levels[:-1]:
+        eims, child = stepped.eims[level], stepped.eims[level + 1]
+        stepped.m2m[level] = ef.assemble_m2m(LAPLACE, config, level, eims, child)
+        stepped.l2l[level] = ef.assemble_l2l(LAPLACE, config, level, eims, child)
+    for level in levels:
+        stepped.m2l[level] = ef.assemble_m2l(LAPLACE, config, level,
+                                             stepped.eims[level], tol)
+    ef.save_cache(built, tmp_path / "built.bin")
+    ef.save_cache(stepped, tmp_path / "stepped.bin")
+    assert (tmp_path / "built.bin").read_bytes() == (tmp_path / "stepped.bin").read_bytes()
+
+
+def test_scaling_kernel_derived_levels_match_fresh_build():
+    # 1/r needs the same terms at every scale: a kernel declaring no scaling
+    # trains every level on its own grid and must arrive at the same models
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=5)
+    per_level = ef.Kernel("laplace-per-level", LAPLACE.from_displacements,
+                          is_symmetric=True)
+    assert per_level.scaling is None
+    derived = ef.build_operator_cache(LAPLACE, config, 1e-4)
+    fresh = ef.build_operator_cache(per_level, config, 1e-4)
+    assert derived.terms_per_level() == fresh.terms_per_level()
+    assert derived.ranks_per_level() == fresh.ranks_per_level()
+    for level in derived.levels:
+        ops, fresh_ops = derived.m2l[level], fresh.m2l[level]
+        assert ([ops.block_rank(t) for t in range(len(ops.blocks))]
+                == [fresh_ops.block_rank(t) for t in range(len(ops.blocks))])
+        p, q = ops.projector, fresh_ops.projector
+        assert np.linalg.norm(p @ (p.T @ q) - q, 2) <= 1e-12
+        # the rescaled values: pivots, and every transfer block U C_t V^T
+        pivots = [c.eims[level].radiating.pivot_matrix for c in (derived, fresh)]
+        assert np.abs(pivots[0] - pivots[1]).max() <= 1e-12 * np.abs(pivots[1]).max()
+        for t in range(len(ops.blocks)):
+            got, expect = (o.projector @ o.apply_block(t, o.row_basis.T)
+                           for o in (ops, fresh_ops))
+            assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
 def test_symmetric_receiving_shares_nodes(small_cache):
@@ -411,7 +477,7 @@ def test_cache_refuses_version_2_file(small_cache, tmp_path):
     ef.save_cache(small_cache, path)
     data = bytearray(path.read_bytes())
     offset = len(operators.CACHE_MAGIC)
-    assert data[offset] == 3
+    assert data[offset] == 4
     data[offset] = 2
     path.write_bytes(bytes(data))
     with pytest.raises(ef.CacheVersionError, match="version 2"):
