@@ -51,9 +51,8 @@ class EimModel:
     triangular solves.  Models are immutable once built.
     """
 
-    def __init__(self, kernel_id, x_points, y_points, basis_matrix,
-                 pivot_matrix, residual_history, degenerate=False):
-        self.kernel_id = kernel_id
+    def __init__(self, x_points, y_points, basis_matrix, pivot_matrix,
+                 residual_history, degenerate=False):
         self.x_points = np.asarray(x_points, dtype=float)
         self.y_points = np.asarray(y_points, dtype=float)
         # basis_matrix[l, m]: m-th greedy basis function at the l-th y node;
@@ -101,7 +100,6 @@ class EimModel:
         """
         diag = np.diag(self.pivot_matrix).copy()
         return EimModel(
-            kernel_id=self.kernel_id,
             x_points=self.y_points,
             y_points=self.x_points,
             basis_matrix=self.pivot_matrix / diag[np.newaxis, :],
@@ -111,7 +109,7 @@ class EimModel:
         )
 
     def __repr__(self):
-        return f"EimModel(kernel={self.kernel_id!r}, d={self.d})"
+        return f"EimModel(d={self.d})"
 
 
 def eim_build(kernel, training, tolerance, max_terms=300):
@@ -190,7 +188,6 @@ def eim_build(kernel, training, tolerance, max_terms=300):
     basis = np.stack([r[cols_sel] for r in basis_rows], axis=1)
     pivots = np.stack([c[rows_sel] for c in pivot_cols], axis=1)
     return EimModel(
-        kernel_id=kernel.name,
         x_points=training.points_x[rows_sel],
         y_points=training.points_y[cols_sel],
         basis_matrix=basis,

@@ -94,7 +94,6 @@ class SummationResult:
     cache_hit: bool = False
     cache_build_seconds: float = 0.0
     cache: object = None
-    field_data: object = None
 
 
 def _masked_kernel_values(kernel, displacements):
@@ -538,7 +537,7 @@ def evaluate(kernel, system, config, tolerance, compress_tol=None,
     cache_seconds = time.perf_counter() - t0
 
     plan = SummationPlan(kernel, system.targets, system.sources, config, cache)
-    far, fields, timings = plan.apply_far(system.potentials)
+    far, _, timings = plan.apply_far(system.potentials)
     t0 = time.perf_counter()
     plan._near_built()
     timings["near_build"] = time.perf_counter() - t0
@@ -553,7 +552,6 @@ def evaluate(kernel, system, config, tolerance, compress_tol=None,
         cache_hit=hit,
         cache_build_seconds=cache_seconds,
         cache=cache,
-        field_data=fields,
     )
 
 

@@ -13,15 +13,16 @@ kernel and factored in place; the per-offset stage evaluates each block
 again.  A kernel that declares a degree p, K(a d) = a^p K(d), is built at
 the deepest level only: every coarser level is that level rescaled by exact
 powers of two (see _rescaled).  Everything serializes to a versioned
-little-endian binary cache.
+little-endian binary cache: the key, the arrays in the order the key fixes,
+one SHA-256 checksum (laid out above save_cache).
 """
 
 import hashlib
-import io
+import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import qr
@@ -30,7 +31,7 @@ from .eim import EimModel, TrainingSet, eim_build
 from .tree import child_offsets, level_geometry, training_grids, transfer_offsets
 
 CACHE_MAGIC = b"EIMFMM01"
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 
 class CacheError(Exception):
@@ -189,7 +190,7 @@ def _rescaled(kernel, ops, coarser):
         blocks = [(tag, first * gain, *rest) for tag, first, *rest in ops.blocks]
         return M2lOperators(level, ops.projector, ops.row_basis, blocks)
     radiating, receiving = (
-        EimModel(m.kernel_id, m.x_points * a, m.y_points * a, m.basis_matrix,
+        EimModel(m.x_points * a, m.y_points * a, m.basis_matrix,
                  m.pivot_matrix * gain, m.residual_history * gain, m.degenerate)
         for m in (ops.radiating, ops.receiving))
     return LevelEims(level, radiating, receiving)
@@ -334,14 +335,6 @@ class CacheKey:
         for f in fields(self):
             object.__setattr__(self, f.name, f.type(getattr(self, f.name)))
 
-    def digest(self):
-        """Hash of the cache version and every field, as the header stores
-        them."""
-        buf = io.BytesIO()
-        _w_u64(buf, CACHE_VERSION)
-        _w_key(buf, self)
-        return hashlib.sha256(buf.getvalue()).digest()
-
 
 def make_cache_key(kernel, config, tolerance, compress_tol=None,
                    max_terms=300, resolution=7, x_budget=8192):
@@ -411,129 +404,35 @@ def build_operator_cache(kernel, config, tolerance, compress_tol=None,
 
 
 # ---------------------------------------------------------------------------
-# Binary serialization.  All counts are little-endian u64, all reals f64;
-# round trips are bitwise.
+# Binary serialization.  A file is the magic, the version and the key
+# fields, then every array in the order the key fixes, then one SHA-256 of
+# all the bytes before it.  The key names the kernel, the levels (2..depth)
+# and the 2^D children and transfer offsets per level, so none of these is
+# stored; the layout also fixes each array's rank, so an array is its
+# shape, then its values.  Counts, flags and tags are little-endian u64,
+# reals f64; round trips are bitwise.
 
-def _w_u64(fh, value):
-    fh.write(struct.pack("<Q", int(value)))
-
-
-def _w_f64(fh, value):
-    fh.write(struct.pack("<d", float(value)))
-
-
-def _w_str(fh, text):
-    data = text.encode()
-    _w_u64(fh, len(data))
-    fh.write(data)
-
-
-def _w_array(fh, arr):
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    _w_u64(fh, arr.ndim)
-    for s in arr.shape:
-        _w_u64(fh, s)
-    fh.write(arr.tobytes())
+_U64 = struct.Struct("<Q")
+# every key field after the kernel name, each one 8-byte word
+_KEY_REST = struct.Struct("<" + "".join(
+    {int: "Q", float: "d"}[f.type] for f in fields(CacheKey)[1:]))
+_EIM_RANKS = {"x_points": 2, "y_points": 2, "basis_matrix": 2,
+              "pivot_matrix": 2, "residual_history": 1}
+_SHAPES = {ndim: struct.Struct(f"<{ndim}Q") for ndim in (1, 2)}
 
 
-def _read(fh, n):
-    if n > 1 << 36:  # no field is anywhere near this; corrupt length prefix
-        raise CacheCorruptError("implausible field length in cache file")
-    data = fh.read(n)
-    if len(data) != n:
-        raise CacheCorruptError("cache file is truncated")
-    return data
-
-
-def _r_u64(fh):
-    return struct.unpack("<Q", _read(fh, 8))[0]
-
-
-def _r_f64(fh):
-    return struct.unpack("<d", _read(fh, 8))[0]
-
-
-def _r_str(fh):
-    try:
-        return _read(fh, _r_u64(fh)).decode()
-    except UnicodeDecodeError as exc:
-        raise CacheCorruptError("undecodable name in cache file") from exc
-
-
-def _r_array(fh):
-    ndim = _r_u64(fh)
-    if ndim > 4:
-        raise CacheCorruptError("implausible array rank in cache file")
-    shape = tuple(_r_u64(fh) for _ in range(ndim))
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if count > 1 << 32:
-        raise CacheCorruptError("implausible array size in cache file")
-    data = _read(fh, 8 * count)
-    return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-
-
-# One header encoding per CacheKey field type.
-_KEY_CODECS = {str: (_w_str, _r_str), int: (_w_u64, _r_u64),
-               float: (_w_f64, _r_f64)}
-
-
-def _w_key(fh, key):
-    for f in fields(key):
-        _KEY_CODECS[f.type][0](fh, getattr(key, f.name))
-
-
-def _r_key(fh):
-    return CacheKey(*(_KEY_CODECS[f.type][1](fh) for f in fields(CacheKey)))
-
-
-_EIM_ARRAYS = ("x_points", "y_points", "basis_matrix", "pivot_matrix",
-               "residual_history")
-
-
-def _w_eim(fh, model):
-    _w_str(fh, model.kernel_id)
-    _w_u64(fh, model.d)
-    _w_u64(fh, 1 if model.degenerate else 0)
-    for name in _EIM_ARRAYS:
-        _w_array(fh, getattr(model, name))
-
-
-def _r_eim(fh):
-    kernel_id, d, degenerate = _r_str(fh), _r_u64(fh), bool(_r_u64(fh))
-    x_points, y_points, basis, pivots, history = (_r_array(fh) for _ in _EIM_ARRAYS)
-    if x_points.shape[0] != d or basis.shape != (d, d) or pivots.shape != (d, d):
-        raise CacheCorruptError("inconsistent model block in cache file")
-    return EimModel(kernel_id, x_points, y_points, basis, pivots, history,
-                    degenerate=degenerate)
+def _key_bytes(key):
+    name = key.kernel_id.encode()
+    return _U64.pack(len(name)) + name + _KEY_REST.pack(*astuple(key)[1:])
 
 
 def save_cache(cache, path):
-    """Write the cache; the round trip through load_cache is bitwise."""
-    key = cache.key
-    body = io.BytesIO()
-    levels = cache.levels
-    _w_u64(body, len(levels))
-    for level in levels:
-        _w_u64(body, level)
-        pair = cache.eims[level]
-        _w_eim(body, pair.radiating)
-        _w_eim(body, pair.receiving)
-        has_children = level in cache.m2m
-        _w_u64(body, 1 if has_children else 0)
-        if has_children:
-            for mat in cache.m2m[level].matrices:
-                _w_array(body, mat)
-            for mat in cache.l2l[level].matrices:
-                _w_array(body, mat)
-        trans = cache.m2l[level]
-        _w_array(body, trans.projector)
-        _w_array(body, trans.row_basis)
-        _w_u64(body, len(trans.blocks))
-        for tag, *factors in trans.blocks:
-            _w_u64(body, 0 if tag == "dense" else 1)
-            for f in factors:
-                _w_array(body, f)
-    payload = body.getvalue()
+    """Write the cache; the round trip through load_cache is bitwise.
+
+    Each array goes to the file as it is reached, through one running
+    checksum, so the file is never held whole in memory.
+    """
+    depth = cache.key.depth
     # Written beside the target and moved into place, so an interrupted
     # save leaves any earlier file at path intact.
     fd, tmp = tempfile.mkstemp(
@@ -541,13 +440,35 @@ def save_cache(cache, path):
     )
     try:
         with open(fd, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            _w_u64(fh, CACHE_VERSION)
-            _w_key(fh, key)
-            fh.write(key.digest())
-            fh.write(hashlib.sha256(payload).digest())
-            _w_u64(fh, len(payload))
-            fh.write(payload)
+            check = hashlib.sha256()
+
+            def put(data):
+                check.update(data)
+                fh.write(data)
+
+            def put_array(arr):
+                arr = np.ascontiguousarray(arr, dtype="<f8")
+                put(_SHAPES[arr.ndim].pack(*arr.shape))
+                put(memoryview(arr).cast("B"))
+
+            put(CACHE_MAGIC + _U64.pack(CACHE_VERSION) + _key_bytes(cache.key))
+            for level in range(2, depth + 1):
+                pair = cache.eims[level]
+                for model in (pair.radiating, pair.receiving):
+                    put(_U64.pack(model.degenerate))
+                    for name in _EIM_RANKS:
+                        put_array(getattr(model, name))
+                if level < depth:
+                    for mat in cache.m2m[level].matrices + cache.l2l[level].matrices:
+                        put_array(mat)
+                trans = cache.m2l[level]
+                put_array(trans.projector)
+                put_array(trans.row_basis)
+                for tag, *factors in trans.blocks:
+                    put(_U64.pack(tag == "lowrank"))
+                    for f in factors:
+                        put_array(f)
+            fh.write(check.digest())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -556,63 +477,85 @@ def save_cache(cache, path):
         raise
 
 
+class _Reader:
+    """Cursor over the checksummed bytes of a cache file.  Every length is
+    checked against the bytes that remain before anything is allocated."""
+
+    def __init__(self, view):
+        self.view = view
+        self.pos = 0
+
+    def take(self, n):
+        if n > len(self.view) - self.pos:
+            raise CacheCorruptError("cache file is truncated")
+        self.pos += n
+        return self.view[self.pos - n:self.pos]
+
+    def unpack(self, layout):
+        return layout.unpack(self.take(layout.size))
+
+    def flag(self, what):
+        value, = self.unpack(_U64)
+        if value > 1:
+            raise CacheCorruptError(f"bad {what} {value} in cache file")
+        return bool(value)
+
+    def array(self, ndim):
+        shape = self.unpack(_SHAPES[ndim])
+        data = self.take(8 * math.prod(shape))
+        return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+
+    def model(self, dimension):
+        degenerate = self.flag("model flag")
+        x, y, basis, pivots, history = (self.array(n) for n in _EIM_RANKS.values())
+        d = x.shape[0]
+        if not (x.shape == y.shape == (d, dimension)
+                and basis.shape == pivots.shape == (d, d)):
+            raise CacheCorruptError("inconsistent model shapes in cache file")
+        return EimModel(x, y, basis, pivots, history, degenerate)
+
+
 def load_cache(path, expected_key=None):
-    """Read a cache file, validating version, hash, and (when given) the
+    """Read a cache file, validating version, checksum, and (when given) the
     requested configuration."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CACHE_MAGIC))
-        if magic != CACHE_MAGIC:
-            raise CacheVersionError("not an operator cache file")
-        version = _r_u64(fh)
-        if version != CACHE_VERSION:
-            raise CacheVersionError(
-                f"cache version {version} unsupported (want {CACHE_VERSION})"
-            )
-        key = _r_key(fh)
-        stored_digest = _read(fh, 32)
-        if stored_digest != key.digest():
-            raise CacheCorruptError("config hash does not match header fields")
-        if expected_key is not None and key != expected_key:
-            raise CacheMismatchError(
-                f"cache was built for {key}, requested {expected_key}"
-            )
-        payload_digest = _read(fh, 32)
-        payload_len = _r_u64(fh)
-        payload = fh.read(payload_len)
-        if len(payload) != payload_len:
-            raise CacheCorruptError("cache payload truncated")
-        if fh.read(1):
-            raise CacheCorruptError("trailing bytes after cache payload")
-        if hashlib.sha256(payload).digest() != payload_digest:
-            raise CacheCorruptError("cache payload checksum mismatch")
-    body = io.BytesIO(payload)
+        data = fh.read()
+    if data[:len(CACHE_MAGIC)] != CACHE_MAGIC:
+        raise CacheVersionError("not an operator cache file")
+    body = _Reader(memoryview(data))
+    body.take(len(CACHE_MAGIC))
+    version, = body.unpack(_U64)
+    if version != CACHE_VERSION:
+        raise CacheVersionError(
+            f"cache version {version} unsupported (want {CACHE_VERSION})"
+        )
+    # nothing after the version is parsed before the checksum holds
+    body.view = body.view[:-32]
+    if hashlib.sha256(body.view).digest() != data[-32:]:
+        raise CacheCorruptError("cache file checksum mismatch")
+    try:
+        name = str(body.take(body.unpack(_U64)[0]), "utf-8")
+    except UnicodeDecodeError as exc:
+        raise CacheCorruptError("undecodable kernel name in cache file") from exc
+    key = CacheKey(name, *body.unpack(_KEY_REST))
+    if expected_key is not None and key != expected_key:
+        raise CacheMismatchError(
+            f"cache was built for {key}, requested {expected_key}"
+        )
     cache = OperatorCache(key=key)
-    nlevels = _r_u64(body)
-    if nlevels > key.depth + 1:
-        raise CacheCorruptError("implausible level count in cache file")
-    dim = key.dimension
-    for _ in range(nlevels):
-        level = _r_u64(body)
-        radiating = _r_eim(body)
-        receiving = _r_eim(body)
-        cache.eims[level] = LevelEims(level, radiating, receiving)
-        if _r_u64(body):
-            m2m = [_r_array(body) for _ in range(2**dim)]
-            l2l = [_r_array(body) for _ in range(2**dim)]
+    dim, depth = key.dimension, key.depth
+    for level in range(2, depth + 1):
+        cache.eims[level] = LevelEims(level, body.model(dim), body.model(dim))
+        if level < depth:
+            m2m = [body.array(2) for _ in range(2**dim)]
+            l2l = [body.array(2) for _ in range(2**dim)]
             cache.m2m[level] = TranslationOperators(level, m2m)
             cache.l2l[level] = TranslationOperators(level, l2l)
-        projector = _r_array(body)
-        row_basis = _r_array(body)
-        nblocks = _r_u64(body)
-        if nblocks != len(transfer_offsets(dim)):
-            raise CacheCorruptError("wrong transfer block count in cache file")
-        blocks = []
-        for _ in range(nblocks):
-            if _r_u64(body):
-                blocks.append(("lowrank", _r_array(body), _r_array(body)))
-            else:
-                blocks.append(("dense", _r_array(body)))
+        projector, row_basis = body.array(2), body.array(2)
+        blocks = [("lowrank", body.array(2), body.array(2))
+                  if body.flag("block tag") else ("dense", body.array(2))
+                  for _ in transfer_offsets(dim)]
         cache.m2l[level] = M2lOperators(level, projector, row_basis, blocks)
-    if body.read(1):
-        raise CacheCorruptError("trailing bytes inside cache payload")
+    if body.pos != len(body.view):
+        raise CacheCorruptError("trailing bytes in cache file")
     return cache

@@ -267,7 +267,7 @@ def test_criterion_9_cache_round_trip(cache_store, tmp_path):
         ef.load_cache(first, expected_key=dataclasses.replace(cache.key, depth=5))
 
     data = bytearray(first.read_bytes())
-    data[40] ^= 0xFF  # a header config field no longer matches its digest
+    data[40] ^= 0xFF  # a header config field no longer matches the checksum
     first.write_bytes(bytes(data))
     with pytest.raises(ef.CacheError):
         ef.load_cache(first)

@@ -6,6 +6,8 @@ synthetic source/field configurations whose exact answers are computable.
 """
 
 import dataclasses
+import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -99,6 +101,7 @@ def test_scaling_kernel_per_level_steps_match_build(tmp_path):
     ef.save_cache(built, tmp_path / "built.bin")
     ef.save_cache(stepped, tmp_path / "stepped.bin")
     assert (tmp_path / "built.bin").read_bytes() == (tmp_path / "stepped.bin").read_bytes()
+    _assert_round_trip_bitwise(built, tmp_path)
 
 
 def test_scaling_kernel_derived_levels_match_fresh_build():
@@ -416,7 +419,6 @@ def test_m2l_holds_one_operand():
 
 
 def _assert_models_equal(a, b):
-    assert a.kernel_id == b.kernel_id
     assert a.degenerate == b.degenerate
     for name in ("x_points", "y_points", "basis_matrix", "pivot_matrix",
                  "residual_history"):
@@ -477,11 +479,12 @@ def test_cache_refuses_version_2_file(small_cache, tmp_path):
     ef.save_cache(small_cache, path)
     data = bytearray(path.read_bytes())
     offset = len(operators.CACHE_MAGIC)
-    assert data[offset] == 4
-    data[offset] = 2
-    path.write_bytes(bytes(data))
-    with pytest.raises(ef.CacheVersionError, match="version 2"):
-        ef.load_cache(path)
+    assert data[offset] == operators.CACHE_VERSION
+    for old in (2, operators.CACHE_VERSION - 1):
+        data[offset] = old
+        path.write_bytes(bytes(data))
+        with pytest.raises(ef.CacheVersionError, match=f"version {old}"):
+            ef.load_cache(path)
 
 
 def test_cache_build_deterministic(tmp_path):
@@ -503,10 +506,9 @@ def test_cache_mismatch_refused(small_cache, tmp_path):
     path = tmp_path / "ops.bin"
     ef.save_cache(small_cache, path)
     key = small_cache.key
-    # every field must reach both the digest and the stored header
+    # every field must reach the stored header
     for f in dataclasses.fields(ef.CacheKey):
         other = dataclasses.replace(key, **{f.name: _changed(getattr(key, f.name))})
-        assert other.digest() != key.digest(), f.name
         with pytest.raises(ef.CacheMismatchError):
             ef.load_cache(path, expected_key=other)
     # no expected key means any self-consistent file loads
@@ -554,16 +556,22 @@ def test_cache_save_interrupted_keeps_old_file(small_cache, tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == [path]
 
 
-# byte offsets into the fixed-layout header; see save_cache for the layout
+# Byte offsets from the layout save_cache writes: the magic, the u64
+# version, the u64-prefixed kernel name, one 8-byte word per other key field
+# (dimension, side, ...), then per model a u64 flag and its arrays, each a
+# u64 per dimension of its shape followed by its values; last, the 32-byte
+# checksum.
+_NAME_AT = len(operators.CACHE_MAGIC) + 16
+_FIELDS_AT = _NAME_AT + len(KERNEL.name)
+_FIRST_ARRAY_AT = _FIELDS_AT + 8 * (len(dataclasses.fields(ef.CacheKey)) - 1) + 8
 _CORRUPTION_CASES = [
-    (3, ef.CacheVersionError),     # magic
-    (12, ef.CacheVersionError),    # version word
-    (25, ef.CacheCorruptError),    # kernel name
-    (40, ef.CacheCorruptError),    # side field
-    (100, ef.CacheCorruptError),   # key digest
-    (130, ef.CacheCorruptError),   # payload digest
-    (162, ef.CacheCorruptError),   # payload length
-    (-3, ef.CacheCorruptError),    # payload body
+    (3, ef.CacheVersionError),                                # magic
+    (len(operators.CACHE_MAGIC) + 4, ef.CacheVersionError),   # version word
+    (_NAME_AT + 1, ef.CacheCorruptError),                     # kernel name
+    (_FIELDS_AT + 8, ef.CacheCorruptError),                   # side field
+    (_FIRST_ARRAY_AT, ef.CacheCorruptError),                       # first array header
+    (-33, ef.CacheCorruptError),                              # last array body
+    (-3, ef.CacheCorruptError),                               # checksum
 ]
 
 
@@ -585,4 +593,31 @@ def test_cache_rejects_truncation_and_trailing(small_cache, tmp_path):
     for mangled in (data[:100], data[:-9], data + b"\x00"):
         path.write_bytes(mangled)
         with pytest.raises(ef.CacheCorruptError):
+            ef.load_cache(path)
+
+
+def test_cache_checks_layout_under_valid_checksum(small_cache, tmp_path):
+    # each file below is re-signed, so only the structure checks can refuse it
+    path = tmp_path / "ops.bin"
+    ef.save_cache(small_cache, path)
+    body = path.read_bytes()[:-32]
+    assert body[_NAME_AT:_FIELDS_AT] == KERNEL.name.encode()
+    shape = small_cache.eims[2].radiating.x_points.shape
+    assert struct.unpack_from("<2Q", body, _FIRST_ARRAY_AT) == shape
+    # the last block's tag comes right before its factors' shapes and values
+    tag, *factors = small_cache.m2l[CONFIG.depth].blocks[-1]
+    tag_at = len(body) - sum(8 * (f.ndim + f.size) for f in factors) - 8
+    assert body[tag_at:tag_at + 8] == struct.pack("<Q", tag == "lowrank")
+    flag_at, shape_at = _FIRST_ARRAY_AT - 8, _FIRST_ARRAY_AT
+    extra = np.ones((2, 2))
+    cases = [
+        (body[:flag_at] + struct.pack("<Q", 2) + body[flag_at + 8:], "model flag"),
+        (body[:shape_at] + struct.pack("<2Q", *shape[::-1]) + body[shape_at + 16:],
+         "model shapes"),
+        (body[:tag_at] + struct.pack("<Q", 2) + body[tag_at + 8:], "block tag"),
+        (body + struct.pack("<2Q", *extra.shape) + extra.tobytes(), "trailing"),
+    ]
+    for mangled, reason in cases:
+        path.write_bytes(mangled + hashlib.sha256(mangled).digest())
+        with pytest.raises(ef.CacheCorruptError, match=reason):
             ef.load_cache(path)
