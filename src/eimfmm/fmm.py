@@ -11,11 +11,12 @@ model's coefficient solve composed with the transfer row basis: the upward
 pass carries moments only and runs no triangular solve; the one solve left
 in a sweep is the leaf receiving model's, after the downward sum.
 
-Kernel evaluations go in chunks of at most kernels._EVAL_CHUNK values
-(whole leaves in the leaf passes, whole rows in the near build), so every
-displacement array stays cache-sized.  Displacements are built as one
-contiguous plane per coordinate and handed to the kernel as an (..., D)
-view of those planes.
+The leaf passes (P2M and L2P) read the tree's leaf-local coordinates,
+computed once when the tree is built.  Kernel evaluations go in chunks of
+at most kernels._EVAL_CHUNK values (whole leaves in the leaf passes, whole
+rows in the near build), so every displacement array stays cache-sized.
+Displacements are built as one contiguous plane per coordinate and handed
+to the kernel as an (..., D) view of those planes.
 """
 
 import os
@@ -121,20 +122,21 @@ def direct_sum(kernel, system):
     return out
 
 
-def _leaf_local(tree):
-    """Leaf-sorted points relative to their leaf's center; exact dyadic
-    arithmetic so recentering commutes with domain translation."""
-    config = tree.config
-    half = config.half_width(config.depth)
-    multi = tree.leaf_multi[tree.order]
-    return tree.sorted_shifted - ((2 * multi + 1) * half - 0.5 * config.side)
+def _built_under(config, tree):
+    """The tree, refused unless it was built under config."""
+    if tree.config != config:
+        raise ValueError(f"tree built under {tree.config} cannot be used "
+                         f"under {config}")
+    return tree
 
 
-def _source_tree(sources, targets, target_tree):
-    """The target tree when the sources are the targets, as the same array
-    or as equal values (which bin identically, and a shared tree lets a
-    symmetric kernel's near field store half its pairs); else a tree of
-    the sources."""
+def _source_tree(sources, targets, target_tree, source_tree=None):
+    """source_tree if given, built under the target tree's config; else the
+    target tree when the sources are the targets, as the same array or as
+    equal values (which bin identically, and a shared tree lets a symmetric
+    kernel's near field store half its pairs); else a tree of the sources."""
+    if source_tree is not None:
+        return _built_under(target_tree.config, source_tree)
     if sources is targets or np.array_equal(sources, targets):
         return target_tree
     return build_tree(sources, target_tree.config)
@@ -191,10 +193,9 @@ def _leaf_moments(kernel, tree, nodes, sigma):
     """Per leaf, one row: the kernel between each node and each of the
     leaf's sources recentered to the leaf, summed with the leaf-sorted
     weights sigma."""
-    local = _leaf_local(tree)
     out = np.empty((tree.leaf_starts.size, nodes.shape[0]))
     for l0, l1, p0, p1 in _leaf_chunks(tree, nodes.shape[0]):
-        disp = _displacements(nodes[None, :, :], local[p0:p1, None, :])
+        disp = _displacements(nodes[None, :, :], tree.leaf_local[p0:p1, None, :])
         weighted = kernel.from_displacements(disp) * sigma[p0:p1, None]
         np.add.reduceat(weighted, tree.leaf_starts[l0:l1] - p0, axis=0,
                         out=out[l0:l1])
@@ -205,10 +206,9 @@ def _leaf_values(kernel, tree, nodes, coeffs):
     """At each point, in input order: the kernel between the point
     recentered to its leaf and each node, dotted with its leaf's row of
     coeffs."""
-    local = _leaf_local(tree)
     out = np.empty(tree.n_points)
     for l0, l1, p0, p1 in _leaf_chunks(tree, nodes.shape[0]):
-        disp = _displacements(local[p0:p1, None, :], nodes[None, :, :])
+        disp = _displacements(tree.leaf_local[p0:p1, None, :], nodes[None, :, :])
         per_point = np.repeat(coeffs[l0:l1], tree.leaf_counts[l0:l1], axis=0)
         out[tree.order[p0:p1]] = np.einsum(
             "ij,ij->i", kernel.from_displacements(disp), per_point)
@@ -234,15 +234,16 @@ class SummationPlan:
         self.kernel = kernel
         self.config = config
         self.cache = cache
-        self.tgt_tree = target_tree or build_tree(targets, config)
-        self.src_tree = source_tree or _source_tree(sources, targets, self.tgt_tree)
+        self.tgt_tree = _built_under(config, target_tree or build_tree(targets, config))
+        self.src_tree = _source_tree(sources, targets, self.tgt_tree, source_tree)
 
         depth = config.depth
         dim = config.dimension
         # Child and parent positions per parity for the two vertical passes.
         levels = range(3, depth + 1)
-        self._src_children = {k: _child_groups(self.src_tree, k) for k in levels}
         self._tgt_children = {k: _child_groups(self.tgt_tree, k) for k in levels}
+        self._src_children = (self._tgt_children if self.src_tree is self.tgt_tree
+                              else {k: _child_groups(self.src_tree, k) for k in levels})
         # Transfer pair groups per level and offset.  A pair participates at
         # level k only when its parents are neighbors; otherwise it was
         # already covered at a coarser level (vacuous at level 2).  The
@@ -425,7 +426,8 @@ def _near_matrix(kernel, target_tree, source_tree):
     data = np.empty(nnz)
     indices = np.empty(nnz, dtype=index_dtype)
     tgt_planes = np.ascontiguousarray(tgt.sorted_points.T)
-    src_planes = np.ascontiguousarray(src.sorted_points.T)
+    src_planes = (tgt_planes if src is tgt
+                  else np.ascontiguousarray(src.sorted_points.T))
 
     r0 = 0
     while r0 < tgt.n_points:
@@ -472,8 +474,7 @@ def _near_product(matrix, kernel, target_tree, source_tree, sigma):
 
 def near_field(kernel, tree, system, source_tree=None):
     """Exact sum over each target leaf's neighbor boxes (own box included)."""
-    if source_tree is None:
-        source_tree = _source_tree(system.sources, system.targets, tree)
+    source_tree = _source_tree(system.sources, system.targets, tree, source_tree)
     matrix = _near_matrix(kernel, tree, source_tree)
     return _near_product(matrix, kernel, tree, source_tree,
                          system.potentials[source_tree.order])
@@ -487,9 +488,7 @@ def monolevel_far_field(kernel, tree, system, eims, source_tree=None):
     depth = config.depth
     if eims.level != depth:
         raise ValueError("monolevel pass needs the leaf-level models")
-    if source_tree is None:
-        source_tree = _source_tree(system.sources, system.targets, tree)
-    src = source_tree
+    src = _source_tree(system.sources, system.targets, tree, source_tree)
     tgt = tree
     if src.n_points == 0 or tgt.n_points == 0:
         return np.zeros(tgt.n_points)

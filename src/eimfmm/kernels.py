@@ -59,7 +59,8 @@ class Kernel:
         return self._profile(_displacements(px[:, None, :], py[None, :, :]))
 
     def __repr__(self):
-        return f"Kernel({self.name!r}, symmetric={self.is_symmetric})"
+        return (f"Kernel({self.name!r}, symmetric={self.is_symmetric}, "
+                f"scaling={self.scaling})")
 
 
 def _displacements(x, y):

@@ -1,5 +1,7 @@
 """Uniform 2^D-ary box hierarchy over a cube.
 
+A Tree bins its points once: it sorts them by leaf and recenters each on
+its leaf, which is all the leaf passes and the near field read per point.
 Alongside point binning, this module owns the per-level reference geometry
 the far-field operators are built on: a source box recentered at the
 origin, and the hollow "far region" holding every well-separated translate.
@@ -229,9 +231,12 @@ def require_finite(name, values):
 class Tree:
     """Immutable spatial index of one point set under a TreeConfig.
 
-    Points are sorted by leaf once at build time; every per-box pass then
-    reads contiguous slices.  Occupied boxes of every level are kept as
-    sorted flat-index arrays (ancestors of occupied leaves).
+    Points are sorted by leaf once at build time, so every per-box pass
+    reads contiguous slices.  Per sorted point it keeps only what a pass
+    reads: ``order`` (its input index), ``sorted_points`` (the near field)
+    and ``leaf_local``, the point recentered on its leaf (the leaf passes).
+    Occupied boxes of every level (ancestors of occupied leaves) are kept
+    as sorted flat indices and multi-indices.
     """
 
     def __init__(self, points, config):
@@ -259,27 +264,24 @@ class Tree:
         np.clip(leaf_multi, 0, nleaf - 1, out=leaf_multi)
 
         self.config = config
-        self.points = points
-        self.shifted = shifted
-        self.leaf_multi = leaf_multi
-
         flat = self._ravel(leaf_multi, config.depth)
         order = np.argsort(flat, kind="stable")
         self.order = order
         self.sorted_points = points[order]
-        self.sorted_shifted = shifted[order]
-        sorted_flat = flat[order]
+        multi = leaf_multi[order]
+        # Exact dyadic leaf centers, so recentering commutes with a dyadic
+        # translation of the domain.
+        half = config.half_width(config.depth)
+        self.leaf_local = shifted[order] - ((2 * multi + 1) * half - half_side)
         leaves, starts, counts = np.unique(
-            sorted_flat, return_index=True, return_counts=True
+            flat[order], return_index=True, return_counts=True
         )
         self.leaf_starts = starts
         self.leaf_counts = counts
 
         # Occupied boxes per level, from the leaves up.
-        self.level_flat = {}
-        self.level_multi = {}
-        self.level_flat[config.depth] = leaves
-        self.level_multi[config.depth] = self._unravel(leaves, config.depth)
+        self.level_flat = {config.depth: leaves}
+        self.level_multi = {config.depth: multi[starts]}
         for level in range(config.depth - 1, -1, -1):
             coarser = np.unique(self.level_multi[level + 1] >> 1, axis=0)
             self.level_flat[level] = self._ravel(coarser, level)
@@ -292,19 +294,9 @@ class Tree:
         weights = (2**level) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
         return multi @ weights
 
-    def _unravel(self, flat, level):
-        dim = self.config.dimension
-        n = 2**level
-        out = np.empty((flat.size, dim), dtype=np.int64)
-        rest = flat.copy()
-        for c in range(dim - 1, -1, -1):
-            out[:, c] = rest % n
-            rest //= n
-        return out
-
     @property
     def n_points(self):
-        return self.points.shape[0]
+        return self.order.size
 
 
 def build_tree(points, config):

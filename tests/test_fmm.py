@@ -379,8 +379,10 @@ def test_far_pass_independent_of_chunk_size(cache, monkeypatch):
     tree, depth = plan.tgt_tree, CONFIG.depth
     leaf_of = np.empty(tree.n_points, dtype=np.int64)
     leaf_of[tree.order] = np.repeat(np.arange(tree.leaf_counts.size), tree.leaf_counts)
+    leaf_multi = _leaf_indices(points, CONFIG)
+    assert np.array_equal(tree.level_multi[depth][leaf_of], leaf_multi)
     half = CONFIG.half_width(depth)
-    local = tree.shifted - ((2 * tree.leaf_multi + 1) * half - 0.5 * CONFIG.side)
+    local = points - ((2 * leaf_multi + 1) * half - 0.5 * CONFIG.side)
     eims = cache.eims[depth]
     moments = np.zeros((tree.leaf_counts.size, eims.radiating.d))
     np.add.at(moments, leaf_of,
@@ -513,6 +515,32 @@ def test_plan_rejects_foreign_cache(cloud, cache):
     laplace = ef.make_builtin_kernel("laplace")
     with pytest.raises(ef.CacheMismatchError):
         ef.SummationPlan(laplace, points, points, CONFIG, cache)
+
+
+def test_trees_of_another_config_are_refused(cloud, cache):
+    # a tree binned under another side or depth would misplace every point
+    # (quietly, or in a broadcast error): each path that takes a tree names
+    # both configs instead
+    points, weights = cloud
+    system = ef.ParticleSystem(points, points[::-1], weights)
+    ours = ef.build_tree(points, CONFIG)
+    eims = cache.eims[CONFIG.depth]
+    for other in (ef.TreeConfig(dimension=2, side=2.0, depth=3),
+                  ef.TreeConfig(dimension=2, side=1.0, depth=4)):
+        foreign = ef.build_tree(points, other)
+        calls = [
+            lambda: ef.SummationPlan(KERNEL, points, points, CONFIG, cache,
+                                     target_tree=foreign),
+            lambda: ef.SummationPlan(KERNEL, points, points, CONFIG, cache,
+                                     source_tree=foreign),
+            lambda: ef.near_field(KERNEL, ours, system, source_tree=foreign),
+            lambda: ef.monolevel_far_field(KERNEL, ours, system, eims,
+                                           source_tree=foreign),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(other) in str(err.value) and str(CONFIG) in str(err.value)
 
 
 def test_plan_rejects_non_finite_weights(cloud, cache):

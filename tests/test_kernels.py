@@ -130,3 +130,11 @@ def test_custom_kernel_flags():
     flat = ef.Kernel("flat", lambda d: np.ones(d.shape[:-1]), is_symmetric=False)
     assert not flat.is_symmetric
     assert flat.evaluate(np.ones(3), np.zeros(3)) == 1.0
+
+
+def test_repr_shows_symmetry_and_degree():
+    # the declared degree switches the operator build to derived levels
+    assert (repr(ef.make_builtin_kernel("laplace"))
+            == "Kernel('laplace', symmetric=True, scaling=-1)")
+    flat = ef.Kernel("flat", lambda d: np.ones(d.shape[:-1]), is_symmetric=False)
+    assert repr(flat) == "Kernel('flat', symmetric=False, scaling=None)"

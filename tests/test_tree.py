@@ -7,9 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eimfmm as ef
-from eimfmm.fmm import _leaf_local, _near_matrix
+from eimfmm.fmm import _near_matrix
 from eimfmm.tree import (_unrank_hollow, child_offsets, level_geometry,
                          parity_rank, training_grids)
+
+
+def _brute_leaf_multi(points, config):
+    """Each input point's leaf multi-index, closed upper faces clamped."""
+    width = 2 * config.half_width(config.depth)
+    shifted = points - config.center_array() + 0.5 * config.side
+    return np.clip((shifted // width).astype(np.int64), 0, 2**config.depth - 1)
+
+
+def _leaf_of(tree):
+    """Each input point's row among the tree's leaves."""
+    out = np.empty(tree.n_points, dtype=np.int64)
+    out[tree.order] = np.repeat(np.arange(tree.leaf_counts.size), tree.leaf_counts)
+    return out
 
 
 def test_config_validation():
@@ -135,12 +149,12 @@ def test_box_center_exact_dyadic():
     pts = np.vstack([[-0.5 + 1 / 16, -0.5 + 1 / 16],
                      rng.uniform(-0.5, 0.5, size=(100, 2))])
     tree = ef.build_tree(pts, config)
-    local = _leaf_local(tree)
+    local = tree.leaf_local
     assert np.array_equal(local[np.flatnonzero(tree.order == 0)[0]], [0.0, 0.0])
     shift = (0.25, -0.25)
     shifted = ef.TreeConfig(dimension=2, side=1.0, depth=3, center=shift)
     moved = ef.build_tree(pts + np.asarray(shift), shifted)
-    assert np.array_equal(_leaf_local(moved), local)
+    assert np.array_equal(moved.leaf_local, local)
 
 
 @pytest.fixture(scope="module")
@@ -153,31 +167,34 @@ def small_tree():
 
 def test_leaf_assignment_brute_force(small_tree):
     points, config, tree = small_tree
-    width = 2 * config.half_width(config.depth)
-    n = 2**config.depth
-    for i in range(0, 400, 7):
-        expect = np.clip(((points[i] + 0.5) // width).astype(np.int64), 0, n - 1)
-        assert np.array_equal(tree.leaf_multi[i], expect)
+    leaf_multi = tree.level_multi[config.depth][_leaf_of(tree)]
+    assert np.array_equal(leaf_multi, _brute_leaf_multi(points, config))
 
 
 def test_points_in_boxes_partition(small_tree):
     points, config, tree = small_tree
+    half = config.half_width(config.depth)
+    brute = _brute_leaf_multi(points, config)
     seen = np.zeros(400, dtype=bool)
     for i, multi in enumerate(tree.level_multi[config.depth]):
-        start = tree.leaf_starts[i]
-        idx = tree.order[start : start + tree.leaf_counts[i]]
+        rows = slice(tree.leaf_starts[i], tree.leaf_starts[i] + tree.leaf_counts[i])
+        idx = tree.order[rows]
         assert not seen[idx].any()
         seen[idx] = True
-        assert np.all(tree.leaf_multi[idx] == multi)
+        assert np.all(brute[idx] == multi)
+        assert np.array_equal(tree.sorted_points[rows], points[idx])
+        # leaf-local coordinates are the points less their leaf's center
+        center = (2 * multi + 1) * half - 0.5 * config.side
+        assert np.allclose(tree.leaf_local[rows] + center, points[idx],
+                           rtol=0.0, atol=1e-15)
     assert seen.all()
     # membership: every point inside its closed leaf
-    assert np.abs(_leaf_local(tree)).max() <= config.half_width(config.depth)
+    assert np.abs(tree.leaf_local).max() <= half
 
 
 def test_occupancy_counts(small_tree):
     points, config, tree = small_tree
-    width = 2 * config.half_width(config.depth)
-    leaves = np.clip(((points + 0.5) // width).astype(int), 0, 2**config.depth - 1)
+    leaves = _brute_leaf_multi(points, config)
     brute = collections.Counter(map(tuple, leaves.tolist()))
     occupied = dict(zip(map(tuple, tree.level_multi[config.depth].tolist()),
                         tree.leaf_counts.tolist()))
@@ -192,7 +209,8 @@ def test_boundary_points_clamped():
     config = ef.TreeConfig(dimension=2, side=1.0, depth=2)
     pts = np.array([[0.5, 0.5], [-0.5, 0.5], [0.5, -0.23], [-0.5, -0.5]])
     tree = ef.build_tree(pts, config)
-    assert tree.leaf_multi[[0, 1, 3]].tolist() == [[3, 3], [0, 3], [0, 0]]
+    leaf_multi = tree.level_multi[config.depth][_leaf_of(tree)]
+    assert leaf_multi[[0, 1, 3]].tolist() == [[3, 3], [0, 3], [0, 0]]
 
 
 def test_points_outside_domain_rejected():
@@ -212,10 +230,13 @@ def test_neighbor_list_brute_force(small_tree):
     points, config, tree = small_tree
     kernel = ef.make_builtin_kernel("gaussian")
     rng = np.random.default_rng(78)
-    other = ef.build_tree(rng.uniform(-0.5, 0.5, size=(300, 3)), config)
-    for src in (other, tree):
+    other_points = rng.uniform(-0.5, 0.5, size=(300, 3))
+    other = ef.build_tree(other_points, config)
+    target_multi = _brute_leaf_multi(points, config)
+    for src, src_points in ((other, other_points), (tree, points)):
         matrix = _near_matrix(kernel, tree, src)
-        delta = src.leaf_multi[None, :, :] - tree.leaf_multi[:, None, :]
+        delta = (_brute_leaf_multi(src_points, config)[None, :, :]
+                 - target_multi[:, None, :])
         expect = np.abs(delta).max(axis=2) <= 1
         if src is tree:
             lead = np.take_along_axis(
@@ -271,9 +292,8 @@ def test_ravel_unravel_round_trip(seed, depth, dim):
     pts = rng.uniform(-0.5, 0.5, size=(32, dim))
     tree = ef.build_tree(pts, config)
     for level in range(depth + 1):
-        multi = tree.level_multi[level]
-        flat = tree._ravel(multi, level)
-        assert np.array_equal(tree._unravel(flat, level), multi)
+        flat = tree._ravel(tree.level_multi[level], level)
+        assert np.array_equal(flat, tree.level_flat[level])
         assert np.all(np.diff(flat) > 0)  # sorted, unique
 
 
@@ -286,6 +306,9 @@ def test_translation_of_tree_is_exact():
         pts + shift,
         ef.TreeConfig(dimension=2, side=1.0, depth=3, center=tuple(shift)),
     )
-    assert np.array_equal(base.leaf_multi, moved.leaf_multi)
     assert np.array_equal(base.order, moved.order)
-    assert np.array_equal(base.sorted_shifted, moved.sorted_shifted)
+    assert np.array_equal(base.leaf_starts, moved.leaf_starts)
+    assert np.array_equal(base.leaf_counts, moved.leaf_counts)
+    for level in range(4):
+        assert np.array_equal(base.level_multi[level], moved.level_multi[level])
+    assert np.array_equal(base.leaf_local, moved.leaf_local)
