@@ -11,6 +11,12 @@ model's coefficient solve composed with the transfer row basis: the upward
 pass carries moments only and runs no triangular solve; the one solve left
 in a sweep is the leaf receiving model's, after the downward sum.
 
+For a symmetric kernel on a shared tree (the sources are the targets),
+the transfer pass stores half its pairs, as the near field does: one
+group per mirrored pair of offsets, which applies C_t from its sources to
+its targets and C_t^T = C_{-t} back.  Every transfer group holds int32
+positions whenever the box count allows it.
+
 The leaf passes (P2M and L2P) read the tree's leaf-local coordinates,
 computed once when the tree is built.  Kernel evaluations go in chunks of
 at most kernels._EVAL_CHUNK values (whole leaves in the leaf passes, whole
@@ -122,34 +128,45 @@ def direct_sum(kernel, system):
     return out
 
 
-def _built_under(config, tree):
-    """The tree, refused unless it was built under config."""
+def _tree_of(name, points, config, tree=None):
+    """A tree of points under config: tree if given, refused with a
+    ValueError naming it (the target or source tree) unless it was built
+    under config from exactly these points, else a new one."""
+    if tree is None:
+        return build_tree(points, config)
     if tree.config != config:
-        raise ValueError(f"tree built under {tree.config} cannot be used "
-                         f"under {config}")
+        raise ValueError(f"{name} tree built under {tree.config} cannot be "
+                         f"used under {config}")
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if (tree.n_points != points.shape[0]
+            or not np.array_equal(tree.sorted_points, points[tree.order])):
+        raise ValueError(f"{name} tree does not bin the {points.shape[0]} "
+                         f"{name} points it is passed with")
     return tree
 
 
 def _source_tree(sources, targets, target_tree, source_tree=None):
-    """source_tree if given, built under the target tree's config; else the
-    target tree when the sources are the targets, as the same array or as
-    equal values (which bin identically, and a shared tree lets a symmetric
-    kernel's near field store half its pairs); else a tree of the sources."""
-    if source_tree is not None:
-        return _built_under(target_tree.config, source_tree)
-    if sources is targets or np.array_equal(sources, targets):
+    """source_tree if given, checked as _tree_of does under the target
+    tree's config; else the target tree when the sources are the targets,
+    as the same array or as equal values (which bin identically, and a
+    shared tree lets a symmetric kernel's near field and transfer pass
+    store half their pairs); else a tree of the sources."""
+    if source_tree is None and (sources is targets
+                                or np.array_equal(sources, targets)):
         return target_tree
-    return build_tree(sources, target_tree.config)
+    return _tree_of("source", sources, target_tree.config, source_tree)
 
 
 def _box_lookup(target_multi, source_multi, level):
     """(base, lookup, strides): the source box at integer offset off (each
     component at most _PAD) from target box i is at position
     lookup[base[i] + off @ strides], or nowhere if that is -1.  lookup spans
-    the level's box grid padded by _PAD boxes on every side."""
+    the level's box grid padded by _PAD boxes on every side, as int32
+    whenever the source box count allows it."""
     side = 2**level + 2 * _PAD
     strides = side ** np.arange(target_multi.shape[1] - 1, -1, -1, dtype=np.int64)
-    lookup = np.full(side ** target_multi.shape[1], -1, dtype=np.intp)
+    lookup = np.full(side ** target_multi.shape[1], -1,
+                     dtype=get_index_dtype(maxval=source_multi.shape[0]))
     lookup[(source_multi + _PAD) @ strides] = np.arange(source_multi.shape[0])
     return (target_multi + _PAD) @ strides, lookup, strides
 
@@ -167,7 +184,10 @@ def _child_groups(tree, level):
 
 def _add_rows(target, pos, values):
     """target[pos] += values for distinct rows pos.  np.put of whole rows
-    as opaque records is several times faster than a fancy assignment."""
+    as opaque records is several times faster than a fancy assignment.
+    The transfer pass scatters each group both ways through it: to its
+    targets, and on a half-stored level also to its sources, which are
+    distinct too (one source box per target box and offset)."""
     if values.size:
         rows = target.take(pos, axis=0)
         rows += values
@@ -234,8 +254,9 @@ class SummationPlan:
         self.kernel = kernel
         self.config = config
         self.cache = cache
-        self.tgt_tree = _built_under(config, target_tree or build_tree(targets, config))
+        self.tgt_tree = _tree_of("target", targets, config, target_tree)
         self.src_tree = _source_tree(sources, targets, self.tgt_tree, source_tree)
+        self._half = _stores_half(kernel, self.tgt_tree, self.src_tree)
 
         depth = config.depth
         dim = config.dimension
@@ -244,11 +265,16 @@ class SummationPlan:
         self._tgt_children = {k: _child_groups(self.tgt_tree, k) for k in levels}
         self._src_children = (self._tgt_children if self.src_tree is self.tgt_tree
                               else {k: _child_groups(self.src_tree, k) for k in levels})
-        # Transfer pair groups per level and offset.  A pair participates at
-        # level k only when its parents are neighbors; otherwise it was
-        # already covered at a coarser level (vacuous at level 2).  The
-        # parent gap depends only on the target's parity and the offset.
+        # Transfer pair groups per level, {offset index: (target positions,
+        # source positions)}.  A pair participates at level k only when its
+        # parents are neighbors; otherwise it was already covered at a
+        # coarser level (vacuous at level 2).  The parent gap depends only
+        # on the target's parity and the offset, and is symmetric in the
+        # pair, so the pairs of -t are those of t swapped.  When _stores_half
+        # holds, only the lexicographically positive offsets are kept: the
+        # second half of transfer_offsets, whose entry n-1-i negates entry i.
         offsets = transfer_offsets(dim)
+        first = offsets.shape[0] // 2 if self._half else 0
         gap = np.abs((child_offsets(dim)[:, None, :] + offsets) >> 1).max(axis=2)
         self._transfer_groups = {}
         for level in range(2, depth + 1):
@@ -259,13 +285,17 @@ class SummationPlan:
             allowed = gap <= 1 if level > 2 else np.ones_like(gap, dtype=bool)
             # Offsets share their sets of parity classes, so their rows too.
             masks, which = np.unique(allowed, axis=1, return_inverse=True)
-            rows_of = [np.flatnonzero(mask[parity]) for mask in masks.T]
+            which = which.ravel()
+            index = get_index_dtype(maxval=tgt_multi.shape[0])
+            rows_of = [np.flatnonzero(mask[parity]).astype(index)
+                       for mask in masks.T]
             base_of = [base[rows] for rows in rows_of]
-            groups = []
-            for off, m in zip(offsets, which.ravel()):
-                pos = lookup.take(base_of[m] + off @ strides)
+            groups = {}
+            for t in range(first, offsets.shape[0]):
+                m = which[t]
+                pos = lookup.take(base_of[m] + offsets[t] @ strides)
                 hit = pos >= 0
-                groups.append((rows_of[m][hit], pos[hit]))
+                groups[t] = (rows_of[m][hit], pos[hit])
             self._transfer_groups[level] = groups
         # The radiating coefficient solve composed with the transfer row
         # basis, (terms, r_v) per level: the transfer pass projects moments
@@ -309,16 +339,21 @@ class SummationPlan:
         timings["M2M"] += time.perf_counter() - t0
 
         # Transfer pass in the projected coordinates, grouped by offset; a
-        # target appears once per offset.
+        # target appears once per offset.  A half-stored group of offset t
+        # also carries the pairs of -t back, through C_{-t} = C_t^T (V is U
+        # for a symmetric kernel).
         t0 = time.perf_counter()
         transfer = {}
         for level in range(2, depth + 1):
             ops = cache.m2l[level]
             projected = moments[level] @ self._folded[level]
             gathered = np.zeros((tgt.level_flat[level].size, ops.rank))
-            for t, (tpos, spos) in enumerate(self._transfer_groups[level]):
-                moved = ops.apply_block(t, projected.take(spos, axis=0).T)
-                _add_rows(gathered, tpos, moved.T)
+            for t, (tpos, spos) in self._transfer_groups[level].items():
+                _add_rows(gathered, tpos,
+                          ops.apply_rows(t, projected.take(spos, axis=0)))
+                if self._half:
+                    _add_rows(gathered, spos, ops.apply_rows(
+                        t, projected.take(tpos, axis=0), transpose=True))
             transfer[level] = gathered @ ops.projector.T
         timings["M2L"] += time.perf_counter() - t0
 
@@ -376,8 +411,8 @@ class SummationPlan:
 
 
 def _stores_half(kernel, target_tree, source_tree):
-    """Whether the near field may keep one of each mirrored leaf pair:
-    K(x, y) = K(y, x) and the targets are the sources."""
+    """Whether the near field and the transfer pass may keep one of each
+    mirrored pair: K(x, y) = K(y, x) and the targets are the sources."""
     return source_tree is target_tree and kernel.is_symmetric
 
 
@@ -474,6 +509,7 @@ def _near_product(matrix, kernel, target_tree, source_tree, sigma):
 
 def near_field(kernel, tree, system, source_tree=None):
     """Exact sum over each target leaf's neighbor boxes (own box included)."""
+    tree = _tree_of("target", system.targets, tree.config, tree)
     source_tree = _source_tree(system.sources, system.targets, tree, source_tree)
     matrix = _near_matrix(kernel, tree, source_tree)
     return _near_product(matrix, kernel, tree, source_tree,
@@ -488,8 +524,8 @@ def monolevel_far_field(kernel, tree, system, eims, source_tree=None):
     depth = config.depth
     if eims.level != depth:
         raise ValueError("monolevel pass needs the leaf-level models")
-    src = _source_tree(system.sources, system.targets, tree, source_tree)
-    tgt = tree
+    tgt = _tree_of("target", system.targets, config, tree)
+    src = _source_tree(system.sources, system.targets, tgt, source_tree)
     if src.n_points == 0 or tgt.n_points == 0:
         return np.zeros(tgt.n_points)
 

@@ -107,13 +107,17 @@ class M2lOperators:
         tag, *factors = self.blocks[t]
         return factors[0].shape[1] if tag == "lowrank" else self.rank
 
-    def apply_block(self, t, moments):
-        """C_t applied to (r_v, n) moment columns projected on row_basis."""
+    def apply_rows(self, t, rows, transpose=False):
+        """rows @ C_t.T: (n, r_v) moment rows projected on row_basis to
+        (n, rank) transfer rows.  With transpose, rows @ C_t: (n, rank)
+        rows back to (n, r_v), which is C_{-t} for a symmetric kernel.
+        The result is a new C-contiguous array."""
         tag, *factors = self.blocks[t]
         if tag == "dense":
-            return factors[0] @ moments
+            block = factors[0]
+            return rows @ (block if transpose else block.T)
         u, v = factors
-        return u @ (v @ moments)
+        return (rows @ u) @ v if transpose else (rows @ v.T) @ u.T
 
 
 def build_level_eims(kernel, config, level, tolerance, max_terms,

@@ -186,6 +186,43 @@ def test_shared_tree_stores_half_the_near_pairs(cube_cloud, cache_store):
     assert shared._near.nnz <= 0.55 * full._near.nnz
 
 
+def _group_bytes(plan):
+    return sum(pos.nbytes for groups in plan._transfer_groups.values()
+               for group in groups.values() for pos in group)
+
+
+def test_shared_tree_stores_half_the_transfer_pairs(cube_cloud, cache_store,
+                                                    drift_cache):
+    points, weights = cube_cloud
+    points, weights = points[:3000], weights[:3000]
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=4)
+    cache = cache_store("gaussian", 4, 1e-4)
+    kernel = ef.make_builtin_kernel("gaussian")
+    shared = ef.SummationPlan(kernel, points, points, config, cache)
+    full = ef.SummationPlan(kernel, points, points, config, cache,
+                            source_tree=ef.build_tree(points, config))
+    assert shared.src_tree is shared.tgt_tree
+    assert full.src_tree is not full.tgt_tree
+    far_shared, fields_shared, _ = shared.apply_far(weights)
+    far_full, fields_full, _ = full.apply_far(weights)
+    assert np.abs(far_shared - far_full).max() <= 1e-13 * np.abs(far_full).max()
+    for level, sums in fields_full.transfer_sums.items():
+        got = fields_shared.transfer_sums[level]
+        assert np.abs(got - sums).max() <= 1e-13 * np.abs(sums).max()
+    # half the pairs, at 8 B each (two int32 positions): a quarter of the
+    # 16 B per pair that int64 positions of every pair took
+    pairs = sum(tpos.size for groups in full._transfer_groups.values()
+                for tpos, _ in groups.values())
+    assert 2 * _group_bytes(shared) == _group_bytes(full) == 8 * pairs
+
+    # a non-symmetric kernel on a shared tree keeps every offset
+    drift = ef.SummationPlan(DRIFT_3D, points, points, DRIFT_CONFIG, drift_cache)
+    assert drift.src_tree is drift.tgt_tree
+    n = len(ef.transfer_offsets(3))
+    for groups in drift._transfer_groups.values():
+        assert sorted(groups) == list(range(n))
+
+
 def test_multilevel_matches_direct(cloud, cache):
     points, weights = cloud
     system = ef.ParticleSystem(points, points, weights)
@@ -355,14 +392,26 @@ def test_transfer_groups_match_interaction_list(case, cube_cloud, cache_store, c
             blob = 0.3 + 0.05 * rng.standard_normal((400, 3))
             sources = np.vstack([np.clip(blob, -0.5, 0.5), points[:30]])
     plan = ef.SummationPlan(KERNEL, targets, sources, config, ops)
-    assert (plan.src_tree is plan.tgt_tree) == (case == "shared-3d-depth4")
+    shared = case == "shared-3d-depth4"
+    assert (plan.src_tree is plan.tgt_tree) == shared == plan._half
+    n = len(ef.transfer_offsets(config.dimension))
     for level in range(2, config.depth + 1):
-        got = set()
-        for t, (tpos, spos) in enumerate(plan._transfer_groups[level]):
+        groups = plan._transfer_groups[level]
+        # a shared tree keeps the lexicographically positive offsets only
+        assert sorted(groups) == list(range(n // 2 if shared else 0, n))
+        got = []
+        for t, (tpos, spos) in groups.items():
+            assert tpos.dtype == spos.dtype == np.int32
             # the transfer pass scatter-adds per offset: each target once
             assert np.all(np.diff(tpos) > 0)
-            got.update(zip(tpos.tolist(), [t] * tpos.size, spos.tolist()))
-        assert got == _interaction_pairs(plan.tgt_tree, plan.src_tree, level)
+            got += zip(tpos.tolist(), [t] * tpos.size, spos.tolist())
+            if shared:
+                # and back through C_t^T to the sources (offset -t is entry
+                # n-1-t): each source once
+                assert np.unique(spos).size == spos.size
+                got += zip(spos.tolist(), [n - 1 - t] * spos.size, tpos.tolist())
+        assert len(set(got)) == len(got)
+        assert set(got) == _interaction_pairs(plan.tgt_tree, plan.src_tree, level)
         assert got
 
 
@@ -541,6 +590,44 @@ def test_trees_of_another_config_are_refused(cloud, cache):
             with pytest.raises(ValueError) as err:
                 call()
             assert str(other) in str(err.value) and str(CONFIG) in str(err.value)
+
+
+def test_trees_of_other_points_are_refused(cloud, cache):
+    # a tree binning other points (or the same points in another order)
+    # misplaces the weights or the results, quietly: each path that takes
+    # a tree checks it against the points it comes with
+    points, weights = cloud
+    system = ef.ParticleSystem(points, points, weights)
+    ours = ef.build_tree(points, CONFIG)
+    eims = cache.eims[CONFIG.depth]
+    rng = np.random.default_rng(17)
+    others = [rng.uniform(-0.5, 0.5, size=points.shape), points[::-1],
+              points[:-1]]
+    for other in others:
+        foreign = ef.build_tree(other, CONFIG)
+        calls = {
+            "target": [
+                lambda: ef.SummationPlan(KERNEL, points, points, CONFIG, cache,
+                                         target_tree=foreign),
+                lambda: ef.near_field(KERNEL, foreign, system),
+                lambda: ef.monolevel_far_field(KERNEL, foreign, system, eims),
+                lambda: ef.multilevel_far_field(KERNEL, foreign, system, cache),
+            ],
+            "source": [
+                lambda: ef.SummationPlan(KERNEL, points, points, CONFIG, cache,
+                                         source_tree=foreign),
+                lambda: ef.near_field(KERNEL, ours, system, source_tree=foreign),
+                lambda: ef.monolevel_far_field(KERNEL, ours, system, eims,
+                                               source_tree=foreign),
+            ],
+        }
+        for name, group in calls.items():
+            for call in group:
+                with pytest.raises(ValueError, match=f"{name} tree does not bin"):
+                    call()
+    # the tree of the points themselves passes, on both sides
+    ef.SummationPlan(KERNEL, points, points.copy(), CONFIG, cache,
+                     target_tree=ours, source_tree=ours)
 
 
 def test_plan_rejects_non_finite_weights(cloud, cache):

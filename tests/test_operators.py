@@ -125,7 +125,7 @@ def test_scaling_kernel_derived_levels_match_fresh_build():
         pivots = [c.eims[level].radiating.pivot_matrix for c in (derived, fresh)]
         assert np.abs(pivots[0] - pivots[1]).max() <= 1e-12 * np.abs(pivots[1]).max()
         for t in range(len(ops.blocks)):
-            got, expect = (o.projector @ o.apply_block(t, o.row_basis.T)
+            got, expect = (o.projector @ o.apply_rows(t, o.row_basis).T
                            for o in (ops, fresh_ops))
             assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
@@ -255,7 +255,7 @@ def test_m2l_blocks_reconstruct_kernel(small_cache):
         # the certified budget is Frobenius over the block concatenation
         fat_norm = np.sqrt(sum(np.linalg.norm(e) ** 2 for e in exact))
         for t in range(len(offsets)):
-            approx = ops.projector @ ops.apply_block(t, ops.projector.T)
+            approx = ops.projector @ ops.apply_rows(t, ops.projector).T
             assert np.linalg.norm(approx - exact[t]) <= 5.0 * TOL * fat_norm
 
 
@@ -268,12 +268,35 @@ def test_m2l_apply_block_matches_dense(small_cache, loose_cache):
             block = rng.uniform(-1.0, 1.0, (ops.rank, 5))
             for t, (tag, *factors) in enumerate(ops.blocks):
                 seen.add(tag)
-                got = ops.apply_block(t, block)
+                got = ops.apply_rows(t, block.T).T
                 dense = factors[0] if tag == "dense" else factors[0] @ factors[1]
                 expect = dense @ block
                 scale = max(np.abs(expect).max(), 1e-30)
                 assert np.abs(got - expect).max() <= 1e-13 * scale
+                # rows @ C_t, for the rows a symmetric kernel carries back
+                back = ops.apply_rows(t, block.T, transpose=True)
+                expect = block.T @ dense
+                scale = max(np.abs(expect).max(), 1e-30)
+                assert np.abs(back - expect).max() <= 1e-13 * scale
+                assert back.flags.c_contiguous
     assert seen == {"dense", "lowrank"}  # both storage layouts exercised
+
+
+def test_symmetric_blocks_of_mirrored_offsets_are_transposes(small_cache,
+                                                            loose_cache):
+    # the transfer pass of a shared tree applies C_t^T for offset -t: the
+    # two stored blocks agree within the per-block tail bound
+    n = len(ef.transfer_offsets(CONFIG.dimension))
+    for cache in (small_cache, loose_cache):
+        eps = cache.key.compress_tol
+        for level in cache.levels:
+            ops = cache.m2l[level]
+            assert ops.row_basis is ops.projector
+            for t in range(n):
+                block, mirrored = (ops.projector @ ops.apply_rows(s, ops.projector).T
+                                   for s in (t, n - 1 - t))
+                assert (np.linalg.norm(mirrored - block.T)
+                        <= 0.5 * eps * np.linalg.norm(block))
 
 
 def test_m2l_block_rank_accounting(small_cache, drift_cache):
@@ -362,7 +385,7 @@ def _assert_blocks_reconstructed(kernel, level, eims, ops, eps):
     exact = _exact_blocks(kernel, level, eims)
     fat_norm = np.sqrt(sum(np.linalg.norm(e) ** 2 for e in exact))
     for t, block in enumerate(exact):
-        approx = ops.projector @ ops.apply_block(t, ops.row_basis.T)
+        approx = ops.projector @ ops.apply_rows(t, ops.row_basis).T
         assert np.linalg.norm(approx - block) <= 5.0 * eps * fat_norm
 
 
