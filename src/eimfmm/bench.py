@@ -17,7 +17,7 @@ import numpy as np
 from .fmm import (ALL_PHASES, ParticleSystem, direct_sum, evaluate,
                   load_or_build_cache)
 from .kernels import builtin_kernel_names, make_builtin_kernel
-from .operators import CacheError, make_cache_key
+from .operators import CacheError
 from .tree import TreeConfig
 
 # Targets the oracle sums exactly; every target when n is at most this.
@@ -79,16 +79,12 @@ def run_benchmark(args):
     kernel = make_builtin_kernel(args.kernel)
     depth = args.depth if args.depth is not None else DEFAULT_DEPTHS[args.dist]
     config = TreeConfig(dimension=3, side=1.0, depth=depth)
-    compress_tol = make_cache_key(
-        kernel, config, args.tol, args.compress_tol,
-        resolution=args.train_res, x_budget=args.x_budget,
-    ).compress_tol
     timings, oracle, errors = {}, {"targets": 0, "seconds": 0.0}, None
 
     if args.ranks_only:
         t0 = time.perf_counter()
         cache, hit = load_or_build_cache(
-            kernel, config, args.tol, compress_tol,
+            kernel, config, args.tol, args.compress_tol,
             resolution=args.train_res, x_budget=args.x_budget,
             cache_path=args.cache,
         )
@@ -99,7 +95,7 @@ def run_benchmark(args):
         potentials = rng.uniform(-1.0, 1.0, size=args.n)
         system = ParticleSystem(targets=points, sources=points, potentials=potentials)
         result = evaluate(
-            kernel, system, config, args.tol, compress_tol=compress_tol,
+            kernel, system, config, args.tol, compress_tol=args.compress_tol,
             resolution=args.train_res, x_budget=args.x_budget,
             cache_path=args.cache,
         )
@@ -122,7 +118,7 @@ def run_benchmark(args):
             "rel_max": float(np.max(np.abs(diff)) / peak) if peak > 0 else 0.0,
         }
 
-    resolved = dict(vars(args), depth=depth, compress_tol=compress_tol,
+    resolved = dict(vars(args), depth=depth, compress_tol=cache.key.compress_tol,
                     semi_axes=list(args.semi_axes))
     return {
         "config": {key: resolved[key] for key in _CONFIG_KEYS},
@@ -235,9 +231,9 @@ def main(argv=None):
     for bad, message in [
         (args.n < 1, "--n must be positive"),
         (args.depth is not None and args.depth < 2, "--depth must be at least 2"),
-        (args.tol <= 0, "--tol must be positive"),
-        (args.compress_tol is not None and args.compress_tol <= 0,
-         "--compress-tol must be positive"),
+        (not 0 < args.tol < np.inf, "--tol must be positive and finite"),
+        (args.compress_tol is not None and not 0 < args.compress_tol < np.inf,
+         "--compress-tol must be positive and finite"),
         (args.train_res < 2, "--train-res must be at least 2"),
         (args.x_budget < 1, "--x-budget must be positive"),
         (args.seed < 0, "--seed must be non-negative"),

@@ -24,6 +24,13 @@ from . import kernels
 _PIVOT_FLOOR = 1e-14
 
 
+def require_tolerance(name, value):
+    """Refuse a tolerance that is not a positive finite number: NaN or
+    infinity would stop every greedy or truncation rule at rank zero."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 class TrainingSet:
     """Candidate argmax points for the greedy search, one array per side."""
 
@@ -121,8 +128,7 @@ def eim_build(kernel, training, tolerance, max_terms=300):
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
+    require_tolerance("tolerance", tolerance)
     px, py = training.points_x, training.points_y
     n_rows, n_cols = px.shape[0], py.shape[0]
     # Each chunk's row maxima are taken from its kernel values, so no

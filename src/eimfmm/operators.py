@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 from scipy.linalg import qr
 
-from .eim import EimModel, TrainingSet, eim_build
+from .eim import EimModel, TrainingSet, eim_build, require_tolerance
 from .tree import child_offsets, level_geometry, training_grids, transfer_offsets
 
 CACHE_MAGIC = b"EIMFMM01"
@@ -130,6 +130,7 @@ def build_level_eims(kernel, config, level, tolerance, max_terms,
     """
     if not (2 <= level <= config.depth):
         raise ValueError(f"level {level} outside 2..{config.depth}")
+    require_tolerance("tolerance", tolerance)
     if kernel.scaling is not None and level < config.depth:
         deepest = build_level_eims(kernel, config, config.depth, tolerance,
                                    max_terms, resolution, x_budget)
@@ -278,9 +279,8 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     """
     if level < 2:
         raise ValueError("transfer operators exist at levels >= 2 only")
+    require_tolerance("compression_tolerance", compression_tolerance)
     eps = float(compression_tolerance)
-    if eps <= 0.0:
-        raise ValueError("compression tolerance must be positive")
     if kernel.scaling is not None and level < config.depth:
         coarser = config.depth - level
         deepest = assemble_m2l(kernel, config, config.depth,
@@ -336,8 +336,15 @@ class CacheKey:
     max_terms: int
 
     def __post_init__(self):
+        # a value its field type would change (3.5 -> 3, NaN != NaN) is
+        # refused: the key would name operators other than those built
         for f in fields(self):
-            object.__setattr__(self, f.name, f.type(getattr(self, f.name)))
+            value = getattr(self, f.name)
+            typed = f.type(value)
+            if typed != value:
+                raise ValueError(f"CacheKey {f.name} must be a {f.type.__name__}, "
+                                 f"got {value!r}")
+            object.__setattr__(self, f.name, typed)
 
 
 def make_cache_key(kernel, config, tolerance, compress_tol=None,
@@ -346,6 +353,8 @@ def make_cache_key(kernel, config, tolerance, compress_tol=None,
     tolerance defaults to the interpolation tolerance."""
     if compress_tol is None:
         compress_tol = tolerance
+    require_tolerance("tolerance", tolerance)
+    require_tolerance("compress_tol", compress_tol)
     return CacheKey(kernel.name, config.dimension, config.side, config.depth,
                     tolerance, compress_tol, resolution, x_budget, max_terms)
 

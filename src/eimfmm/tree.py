@@ -4,9 +4,11 @@ A Tree bins its points once: it sorts them by leaf and recenters each on
 its leaf, which is all the leaf passes and the near field read per point.
 Alongside point binning, this module owns the per-level reference geometry
 the far-field operators are built on: a source box recentered at the
-origin, and the hollow "far region" holding every well-separated translate.
-Well-separation is the integer criterion (Chebyshev index distance >= 2),
-so no floating-point tie cases exist in any list.
+origin, the hollow "far region" holding every well-separated translate,
+and the training lattices sampled from both.  Well-separation is the
+integer criterion (Chebyshev index distance >= 2), and the lattice zones
+are cubes of whole cells, so no floating-point tie cases exist in any list
+or grid.
 """
 
 import itertools
@@ -84,92 +86,67 @@ def level_geometry(config, level):
     )
 
 
-def _tensor_grid(coords, dimension):
-    axes = np.meshgrid(*([coords] * dimension), indexing="ij")
-    return np.stack([a.ravel() for a in axes], axis=1)
-
-
 def _unrank_hollow(ranks, n, lo, hi, dimension):
     """Multi-indices at the given ranks of the row-major enumeration of
     {0..n-1}^dimension with the block [lo, hi)^dimension removed."""
-    t = np.asarray(ranks, dtype=np.int64).copy()
-    m = hi - lo
-    out = np.empty((t.size, dimension), dtype=np.int64)
-    inside = np.ones(t.size, dtype=bool)  # prefix digits all in [lo, hi)
-    for pos in range(dimension):
-        s = dimension - pos - 1
-        full = n**s
-        kept = full - m**s
-        first = lo * full
-        second = first + m * kept
-        dig = np.empty(t.size, dtype=np.int64)
-        free = ~inside | (inside & (t < first))
-        mid = inside & ~free & (t < second)
-        high = inside & ~free & ~mid
-        dig[free] = t[free] // full
-        t[free] -= dig[free] * full
-        if kept > 0:
-            dig[mid] = lo + (t[mid] - first) // kept
-            t[mid] = (t[mid] - first) % kept
-        dig[high] = hi + (t[high] - second) // full
-        t[high] = (t[high] - second) % full
-        out[:, pos] = dig
-        inside = inside & (dig >= lo) & (dig < hi)
-    return out
+    shape = (n,) * dimension
+    block = np.meshgrid(*[np.arange(lo, hi)] * dimension, indexing="ij")
+    removed = np.ravel_multi_index([b.ravel() for b in block], shape)
+    # kept rank r skips every removed[j] preceded by removed[j] - j <= r kept sites
+    ranks = np.asarray(ranks, dtype=np.int64)
+    skipped = np.searchsorted(removed - np.arange(removed.size), ranks, side="right")
+    return np.stack(np.unravel_index(ranks + skipped, shape), axis=1)
 
 
-def _thin_ranks(total, take):
-    take = min(int(take), int(total))
-    return (np.arange(take, dtype=np.int64) * int(total)) // take
+def _thinned(n, hole, dimension, take):
+    """At most ``take`` evenly ranked multi-indices of {0..n-1}^dimension
+    minus its centered cube of ``hole`` cells per axis (n - hole is even)."""
+    total = n**dimension - hole**dimension
+    take = min(int(take), total)
+    ranks = (np.arange(take, dtype=np.int64) * total) // take
+    lo = (n - hole) // 2
+    return _unrank_hollow(ranks, n, lo, lo + hole, dimension)
 
 
 def training_grids(geometry, resolution, x_budget=8192):
     """Cell-centered candidate grids for the greedy node searches.
 
     The source-box grid has resolution^D points strictly inside the box.
-    The far-region grid reuses the same spacing over the hollow lattice,
-    split in two zones thinned separately (the lattice at deep levels is
+    The far-region grid reuses the same spacing over the n^D cells covering
+    the outer cube, n = (2^(level+1) - 1) * resolution, minus the centered
+    cube of 3 * resolution cells per axis.  It is split in two zones, each
+    thinned to evenly spaced row-major ranks (the lattice at deep levels is
     far too large to materialize, let alone train on):
 
-    * the transfer shell, max-norm distance up to 7 half-widths, where the
-      kernel varies fastest and all same-level transfers live, gets the
-      full budget.  Its relative site pattern is identical at every level,
-      so a scale-invariant kernel sees the same training problem per level.
+    * the transfer shell, the centered 7 * resolution cells per axis (max-norm
+      distance up to 7 half-widths), where the kernel varies fastest and all
+      same-level transfers live, gets the full budget.  Its relative site
+      pattern is identical at every level, so a scale-invariant kernel sees
+      the same training problem per level.
     * the remaining outer zone (empty at level 2) gets a quarter budget;
       the kernel restricted there is far smoother, but the upward/downward
       recursions still evaluate the interpolants there.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    res = int(resolution)
+    if res != resolution or res < 2:
+        raise ValueError("resolution must be an integer of at least 2")
     if x_budget < 1:
         raise ValueError("x_budget must be positive")
     dim = geometry.dimension
     half = geometry.half_width
-    spacing = 2.0 * half / resolution
-    ycoords = -half + (np.arange(resolution) + 0.5) * spacing
-    points_y = _tensor_grid(ycoords, dim)
+    spacing = 2.0 * half / res
+    ycoords = -half + (np.arange(res) + 0.5) * spacing
+    cells = np.unravel_index(np.arange(res**dim), (res,) * dim)
+    points_y = ycoords[np.stack(cells, axis=1)]
 
     n = int(round(2.0 * geometry.far_outer / spacing))
     xcoords = -geometry.far_outer + (np.arange(n) + 0.5) * spacing
-    interior = np.abs(xcoords) < geometry.far_inner
-    if interior.all():
+    hole, shell = 3 * res, min(7 * res, n)
+    if n <= hole:
         raise ValueError(f"level {geometry.level} has no far region")
-    lo3 = int(np.argmax(interior)) if interior.any() else 0
-    hi3 = lo3 + int(interior.sum())
-    shell = np.abs(xcoords) < 7.0 * half
-    lo7 = int(np.argmax(shell))
-    hi7 = lo7 + int(shell.sum())
-
-    n_shell = hi7 - lo7
-    shell_total = n_shell**dim - (hi3 - lo3) ** dim
-    ranks = _thin_ranks(shell_total, x_budget)
-    idx = _unrank_hollow(ranks, n_shell, lo3 - lo7, hi3 - lo7, dim) + lo7
-
-    outer_total = n**dim - n_shell**dim
-    if outer_total > 0:
-        ranks = _thin_ranks(outer_total, max(1, x_budget // 4))
-        outer_idx = _unrank_hollow(ranks, n, lo7, hi7, dim)
-        idx = np.concatenate([idx, outer_idx])
+    idx = _thinned(shell, hole, dim, x_budget) + (n - shell) // 2
+    if n > shell:
+        idx = np.concatenate([idx, _thinned(n, shell, dim, max(1, x_budget // 4))])
     return TrainingSet(xcoords[idx], points_y)
 
 

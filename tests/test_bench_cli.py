@@ -88,6 +88,9 @@ def test_generate_points_validation():
     ["--kernel", "gaussian", "--x-budget", "0"],
     ["--kernel", "gaussian", "--seed", "-1"],
     ["--kernel", "gaussian", "--ranks-only", "--oracle"],
+    ["--kernel", "gaussian", "--tol", "nan"],
+    ["--kernel", "gaussian", "--compress-tol", "inf"],
+    ["--kernel", "gaussian", "--compress-tol", "nan"],
 ])
 def test_cli_rejects_bad_arguments(argv):
     with pytest.raises(SystemExit) as err:

@@ -38,6 +38,15 @@ def test_training_set_validation():
         TrainingSet(np.ones((3, 2)), np.ones((3, 3)))
 
 
+def test_eim_build_validation():
+    kernel, training = ef.make_builtin_kernel("gaussian"), small_training()
+    with pytest.raises(ValueError, match="max_terms"):
+        eim_build(kernel, training, 1e-6, max_terms=0)
+    for tolerance in (0.0, -1e-6, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            eim_build(kernel, training, tolerance)
+
+
 def test_certified_stop_and_history(laplace_model):
     kernel, training, model = laplace_model
     h = model.residual_history

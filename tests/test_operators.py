@@ -232,6 +232,9 @@ def test_m2l_validation(small_cache):
         ef.assemble_m2l(KERNEL, CONFIG, 1, pair, 1e-6)
     with pytest.raises(ValueError):
         ef.assemble_m2l(KERNEL, CONFIG, 2, pair, 0.0)
+    for eps in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="compression_tolerance must be positive"):
+            ef.assemble_m2l(KERNEL, CONFIG, 2, pair, eps)
 
 
 def test_m2l_projector_orthonormal(small_cache, drift_cache):
@@ -523,6 +526,33 @@ def test_cache_build_deterministic(tmp_path):
 
 def _changed(value):
     return value + "-other" if isinstance(value, str) else 2 * value
+
+
+def test_cache_key_refuses_values_it_cannot_hold():
+    # a count its type would truncate, or a tolerance that is not a positive
+    # finite number, is refused before anything is built
+    for name, value in (("max_terms", 3.5), ("x_budget", 256.5), ("resolution", "6")):
+        settings = dict(max_terms=300, resolution=6, x_budget=256)
+        settings[name] = value
+        with pytest.raises(ValueError, match=f"CacheKey {name} must be a"):
+            ef.build_operator_cache(KERNEL, CONFIG, 1e-3, **settings)
+    one_point = ef.ParticleSystem(np.zeros((1, 2)), np.zeros((1, 2)), np.ones(1))
+    for tolerance, compress_tol, name in ((np.nan, None, "tolerance"),
+                                          (1e-3, np.inf, "compress_tol"),
+                                          (1e-3, np.nan, "compress_tol"),
+                                          (1e-3, 0.0, "compress_tol")):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            ef.build_operator_cache(KERNEL, CONFIG, tolerance, compress_tol)
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            ef.evaluate(KERNEL, one_point, CONFIG, tolerance, compress_tol=compress_tol)
+    key = operators.make_cache_key(KERNEL, CONFIG, 1e-3)
+    with pytest.raises(ValueError, match="CacheKey tolerance must be a float"):
+        dataclasses.replace(key, tolerance=np.nan)
+    # values the field types hold exactly are kept, converted
+    key = operators.make_cache_key(KERNEL, CONFIG, np.float64(1e-3),
+                                   max_terms=np.int64(9), resolution=6.0)
+    assert type(key.resolution) is int and key.resolution == 6
+    assert type(key.max_terms) is int and type(key.tolerance) is float
 
 
 def test_cache_mismatch_refused(small_cache, tmp_path):

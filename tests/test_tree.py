@@ -77,6 +77,40 @@ def test_training_grid_needs_far_region():
     config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
     with pytest.raises(ValueError, match="far region"):
         training_grids(level_geometry(config, 0), 4)
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        training_grids(level_geometry(config, 2), 6.5)
+
+
+def _thin(zone, take):
+    """Rows of ``zone`` at evenly spaced ranks, at most ``take`` of them."""
+    take = min(take, len(zone))
+    return zone[(np.arange(take) * len(zone)) // take]
+
+
+@pytest.mark.parametrize("dim,resolution", [(1, 5), (2, 4), (3, 3)])
+def test_training_grids_match_brute_force_thinning(dim, resolution):
+    # the whole far lattice, split by the float region rule and thinned per
+    # zone in row-major order, against the integer cell counts
+    config = ef.TreeConfig(dimension=dim, side=1.0, depth=4)
+    for level in (2, 3, 4):
+        geo = level_geometry(config, level)
+        spacing = 2 * geo.half_width / resolution
+        n = round(2 * geo.far_outer / spacing)
+        xs = -geo.far_outer + (np.arange(n) + 0.5) * spacing
+        axes = np.meshgrid(*[xs] * dim, indexing="ij")
+        lattice = np.stack([a.ravel() for a in axes], axis=1)
+        norm = np.abs(lattice).max(axis=1)
+        shell = lattice[(norm >= geo.far_inner) & (norm < 7 * geo.half_width)]
+        outer = lattice[norm >= 7 * geo.half_width]
+        ys = -geo.half_width + (np.arange(resolution) + 0.5) * spacing
+        box = np.asarray(list(itertools.product(ys, repeat=dim)))
+        for budget in (1, 5, 64, 1000, 10**6):
+            expect = np.concatenate([_thin(shell, budget),
+                                     _thin(outer, max(1, budget // 4))])
+            for res, x_budget in ((resolution, budget), (float(resolution), float(budget))):
+                grids = training_grids(geo, res, x_budget)
+                assert np.array_equal(grids.points_x, expect)
+                assert np.array_equal(grids.points_y, box)
 
 
 def test_shell_pattern_identical_across_levels():
