@@ -5,9 +5,6 @@ from .fmm import (
     SummationPlan,
     direct_sum,
     evaluate,
-    monolevel_far_field,
-    multilevel_far_field,
-    near_field,
 )
 from .kernels import Kernel, builtin_kernel_names, make_builtin_kernel
 from .operators import (
@@ -59,9 +56,6 @@ __all__ = [
     "interaction_list",
     "load_cache",
     "make_builtin_kernel",
-    "monolevel_far_field",
-    "multilevel_far_field",
-    "near_field",
     "save_cache",
     "transfer_offsets",
 ]

@@ -256,7 +256,9 @@ class SummationPlan:
         self.cache = cache
         self.tgt_tree = _tree_of("target", targets, config, target_tree)
         self.src_tree = _source_tree(sources, targets, self.tgt_tree, source_tree)
-        self._half = _stores_half(kernel, self.tgt_tree, self.src_tree)
+        # The near field and the transfer pass may keep one of each mirrored
+        # pair: K(x, y) = K(y, x) and the targets are the sources.
+        self._half = self.src_tree is self.tgt_tree and kernel.is_symmetric
 
         depth = config.depth
         dim = config.dimension
@@ -270,8 +272,8 @@ class SummationPlan:
         # parents are neighbors; otherwise it was already covered at a
         # coarser level (vacuous at level 2).  The parent gap depends only
         # on the target's parity and the offset, and is symmetric in the
-        # pair, so the pairs of -t are those of t swapped.  When _stores_half
-        # holds, only the lexicographically positive offsets are kept: the
+        # pair, so the pairs of -t are those of t swapped.  When _half holds,
+        # only the lexicographically positive offsets are kept: the
         # second half of transfer_offsets, whose entry n-1-i negates entry i.
         offsets = transfer_offsets(dim)
         first = offsets.shape[0] // 2 if self._half else 0
@@ -390,13 +392,19 @@ class SummationPlan:
         """Exact near-field values at the targets; the near-field matrix is
         built on the first call and kept."""
         sigma = self._sorted_weights(potentials)
-        return _near_product(self._near_built(), self.kernel, self.tgt_tree,
-                             self.src_tree, sigma)
+        near = self._near_built()
+        sorted_out = near @ sigma
+        if self._half:
+            sorted_out += near.T @ sigma
+        out = np.empty(self.tgt_tree.n_points)
+        out[self.tgt_tree.order] = sorted_out
+        return out
 
     def _near_built(self):
         """The near-field matrix, built on first use."""
         if self._near is None:
-            self._near = _near_matrix(self.kernel, self.tgt_tree, self.src_tree)
+            self._near = _near_matrix(self.kernel, self.tgt_tree, self.src_tree,
+                                      self._half)
         return self._near
 
     def _sorted_weights(self, potentials):
@@ -410,12 +418,6 @@ class SummationPlan:
         return sigma[self.src_tree.order]
 
 
-def _stores_half(kernel, target_tree, source_tree):
-    """Whether the near field and the transfer pass may keep one of each
-    mirrored pair: K(x, y) = K(y, x) and the targets are the sources."""
-    return source_tree is target_tree and kernel.is_symmetric
-
-
 def _ragged_arange(starts, counts):
     """Concatenation of arange(s, s + c) over the pairs (s, c)."""
     ends = np.cumsum(counts)
@@ -424,24 +426,24 @@ def _ragged_arange(starts, counts):
     )
 
 
-def _near_matrix(kernel, target_tree, source_tree):
+def _near_matrix(kernel, target_tree, source_tree, half):
     """Kernel values between each target and the sources in its leaf's
     neighbor boxes (own box included), coincident pairs zeroed, as a CSR
     matrix with leaf-sorted targets as rows and leaf-sorted sources as
     columns.
 
     Each row lists its neighbor boxes in lexicographic offset order, which
-    keeps the columns sorted.  When _stores_half holds, only the self
+    keeps the columns sorted.  When half (the plan's _half), only the self
     offset and the lexicographically positive offsets are stored, with the
     self blocks halved: the near field is then H @ sigma + H.T @ sigma.
     Rows are filled in chunks of at most _EVAL_CHUNK pairs (or one row),
-    straight into arrays sized from the leaf counts.
+    straight into arrays sized from the leaf counts.  Arrays larger than
+    the machine's physical memory are refused before any is allocated.
     """
     tgt = target_tree
     src = source_tree
     depth = tgt.config.depth
     dim = tgt.config.dimension
-    half = _stores_half(kernel, tgt, src)
     deltas = np.array(list(np.ndindex(*(3,) * dim))) - 1
     if half:
         deltas = deltas[deltas.shape[0] // 2 :]  # the self offset is the middle one
@@ -456,6 +458,13 @@ def _near_matrix(kernel, target_tree, source_tree):
     row_len = leaf_len[leaf_of_row]
     nnz = int(row_len.sum())
     index_dtype = get_index_dtype(maxval=max(nnz, src.n_points))
+    need = nnz * (8 + np.dtype(index_dtype).itemsize)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ValueError(
+            f"the near field would store {nnz} pairs in {need} bytes, more "
+            f"than the {memory} bytes of physical memory; a deeper tree "
+            "stores fewer pairs")
     indptr = np.zeros(tgt.n_points + 1, dtype=index_dtype)
     np.cumsum(row_len, out=indptr[1:])
     data = np.empty(nnz)
@@ -495,70 +504,6 @@ def _near_matrix(kernel, target_tree, source_tree):
         indices[p0:p1] = cols
         r0 = r1
     return csr_matrix((data, indices, indptr), shape=(tgt.n_points, src.n_points))
-
-
-def _near_product(matrix, kernel, target_tree, source_tree, sigma):
-    """Apply a matrix from _near_matrix to leaf-sorted potentials."""
-    sorted_out = matrix @ sigma
-    if _stores_half(kernel, target_tree, source_tree):
-        sorted_out += matrix.T @ sigma
-    out = np.empty(target_tree.n_points)
-    out[target_tree.order] = sorted_out
-    return out
-
-
-def near_field(kernel, tree, system, source_tree=None):
-    """Exact sum over each target leaf's neighbor boxes (own box included)."""
-    tree = _tree_of("target", system.targets, tree.config, tree)
-    source_tree = _source_tree(system.sources, system.targets, tree, source_tree)
-    matrix = _near_matrix(kernel, tree, source_tree)
-    return _near_product(matrix, kernel, tree, source_tree,
-                         system.potentials[source_tree.order])
-
-
-def monolevel_far_field(kernel, tree, system, eims, source_tree=None):
-    """Single-level far field: every well-separated leaf pair transfers
-    directly.  Quadratic in the box count; kept as the reference the
-    multilevel recursion is checked against."""
-    config = tree.config
-    depth = config.depth
-    if eims.level != depth:
-        raise ValueError("monolevel pass needs the leaf-level models")
-    tgt = _tree_of("target", system.targets, config, tree)
-    src = _source_tree(system.sources, system.targets, tgt, source_tree)
-    if src.n_points == 0 or tgt.n_points == 0:
-        return np.zeros(tgt.n_points)
-
-    sigma = np.asarray(system.potentials, dtype=float)[src.order]
-    rad = eims.radiating
-    recv = eims.receiving
-    coeffs = rad.coefficients(_leaf_moments(kernel, src, rad.x_points, sigma).T).T
-
-    tgt_multi = tgt.level_multi[depth]
-    src_multi = src.level_multi[depth]
-    chebyshev = np.abs(tgt_multi[:, None, :] - src_multi[None, :, :]).max(axis=2)
-    t_idx, s_idx = np.nonzero(chebyshev >= 2)
-    step = 2.0 * config.half_width(depth)
-    sums = np.zeros((tgt_multi.shape[0], recv.d))
-    # src minus tgt offsets name the transfer blocks, built on demand.
-    pair_delta = src_multi[s_idx] - tgt_multi[t_idx]
-    uniq, inverse = np.unique(pair_delta, axis=0, return_inverse=True)
-    for u, off in enumerate(uniq):
-        sel = np.flatnonzero(inverse == u)
-        block = kernel.pairwise(recv.x_points, rad.y_points + step * off)
-        sums[t_idx[sel]] += coeffs[s_idx[sel]] @ block.T
-    local_coeffs = recv.coefficients(sums.T).T
-    return _leaf_values(kernel, tgt, recv.y_points, local_coeffs)
-
-
-def multilevel_far_field(kernel, tree, system, cache, source_tree=None):
-    """Far field through the full upward/transfer/downward machinery."""
-    plan = SummationPlan(
-        kernel, system.targets, system.sources, tree.config, cache,
-        target_tree=tree, source_tree=source_tree,
-    )
-    far, fields, _ = plan.apply_far(system.potentials)
-    return far, fields
 
 
 def evaluate(kernel, system, config, tolerance, compress_tol=None,

@@ -384,35 +384,29 @@ def build_operator_cache(kernel, config, tolerance, compress_tol=None,
                          max_terms=300, resolution=7, x_budget=8192):
     """Precompute every level's operators for a tree configuration.
 
-    A kernel that declares a scaling gets its greedy models and transfer
-    operators built at the deepest level only, and every coarser level
-    rescaled from them.
+    Levels go from the deepest up.  Each gets its greedy models and
+    transfer operators, built there or, for a kernel that declares a
+    scaling, rescaled from the deepest level's; then its M2M/L2L to the
+    level below.
     """
     key = make_cache_key(kernel, config, tolerance, compress_tol, max_terms,
                          resolution, x_budget)
     cache = OperatorCache(key=key)
     depth = config.depth
-    cache.eims[depth] = build_level_eims(kernel, config, depth, tolerance,
-                                         max_terms, resolution, x_budget)
-    for level in range(2, depth):
-        cache.eims[level] = (
-            build_level_eims(kernel, config, level, tolerance, max_terms,
-                             resolution, x_budget) if kernel.scaling is None
-            else _rescaled(kernel, cache.eims[depth], depth - level))
-    for level in range(2, depth):
-        cache.m2m[level] = assemble_m2m(
-            kernel, config, level, cache.eims[level], cache.eims[level + 1]
-        )
-        cache.l2l[level] = assemble_l2l(
-            kernel, config, level, cache.eims[level], cache.eims[level + 1]
-        )
-    cache.m2l[depth] = assemble_m2l(kernel, config, depth, cache.eims[depth],
-                                    key.compress_tol)
-    for level in range(2, depth):
-        cache.m2l[level] = (
-            assemble_m2l(kernel, config, level, cache.eims[level],
-                         key.compress_tol) if kernel.scaling is None
-            else _rescaled(kernel, cache.m2l[depth], depth - level))
+    for level in range(depth, 1, -1):
+        if kernel.scaling is None or level == depth:
+            cache.eims[level] = build_level_eims(
+                kernel, config, level, tolerance, max_terms, resolution, x_budget)
+            cache.m2l[level] = assemble_m2l(kernel, config, level,
+                                            cache.eims[level], key.compress_tol)
+        else:
+            cache.eims[level] = _rescaled(kernel, cache.eims[depth], depth - level)
+            cache.m2l[level] = _rescaled(kernel, cache.m2l[depth], depth - level)
+        if level < depth:
+            cache.m2m[level] = assemble_m2m(
+                kernel, config, level, cache.eims[level], cache.eims[level + 1])
+            cache.l2l[level] = assemble_l2l(
+                kernel, config, level, cache.eims[level], cache.eims[level + 1])
     return cache
 
 

@@ -56,3 +56,40 @@ def direct_store(cube_cloud):
         return store[kernel_name]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def monolevel_far_field():
+    """Criterion 3's reference: a single-level far field in which every
+    well-separated leaf pair transfers directly through the leaf models.
+    Quadratic in the box count.  Called as (kernel, target tree, source
+    tree, potentials in input order, the leaf level's LevelEims)."""
+
+    def far(kernel, tgt, src, potentials, eims):
+        config = tgt.config
+        depth = config.depth
+        if eims.level != depth:
+            raise ValueError("monolevel pass needs the leaf-level models")
+        sigma = np.asarray(potentials, dtype=float)[src.order]
+        rad = eims.radiating
+        recv = eims.receiving
+        coeffs = rad.coefficients(
+            ef.fmm._leaf_moments(kernel, src, rad.x_points, sigma).T).T
+
+        tgt_multi = tgt.level_multi[depth]
+        src_multi = src.level_multi[depth]
+        chebyshev = np.abs(tgt_multi[:, None, :] - src_multi[None, :, :]).max(axis=2)
+        t_idx, s_idx = np.nonzero(chebyshev >= 2)
+        step = 2.0 * config.half_width(depth)
+        sums = np.zeros((tgt_multi.shape[0], recv.d))
+        # src minus tgt offsets name the transfer blocks, built on demand.
+        pair_delta = src_multi[s_idx] - tgt_multi[t_idx]
+        uniq, inverse = np.unique(pair_delta, axis=0, return_inverse=True)
+        for u, off in enumerate(uniq):
+            sel = np.flatnonzero(inverse == u)
+            block = kernel.pairwise(recv.x_points, rad.y_points + step * off)
+            sums[t_idx[sel]] += coeffs[s_idx[sel]] @ block.T
+        local_coeffs = recv.coefficients(sums.T).T
+        return ef.fmm._leaf_values(kernel, tgt, recv.y_points, local_coeffs)
+
+    return far

@@ -69,7 +69,8 @@ def test_criterion_2_node_exactness(cache_store):
 # -- criterion 3: single-level and multilevel far fields agree -----------------
 
 
-def test_criterion_3_monolevel_equals_multilevel(cube_cloud, cache_store):
+def test_criterion_3_monolevel_equals_multilevel(cube_cloud, cache_store,
+                                                 monolevel_far_field):
     tol = 1e-6
     points, weights = cube_cloud
     points, weights = points[:2000], weights[:2000]
@@ -77,9 +78,9 @@ def test_criterion_3_monolevel_equals_multilevel(cube_cloud, cache_store):
     cache = cache_store("gaussian", 3, tol)
     kernel = ef.make_builtin_kernel("gaussian")
     tree = ef.build_tree(points, config)
-    system = ef.ParticleSystem(points, points, weights)
-    mono = ef.monolevel_far_field(kernel, tree, system, cache.eims[3])
-    multi, _ = ef.multilevel_far_field(kernel, tree, system, cache)
+    mono = monolevel_far_field(kernel, tree, tree, weights, cache.eims[3])
+    plan = ef.SummationPlan(kernel, points, points, config, cache, target_tree=tree)
+    multi, _, _ = plan.apply_far(weights)
     gap = np.abs(mono - multi).max() / np.abs(multi).max()
     bound = 100.0 * tol
     print(f"criterion 3: elementwise gap {gap:.3e} (bound {bound:.1e})")
@@ -147,7 +148,7 @@ def test_criterion_5_variable_order_ranks(cache_store):
 # -- criterion 6: the near/far split is exact -----------------------------------
 
 
-def test_criterion_6_near_far_partition(cube_cloud):
+def test_criterion_6_near_far_partition(cube_cloud, cache_store):
     points, weights = cube_cloud
     points, weights = points[:500], weights[:500]
     config = ef.TreeConfig(dimension=3, side=1.0, depth=3)
@@ -157,9 +158,10 @@ def test_criterion_6_near_far_partition(cube_cloud):
     worst = 0.0
     for kernel_name in ("laplace", "gaussian"):
         kernel = ef.make_builtin_kernel(kernel_name)
-        tree = ef.build_tree(points, config)
+        # the near field reads no operator: a coarse cache will do
+        cache = cache_store(kernel_name, 3, 1e-2)
+        near = ef.SummationPlan(kernel, points, points, config, cache).apply_near(weights)
         system = ef.ParticleSystem(points, points, weights)
-        near = ef.near_field(kernel, tree, system)
         disp = points[:, None, :] - points[None, :, :]
         values = kernel.from_displacements(disp)
         dist2 = np.sum(disp * disp, axis=-1)

@@ -3,6 +3,8 @@
 import pathlib
 import re
 
+import numpy as np
+
 import eimfmm as ef
 from eimfmm.bench import build_parser
 
@@ -27,6 +29,21 @@ def test_readme_api_section_lists_all():
     assert len(listed) == len(set(listed))
     assert sorted(listed) == sorted(ef.__all__)
     assert all(hasattr(ef, name) for name in ef.__all__)
+
+
+def test_readme_usage_blocks_run():
+    # the examples as a reader pastes them, in one session: a removed or
+    # renamed name fails here even when the API list above is in step
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library usage\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    result = namespace["result"]
+    assert np.array_equal(result.total, result.far_field + result.near_field)
+    assert np.isfinite(namespace["total"]).all()
 
 
 def test_readme_cli_flags_exist():

@@ -1,5 +1,6 @@
 """Summation engine against quadratic-cost oracles on small 2D clouds."""
 
+import os
 import re
 
 import numpy as np
@@ -127,11 +128,9 @@ def _restricted_sum(kernel, targets, sources, weights):
     return (values * near_mask) @ weights, (values * ~near_mask) @ weights
 
 
-def test_near_field_matches_restricted_direct(cloud):
+def test_near_field_matches_restricted_direct(cloud, cache):
     points, weights = cloud
-    tree = ef.build_tree(points, CONFIG)
-    system = ef.ParticleSystem(points, points, weights)
-    got = ef.near_field(KERNEL, tree, system)
+    got = ef.SummationPlan(KERNEL, points, points, CONFIG, cache).apply_near(weights)
 
     expect, far_expect = _restricted_sum(KERNEL, points, points, weights)
     scale = np.abs(expect).max()
@@ -142,10 +141,19 @@ def test_near_field_matches_restricted_direct(cloud):
     assert np.abs(got + far_expect - total).max() <= 1e-13 * np.abs(total).max()
 
 
+@pytest.fixture(scope="module")
+def coarse_caches(drift_kernel):
+    """Cheap caches under CONFIG for the other 2D kernels: the near field
+    reads no operator, so any cache that matches the kernel will do."""
+    return {kernel.name: ef.build_operator_cache(kernel, CONFIG, 1e-2)
+            for kernel in (drift_kernel, ef.make_builtin_kernel("laplace"))}
+
+
 @pytest.mark.parametrize("case", ["drift-shared", "distinct-clouds",
                                   "laplace-duplicates-shared",
                                   "laplace-duplicates-two-trees"])
-def test_near_field_cases_match_restricted_direct(cloud, drift_kernel, case):
+def test_near_field_cases_match_restricted_direct(cloud, drift_kernel, cache,
+                                                  coarse_caches, case):
     points, weights = cloud
     kernel = KERNEL
     targets = sources = points[:400]
@@ -161,9 +169,10 @@ def test_near_field_cases_match_restricted_direct(cloud, drift_kernel, case):
         targets = sources = np.concatenate([points[:300], points[:100]])
         if case == "laplace-duplicates-two-trees":
             source_tree = ef.build_tree(sources, CONFIG)
-    tree = ef.build_tree(targets, CONFIG)
-    system = ef.ParticleSystem(targets, sources, sigma)
-    got = ef.near_field(kernel, tree, system, source_tree=source_tree)
+    ops = coarse_caches.get(kernel.name, cache)
+    plan = ef.SummationPlan(kernel, targets, sources, CONFIG, ops,
+                            source_tree=source_tree)
+    got = plan.apply_near(sigma)
     expect, _ = _restricted_sum(kernel, targets, sources, sigma)
     assert np.isfinite(got).all()
     assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
@@ -234,12 +243,12 @@ def test_multilevel_matches_direct(cloud, cache):
     assert set(result.timings) == set(ef.fmm.ALL_PHASES)
 
 
-def test_monolevel_equals_multilevel(cloud, cache):
+def test_monolevel_equals_multilevel(cloud, cache, monolevel_far_field):
     points, weights = cloud
     tree = ef.build_tree(points, CONFIG)
-    system = ef.ParticleSystem(points, points, weights)
-    mono = ef.monolevel_far_field(KERNEL, tree, system, cache.eims[3])
-    multi, _ = ef.multilevel_far_field(KERNEL, tree, system, cache)
+    mono = monolevel_far_field(KERNEL, tree, tree, weights, cache.eims[3])
+    plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache, target_tree=tree)
+    multi, _, _ = plan.apply_far(weights)
     scale = np.abs(multi).max()
     assert np.abs(mono - multi).max() <= 100.0 * TOL * scale
 
@@ -259,12 +268,14 @@ def test_nonsymmetric_kernel_oracle_accuracy(cube_cloud, drift_cache):
     assert rel <= 100.0 * DRIFT_TOL
 
 
-def test_nonsymmetric_monolevel_equals_multilevel(cube_cloud, drift_cache):
+def test_nonsymmetric_monolevel_equals_multilevel(cube_cloud, drift_cache,
+                                                  monolevel_far_field):
     points, weights = cube_cloud[0][:2000], cube_cloud[1][:2000]
     tree = ef.build_tree(points, DRIFT_CONFIG)
-    system = ef.ParticleSystem(points, points, weights)
-    mono = ef.monolevel_far_field(DRIFT_3D, tree, system, drift_cache.eims[3])
-    multi, _ = ef.multilevel_far_field(DRIFT_3D, tree, system, drift_cache)
+    mono = monolevel_far_field(DRIFT_3D, tree, tree, weights, drift_cache.eims[3])
+    plan = ef.SummationPlan(DRIFT_3D, points, points, DRIFT_CONFIG, drift_cache,
+                            target_tree=tree)
+    multi, _, _ = plan.apply_far(weights)
     gap = np.abs(mono - multi).max() / np.abs(multi).max()
     assert gap <= 100.0 * DRIFT_TOL
 
@@ -280,12 +291,11 @@ def test_nonsymmetric_2d_evaluate_matches_direct(drift_kernel):
     assert rel <= 100.0 * 1e-6
 
 
-def test_monolevel_needs_leaf_models(cloud, cache):
+def test_monolevel_needs_leaf_models(cloud, cache, monolevel_far_field):
     points, weights = cloud
     tree = ef.build_tree(points, CONFIG)
-    system = ef.ParticleSystem(points, points, weights)
-    with pytest.raises(ValueError):
-        ef.monolevel_far_field(KERNEL, tree, system, cache.eims[2])
+    with pytest.raises(ValueError, match="leaf-level models"):
+        monolevel_far_field(KERNEL, tree, tree, weights, cache.eims[2])
 
 
 def test_plan_reuse_is_deterministic(cloud, cache):
@@ -346,9 +356,9 @@ def test_separate_source_and_target_clouds(cache):
 
 def test_field_data_shapes(cloud, cache):
     points, weights = cloud
-    tree = ef.build_tree(points, CONFIG)
-    system = ef.ParticleSystem(points, points, weights)
-    _, fields = ef.multilevel_far_field(KERNEL, tree, system, cache)
+    plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache)
+    tree = plan.tgt_tree
+    _, fields, _ = plan.apply_far(weights)
     terms = cache.terms_per_level()
     for level in (2, 3):
         boxes = tree.level_flat[level].size
@@ -531,17 +541,39 @@ def test_near_matrix_independent_of_chunk_budget(cloud, monkeypatch):
     tree = ef.build_tree(points, CONFIG)
     # the shared tree stores half the pairs, the second tree all of them
     for source_tree in (tree, ef.build_tree(points, CONFIG)):
-        full = ef.fmm._near_matrix(KERNEL, tree, source_tree)
+        half = source_tree is tree
+        full = ef.fmm._near_matrix(KERNEL, tree, source_tree, half)
         assert np.diff(full.indptr).max() > 50
         # one row per chunk, then several rows per chunk
         for budget in (50, 1000):
             monkeypatch.setattr(ef.kernels, "_EVAL_CHUNK", budget)
-            small = ef.fmm._near_matrix(KERNEL, tree, source_tree)
+            small = ef.fmm._near_matrix(KERNEL, tree, source_tree, half)
             assert np.array_equal(small.indptr, full.indptr)
             assert np.array_equal(small.indices, full.indices)
             assert np.all(np.abs(small.data - full.data)
                           <= np.spacing(np.abs(full.data)))
         monkeypatch.undo()
+
+
+def test_near_field_refuses_more_pairs_than_memory(cache, monkeypatch):
+    # 200k points in one depth-3 leaf: every pair is a near pair, 4e10 of
+    # them stored at 16 B each.  The count is refused before anything of
+    # that size is allocated; np.empty fails the test if it is reached.
+    n = 200_000
+    points = np.random.default_rng(21).uniform(0.01, 0.1, size=(n, 2))
+    plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache)
+    assert plan.tgt_tree.leaf_counts.tolist() == [n]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the near field was allocated")
+
+    monkeypatch.setattr(np, "empty", refuse)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    message = (f"{n * n} pairs in {16 * n * n} bytes, more than the {memory} "
+               "bytes of physical memory; a deeper tree stores fewer pairs")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        plan.apply_near(np.ones(n))
+    assert plan._near is None
 
 
 def test_add_rows_matches_fancy_add():
@@ -568,12 +600,9 @@ def test_plan_rejects_foreign_cache(cloud, cache):
 
 def test_trees_of_another_config_are_refused(cloud, cache):
     # a tree binned under another side or depth would misplace every point
-    # (quietly, or in a broadcast error): each path that takes a tree names
-    # both configs instead
-    points, weights = cloud
-    system = ef.ParticleSystem(points, points[::-1], weights)
-    ours = ef.build_tree(points, CONFIG)
-    eims = cache.eims[CONFIG.depth]
+    # (quietly, or in a broadcast error): the plan, the one path that takes
+    # a tree, names both configs instead
+    points, _ = cloud
     for other in (ef.TreeConfig(dimension=2, side=2.0, depth=3),
                   ef.TreeConfig(dimension=2, side=1.0, depth=4)):
         foreign = ef.build_tree(points, other)
@@ -582,9 +611,6 @@ def test_trees_of_another_config_are_refused(cloud, cache):
                                      target_tree=foreign),
             lambda: ef.SummationPlan(KERNEL, points, points, CONFIG, cache,
                                      source_tree=foreign),
-            lambda: ef.near_field(KERNEL, ours, system, source_tree=foreign),
-            lambda: ef.monolevel_far_field(KERNEL, ours, system, eims,
-                                           source_tree=foreign),
         ]
         for call in calls:
             with pytest.raises(ValueError) as err:
@@ -594,37 +620,19 @@ def test_trees_of_another_config_are_refused(cloud, cache):
 
 def test_trees_of_other_points_are_refused(cloud, cache):
     # a tree binning other points (or the same points in another order)
-    # misplaces the weights or the results, quietly: each path that takes
-    # a tree checks it against the points it comes with
-    points, weights = cloud
-    system = ef.ParticleSystem(points, points, weights)
+    # misplaces the weights or the results, quietly: the plan checks each
+    # tree it is passed against the points it comes with
+    points, _ = cloud
     ours = ef.build_tree(points, CONFIG)
-    eims = cache.eims[CONFIG.depth]
     rng = np.random.default_rng(17)
     others = [rng.uniform(-0.5, 0.5, size=points.shape), points[::-1],
               points[:-1]]
     for other in others:
         foreign = ef.build_tree(other, CONFIG)
-        calls = {
-            "target": [
-                lambda: ef.SummationPlan(KERNEL, points, points, CONFIG, cache,
-                                         target_tree=foreign),
-                lambda: ef.near_field(KERNEL, foreign, system),
-                lambda: ef.monolevel_far_field(KERNEL, foreign, system, eims),
-                lambda: ef.multilevel_far_field(KERNEL, foreign, system, cache),
-            ],
-            "source": [
-                lambda: ef.SummationPlan(KERNEL, points, points, CONFIG, cache,
-                                         source_tree=foreign),
-                lambda: ef.near_field(KERNEL, ours, system, source_tree=foreign),
-                lambda: ef.monolevel_far_field(KERNEL, ours, system, eims,
-                                               source_tree=foreign),
-            ],
-        }
-        for name, group in calls.items():
-            for call in group:
-                with pytest.raises(ValueError, match=f"{name} tree does not bin"):
-                    call()
+        for name in ("target", "source"):
+            with pytest.raises(ValueError, match=f"{name} tree does not bin"):
+                ef.SummationPlan(KERNEL, points, points, CONFIG, cache,
+                                 **{f"{name}_tree": foreign})
     # the tree of the points themselves passes, on both sides
     ef.SummationPlan(KERNEL, points, points.copy(), CONFIG, cache,
                      target_tree=ours, source_tree=ours)

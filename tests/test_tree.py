@@ -268,7 +268,7 @@ def test_neighbor_list_brute_force(small_tree):
     other = ef.build_tree(other_points, config)
     target_multi = _brute_leaf_multi(points, config)
     for src, src_points in ((other, other_points), (tree, points)):
-        matrix = _near_matrix(kernel, tree, src)
+        matrix = _near_matrix(kernel, tree, src, half=src is tree)
         delta = (_brute_leaf_multi(src_points, config)[None, :, :]
                  - target_multi[:, None, :])
         expect = np.abs(delta).max(axis=2) <= 1
