@@ -11,11 +11,12 @@ model's coefficient solve composed with the transfer row basis: the upward
 pass carries moments only and runs no triangular solve; the one solve left
 in a sweep is the leaf receiving model's, after the downward sum.
 
-For a symmetric kernel on a shared tree (the sources are the targets),
-the transfer pass stores half its pairs, as the near field does: one
-group per mirrored pair of offsets, which applies C_t from its sources to
-its targets and C_t^T = C_{-t} back.  Every transfer group holds int32
-positions whenever the box count allows it.
+The transfer pass applies the pairs under two complete parents (all 2^D
+children occupied) as one dense block M_P per parent offset P, over the
+2^D children of each parent pair, and the other pairs per offset.  For a
+symmetric kernel on a shared tree (the sources are the targets) it stores
+half of both, as the near field does, and applies C_t^T = C_{-t} and
+M_P^T = M_{-P} back.  Positions are int32 whenever box counts allow it.
 
 The leaf passes (P2M and L2P) read the tree's leaf-local coordinates,
 computed once when the tree is built.  Kernel evaluations go in chunks of
@@ -41,8 +42,8 @@ from .operators import (
     make_cache_key,
     save_cache,
 )
-from .tree import (build_tree, child_offsets, parity_rank, require_finite,
-                   transfer_offsets)
+from .tree import (_transfer_index_table, build_tree, child_offsets,
+                   parity_rank, require_finite, transfer_offsets)
 
 _COINCIDENT_DISTANCE = 1e-300
 # Padding of the dense box lookup: the largest transfer offset component.
@@ -171,15 +172,12 @@ def _box_lookup(target_multi, source_multi, level):
     return (target_multi + _PAD) @ strides, lookup, strides
 
 
-def _child_groups(tree, level):
-    """Per parity rank: positions of the level's boxes of that parity and
-    of their parents one level up."""
-    multi = tree.level_multi[level]
-    parent = np.searchsorted(tree.level_flat[level - 1],
-                             tree._ravel(multi >> 1, level - 1))
-    ranks = parity_rank(multi)
-    sels = [np.flatnonzero(ranks == r) for r in range(2 ** multi.shape[1])]
-    return [(sel, parent[sel]) for sel in sels]
+def _children(tree, level):
+    """Per box at level - 1, its children's positions at level in parity
+    order, -1 where a child is absent."""
+    parents = tree.level_multi[level - 1]
+    base, lookup, strides = _box_lookup(2 * parents, tree.level_multi[level], level)
+    return lookup.take(base[:, None] + child_offsets(parents.shape[1]) @ strides)
 
 
 def _add_rows(target, pos, values):
@@ -187,12 +185,37 @@ def _add_rows(target, pos, values):
     as opaque records is several times faster than a fancy assignment.
     The transfer pass scatters each group both ways through it: to its
     targets, and on a half-stored level also to its sources, which are
-    distinct too (one source box per target box and offset)."""
+    distinct too (one source box per target box and offset), as are the
+    children of distinct parents, where a sibling block scatters."""
     if values.size:
         rows = target.take(pos, axis=0)
         rows += values
         record = np.dtype((np.void, rows.itemsize * rows.shape[1]))
         np.put(target.view(record), pos, rows.view(record))
+
+
+def _sibling_transfer(gathered, projected, ops, tgt_kids, src_kids, blocks, half):
+    """Add the rows of the pairs under two complete parents: per parent
+    offset P, M_P (one buffer) maps the 2^D source children of each parent
+    pair at P to its 2^D target children, and back by M_P^T when half."""
+    if not blocks:
+        return
+    n_kids, r_v = tgt_kids.shape[1], projected.shape[1]
+    block = np.empty((n_kids * ops.rank, n_kids * r_v))
+    panels = block.reshape(n_kids, ops.rank, n_kids, r_v)
+    for layout, tpar, spar in blocks:
+        for c_t, c_s, t in layout:
+            if t < 0:
+                panels[c_t, :, c_s] = 0.0
+            else:
+                ops.dense_block(t, out=panels[c_t, :, c_s])
+        tpos = tgt_kids.take(tpar, axis=0).ravel()
+        spos = src_kids.take(spar, axis=0).ravel()
+        _add_rows(gathered, tpos, (projected.take(spos, axis=0).reshape(
+            spar.size, -1) @ block.T).reshape(tpos.size, -1))
+        if half:
+            _add_rows(gathered, spos, (projected.take(tpos, axis=0).reshape(
+                tpar.size, -1) @ block).reshape(spos.size, -1))
 
 
 def _leaf_chunks(tree, terms):
@@ -262,39 +285,62 @@ class SummationPlan:
 
         depth = config.depth
         dim = config.dimension
-        # Child and parent positions per parity for the two vertical passes.
-        levels = range(3, depth + 1)
-        self._tgt_children = {k: _child_groups(self.tgt_tree, k) for k in levels}
-        self._src_children = (self._tgt_children if self.src_tree is self.tgt_tree
-                              else {k: _child_groups(self.src_tree, k) for k in levels})
+        # Children of each box one level up: vertical passes, sibling blocks.
+        levels = range(2, depth + 1)
+        self._tgt_kids = {k: _children(self.tgt_tree, k) for k in levels}
+        self._src_kids = (self._tgt_kids if self.src_tree is self.tgt_tree
+                          else {k: _children(self.src_tree, k) for k in levels})
         # Transfer pair groups per level, {offset index: (target positions,
-        # source positions)}.  A pair participates at level k only when its
-        # parents are neighbors; otherwise it was already covered at a
-        # coarser level (vacuous at level 2).  The parent gap depends only
-        # on the target's parity and the offset, and is symmetric in the
-        # pair, so the pairs of -t are those of t swapped.  When _half holds,
-        # only the lexicographically positive offsets are kept: the
-        # second half of transfer_offsets, whose entry n-1-i negates entry i.
+        # source positions)}, of the pairs whose parents are neighbors (the
+        # others are covered at a coarser level).  The parent gap depends
+        # only on the target's parity and the offset, and is symmetric in
+        # the pair, so the pairs of -t are those of t swapped; _half keeps
+        # the positive offsets, the second half of transfer_offsets (entry
+        # n-1-i negates entry i).  Pairs under two complete parents go to
+        # _siblings instead: (target children, source children, [(layout of
+        # M_P, target parent rows, source parent rows)] per parent offset P),
+        # where sub-block (c_t, c_s) of M_P is C_t, t = 2P + c_s - c_t, or
+        # zero (t = -1) for a neighbor pair.  _half keeps the positive P.
         offsets = transfer_offsets(dim)
         first = offsets.shape[0] // 2 if self._half else 0
+        # Offsets share their sets of parity classes, so their rows too.
         gap = np.abs((child_offsets(dim)[:, None, :] + offsets) >> 1).max(axis=2)
+        masks, which = np.unique(gap <= 1, axis=1, return_inverse=True)
+        steps = np.array(list(np.ndindex(*(3,) * dim))) - 1
+        steps = steps[steps.shape[0] // 2 + 1 :] if self._half else steps[steps.any(axis=1)]
+        named = _transfer_index_table(dim)
+        parities = list(enumerate(child_offsets(dim)))
+        layouts = [[(c_t, c_s, named.get(tuple(2 * step + ks - kt), -1))
+                    for c_t, kt in parities for c_s, ks in parities] for step in steps]
         self._transfer_groups = {}
+        self._siblings = {}
         for level in range(2, depth + 1):
+            tgt_kids, src_kids = self._tgt_kids[level], self._src_kids[level]
+            tgt_full, src_full = ((kids >= 0).all(axis=1) for kids in (tgt_kids, src_kids))
+            tgt_kids, src_kids = tgt_kids[tgt_full], src_kids[src_full]
+            base, lookup, strides = _box_lookup(
+                self.tgt_tree.level_multi[level - 1][tgt_full],
+                self.src_tree.level_multi[level - 1][src_full], level - 1)
+            blocks = []
+            for layout, step in zip(layouts, steps):
+                spar = lookup.take(base + step @ strides)
+                hit = np.flatnonzero(spar >= 0)
+                if hit.size:
+                    blocks.append((layout, hit.astype(spar.dtype), spar[hit]))
+            self._siblings[level] = (tgt_kids, src_kids, blocks)
             tgt_multi = self.tgt_tree.level_multi[level]
             base, lookup, strides = _box_lookup(
                 tgt_multi, self.src_tree.level_multi[level], level)
+            # a target under a complete parent skips sources under complete ones
+            base[tgt_kids] += lookup.size
+            lookup = np.concatenate([lookup, np.where(np.isin(lookup, src_kids), -1, lookup)])
             parity = parity_rank(tgt_multi)
-            allowed = gap <= 1 if level > 2 else np.ones_like(gap, dtype=bool)
-            # Offsets share their sets of parity classes, so their rows too.
-            masks, which = np.unique(allowed, axis=1, return_inverse=True)
-            which = which.ravel()
             index = get_index_dtype(maxval=tgt_multi.shape[0])
-            rows_of = [np.flatnonzero(mask[parity]).astype(index)
-                       for mask in masks.T]
+            rows_of = [np.flatnonzero(mask[parity]).astype(index) for mask in masks.T]
             base_of = [base[rows] for rows in rows_of]
             groups = {}
             for t in range(first, offsets.shape[0]):
-                m = which[t]
+                m = which.flat[t]
                 pos = lookup.take(base_of[m] + offsets[t] @ strides)
                 hit = pos >= 0
                 groups[t] = (rows_of[m][hit], pos[hit])
@@ -335,15 +381,17 @@ class SummationPlan:
             up = cache.m2m[level].matrices
             child = moments[level + 1]
             acc = np.zeros((src.level_flat[level].size, up[0].shape[0]))
-            for mat, (sel, parent) in zip(up, self._src_children[level + 1]):
-                acc[parent] += child.take(sel, axis=0) @ mat.T
+            for mat, kids in zip(up, self._src_kids[level + 1].T):
+                parent = np.flatnonzero(kids >= 0)
+                acc[parent] += child.take(kids[parent], axis=0) @ mat.T
             moments[level] = acc
         timings["M2M"] += time.perf_counter() - t0
 
         # Transfer pass in the projected coordinates, grouped by offset; a
         # target appears once per offset.  A half-stored group of offset t
         # also carries the pairs of -t back, through C_{-t} = C_t^T (V is U
-        # for a symmetric kernel).
+        # for a symmetric kernel).  The pairs under two complete parents go
+        # through the sibling blocks instead.
         t0 = time.perf_counter()
         transfer = {}
         for level in range(2, depth + 1):
@@ -356,6 +404,8 @@ class SummationPlan:
                 if self._half:
                     _add_rows(gathered, spos, ops.apply_rows(
                         t, projected.take(tpos, axis=0), transpose=True))
+            _sibling_transfer(gathered, projected, ops, *self._siblings[level],
+                              self._half)
             transfer[level] = gathered @ ops.projector.T
         timings["M2L"] += time.perf_counter() - t0
 
@@ -366,8 +416,9 @@ class SummationPlan:
             down = cache.l2l[level].matrices
             parent = local_moments[level]
             arr = transfer[level + 1].copy()
-            for mat, (sel, ppos) in zip(down, self._tgt_children[level + 1]):
-                arr[sel] += parent.take(ppos, axis=0) @ mat.T
+            for mat, kids in zip(down, self._tgt_kids[level + 1].T):
+                ppos = np.flatnonzero(kids >= 0)
+                arr[kids[ppos]] += parent.take(ppos, axis=0) @ mat.T
             local_moments[level + 1] = arr
         receiving = cache.eims[depth].receiving
         local_coeffs = receiving.coefficients(local_moments[depth].T).T

@@ -119,6 +119,14 @@ class M2lOperators:
         u, v = factors
         return (rows @ u) @ v if transpose else (rows @ v.T) @ u.T
 
+    def dense_block(self, t, out):
+        """C_t, rank by r_v, written into out."""
+        tag, *factors = self.blocks[t]
+        if tag == "dense":
+            out[...] = factors[0]
+        else:
+            np.matmul(*factors, out=out)
+
 
 def build_level_eims(kernel, config, level, tolerance, max_terms,
                      resolution, x_budget=8192):

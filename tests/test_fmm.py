@@ -9,6 +9,7 @@ import pytest
 import eimfmm as ef
 from eimfmm.eim import EimModel
 from eimfmm.fmm import load_or_build_cache
+from eimfmm.tree import child_offsets
 
 KERNEL = ef.make_builtin_kernel("gaussian")
 CONFIG = ef.TreeConfig(dimension=2, side=1.0, depth=3)
@@ -200,6 +201,11 @@ def _group_bytes(plan):
                for group in groups.values() for pos in group)
 
 
+def _parent_pair_bytes(plan):
+    return sum(rows.nbytes for _, _, blocks in plan._siblings.values()
+               for _, tpar, spar in blocks for rows in (tpar, spar))
+
+
 def test_shared_tree_stores_half_the_transfer_pairs(cube_cloud, cache_store,
                                                     drift_cache):
     points, weights = cube_cloud
@@ -223,6 +229,12 @@ def test_shared_tree_stores_half_the_transfer_pairs(cube_cloud, cache_store,
     pairs = sum(tpos.size for groups in full._transfer_groups.values()
                 for tpos, _ in groups.values())
     assert 2 * _group_bytes(shared) == _group_bytes(full) == 8 * pairs
+    # and so are the parent pairs of the sibling blocks: 13 of the 26
+    # parent offsets at level 2, where all 8 level-1 boxes are complete
+    parent_pairs = sum(tpar.size for _, _, blocks in full._siblings.values()
+                       for _, tpar, _ in blocks)
+    assert 2 * _parent_pair_bytes(shared) == _parent_pair_bytes(full) == 8 * parent_pairs
+    assert len(shared._siblings[2][2]) == 13 and len(full._siblings[2][2]) == 26
 
     # a non-symmetric kernel on a shared tree keeps every offset
     drift = ef.SummationPlan(DRIFT_3D, points, points, DRIFT_CONFIG, drift_cache)
@@ -230,6 +242,7 @@ def test_shared_tree_stores_half_the_transfer_pairs(cube_cloud, cache_store,
     n = len(ef.transfer_offsets(3))
     for groups in drift._transfer_groups.values():
         assert sorted(groups) == list(range(n))
+    assert len(drift._siblings[2][2]) == 26
 
 
 def test_multilevel_matches_direct(cloud, cache):
@@ -383,6 +396,23 @@ def _interaction_pairs(target_tree, source_tree, level):
     return expect
 
 
+def _sibling_pairs(plan, level):
+    """(target position, offset index, source position) for every child
+    pair a sibling block applies at level: sub-block (c_t, c_s) of each
+    parent pair, and on a half plan the same pairs back."""
+    n = len(ef.transfer_offsets(plan.config.dimension))
+    tgt_kids, src_kids, blocks = plan._siblings[level]
+    pairs = []
+    for layout, tpar, spar in blocks:
+        for c_t, c_s, t in layout:
+            if t >= 0:
+                tpos, spos = tgt_kids[tpar, c_t].tolist(), src_kids[spar, c_s].tolist()
+                pairs += zip(tpos, [t] * len(tpos), spos)
+                if plan._half:
+                    pairs += zip(spos, [n - 1 - t] * len(spos), tpos)
+    return pairs
+
+
 @pytest.mark.parametrize("case", ["shared-3d-depth4", "clustered-sources-3d",
                                   "2d-distinct"])
 def test_transfer_groups_match_interaction_list(case, cube_cloud, cache_store, cache):
@@ -405,6 +435,7 @@ def test_transfer_groups_match_interaction_list(case, cube_cloud, cache_store, c
     shared = case == "shared-3d-depth4"
     assert (plan.src_tree is plan.tgt_tree) == shared == plan._half
     n = len(ef.transfer_offsets(config.dimension))
+    parities = child_offsets(config.dimension)
     for level in range(2, config.depth + 1):
         groups = plan._transfer_groups[level]
         # a shared tree keeps the lexicographically positive offsets only
@@ -420,9 +451,72 @@ def test_transfer_groups_match_interaction_list(case, cube_cloud, cache_store, c
                 # n-1-t): each source once
                 assert np.unique(spos).size == spos.size
                 got += zip(spos.tolist(), [n - 1 - t] * spos.size, tpos.tolist())
+        # the sibling blocks join complete parents only: each row holds the
+        # 2^D children of one parent, in parity order
+        tgt_kids, src_kids, blocks = plan._siblings[level]
+        for tree, kids in ((plan.tgt_tree, tgt_kids), (plan.src_tree, src_kids)):
+            assert kids.dtype == np.int32 and np.all(kids >= 0)
+            multi = tree.level_multi[level][kids]
+            assert np.array_equal(multi >> 1, np.repeat(multi[:, :1] >> 1, len(parities), 1))
+            assert np.array_equal(multi & 1, np.broadcast_to(parities, multi.shape))
+        for _, tpar, spar in blocks:
+            assert tpar.dtype == spar.dtype == np.int32
+            # a block scatters to the children of distinct parents
+            assert np.unique(tpar).size == tpar.size and np.unique(spar).size == spar.size
+        got += _sibling_pairs(plan, level)
         assert len(set(got)) == len(got)
         assert set(got) == _interaction_pairs(plan.tgt_tree, plan.src_tree, level)
         assert got
+
+
+def _pairwise_transfer_sums(plan, fields):
+    """Per level, (boxes, terms): C_t of every interaction pair applied to
+    the source's projected moments, summed per target, then projected."""
+    sums = {}
+    for level, ops in plan.cache.m2l.items():
+        projected = fields.source_moments[level].T @ plan._folded[level]
+        by_offset = {}
+        for i, t, j in _interaction_pairs(plan.tgt_tree, plan.src_tree, level):
+            by_offset.setdefault(t, []).append((i, j))
+        gathered = np.zeros((plan.tgt_tree.level_flat[level].size, ops.rank))
+        for t, pairs in by_offset.items():
+            i, j = np.array(pairs).T
+            np.add.at(gathered, i, ops.apply_rows(t, projected[j]))
+        sums[level] = gathered @ ops.projector.T
+    return sums
+
+
+@pytest.mark.parametrize("case", ["shared-3d", "distinct-3d", "drift-3d", "2d", "1d"])
+def test_transfer_sums_match_pairwise_reference(case, cube_cloud, cache_store, cache,
+                                                drift_cache):
+    points, weights = cube_cloud
+    kernel, targets, sources = KERNEL, points[:1200], points[:1200]
+    if case in ("shared-3d", "distinct-3d"):
+        config = ef.TreeConfig(dimension=3, side=1.0, depth=4)
+        ops = cache_store("gaussian", 4, 1e-4)
+        if case == "distinct-3d":
+            sources = points[1200:2000]
+    elif case == "drift-3d":
+        kernel, config, ops = DRIFT_3D, DRIFT_CONFIG, drift_cache
+        targets = sources = points[:600]
+    elif case == "2d":
+        config, ops = CONFIG, cache
+        targets = sources = np.random.default_rng(7).uniform(-0.5, 0.5, size=(120, 2))
+    else:
+        config = ef.TreeConfig(dimension=1, side=1.0, depth=5)
+        ops = ef.build_operator_cache(KERNEL, config, 1e-6)
+        targets = sources = np.random.default_rng(8).uniform(-0.5, 0.5, size=(60, 1))
+    plan = ef.SummationPlan(kernel, targets, sources, config, ops)
+    assert plan._half == (case in ("shared-3d", "2d", "1d"))
+    # some level holds complete and incomplete parents side by side, so
+    # both the sibling blocks and the per-offset groups carry pairs there
+    assert any(plan._siblings[level][2]
+               and any(tpos.size for tpos, _ in plan._transfer_groups[level].values())
+               for level in plan._siblings)
+    _, fields, _ = plan.apply_far(weights[: sources.shape[0]])
+    for level, expect in _pairwise_transfer_sums(plan, fields).items():
+        got = fields.transfer_sums[level].T
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def test_far_pass_independent_of_chunk_size(cache, monkeypatch):
