@@ -13,10 +13,10 @@ in a sweep is the leaf receiving model's, after the downward sum.
 
 The transfer pass applies the pairs under two complete parents (all 2^D
 children occupied) as one dense block M_P per parent offset P, over the
-2^D children of each parent pair, and the other pairs per offset.  For a
-symmetric kernel on a shared tree (the sources are the targets) it stores
-half of both, as the near field does, and applies C_t^T = C_{-t} and
-M_P^T = M_{-P} back.  Positions are int32 whenever box counts allow it.
+2^D children of each parent pair, and the other pairs per offset, one way.
+For a symmetric kernel on a shared tree (the sources are the targets) the
+blocks are stored half, as the near field is, and M_P^T = M_{-P} is
+applied back.  Positions are int32 whenever box counts allow it.
 
 The leaf passes (P2M and L2P) read the tree's leaf-local coordinates,
 computed once when the tree is built.  Kernel evaluations go in chunks of
@@ -82,9 +82,9 @@ class ParticleSystem:
 class FieldData:
     """Per-level, per-box vectors produced by the multilevel pass.
 
-    Every dict maps level -> array of shape (terms at that level, occupied
-    boxes at that level), box columns ordered like the tree's occupied
-    flat-index arrays: a transposed view of the pass's box-major array.
+    Every dict maps level -> the pass's own box-major array, of shape
+    (occupied boxes at that level, terms at that level), box rows ordered
+    like the tree's occupied flat-index arrays.
     """
 
     source_moments: dict = field(default_factory=dict)
@@ -150,7 +150,7 @@ def _source_tree(sources, targets, target_tree, source_tree=None):
     """source_tree if given, checked as _tree_of does under the target
     tree's config; else the target tree when the sources are the targets,
     as the same array or as equal values (which bin identically, and a
-    shared tree lets a symmetric kernel's near field and transfer pass
+    shared tree lets a symmetric kernel's near field and sibling blocks
     store half their pairs); else a tree of the sources."""
     if source_tree is None and (sources is targets
                                 or np.array_equal(sources, targets)):
@@ -183,10 +183,9 @@ def _children(tree, level):
 def _add_rows(target, pos, values):
     """target[pos] += values for distinct rows pos.  np.put of whole rows
     as opaque records is several times faster than a fancy assignment.
-    The transfer pass scatters each group both ways through it: to its
-    targets, and on a half-stored level also to its sources, which are
-    distinct too (one source box per target box and offset), as are the
-    children of distinct parents, where a sibling block scatters."""
+    The transfer pass scatters each group to its targets (one per target
+    box and offset) and each sibling block to the children of distinct
+    parents, which are distinct too."""
     if values.size:
         rows = target.take(pos, axis=0)
         rows += values
@@ -279,7 +278,7 @@ class SummationPlan:
         self.cache = cache
         self.tgt_tree = _tree_of("target", targets, config, target_tree)
         self.src_tree = _source_tree(sources, targets, self.tgt_tree, source_tree)
-        # The near field and the transfer pass may keep one of each mirrored
+        # The near field and the sibling blocks may keep one of each mirrored
         # pair: K(x, y) = K(y, x) and the targets are the sources.
         self._half = self.src_tree is self.tgt_tree and kernel.is_symmetric
 
@@ -293,16 +292,13 @@ class SummationPlan:
         # Transfer pair groups per level, {offset index: (target positions,
         # source positions)}, of the pairs whose parents are neighbors (the
         # others are covered at a coarser level).  The parent gap depends
-        # only on the target's parity and the offset, and is symmetric in
-        # the pair, so the pairs of -t are those of t swapped; _half keeps
-        # the positive offsets, the second half of transfer_offsets (entry
-        # n-1-i negates entry i).  Pairs under two complete parents go to
-        # _siblings instead: (target children, source children, [(layout of
-        # M_P, target parent rows, source parent rows)] per parent offset P),
-        # where sub-block (c_t, c_s) of M_P is C_t, t = 2P + c_s - c_t, or
-        # zero (t = -1) for a neighbor pair.  _half keeps the positive P.
+        # only on the target's parity and the offset.  Pairs under two
+        # complete parents go to _siblings instead: (target children, source
+        # children, [(layout of M_P, target parent rows, source parent rows)]
+        # per parent offset P), where sub-block (c_t, c_s) of M_P is C_t,
+        # t = 2P + c_s - c_t, or zero (t = -1) for a neighbor pair.  _half
+        # keeps the positive P.
         offsets = transfer_offsets(dim)
-        first = offsets.shape[0] // 2 if self._half else 0
         # Offsets share their sets of parity classes, so their rows too.
         gap = np.abs((child_offsets(dim)[:, None, :] + offsets) >> 1).max(axis=2)
         masks, which = np.unique(gap <= 1, axis=1, return_inverse=True)
@@ -339,7 +335,7 @@ class SummationPlan:
             rows_of = [np.flatnonzero(mask[parity]).astype(index) for mask in masks.T]
             base_of = [base[rows] for rows in rows_of]
             groups = {}
-            for t in range(first, offsets.shape[0]):
+            for t in range(offsets.shape[0]):
                 m = which.flat[t]
                 pos = lookup.take(base_of[m] + offsets[t] @ strides)
                 hit = pos >= 0
@@ -388,10 +384,8 @@ class SummationPlan:
         timings["M2M"] += time.perf_counter() - t0
 
         # Transfer pass in the projected coordinates, grouped by offset; a
-        # target appears once per offset.  A half-stored group of offset t
-        # also carries the pairs of -t back, through C_{-t} = C_t^T (V is U
-        # for a symmetric kernel).  The pairs under two complete parents go
-        # through the sibling blocks instead.
+        # target appears once per offset.  The pairs under two complete
+        # parents go through the sibling blocks instead.
         t0 = time.perf_counter()
         transfer = {}
         for level in range(2, depth + 1):
@@ -401,9 +395,6 @@ class SummationPlan:
             for t, (tpos, spos) in self._transfer_groups[level].items():
                 _add_rows(gathered, tpos,
                           ops.apply_rows(t, projected.take(spos, axis=0)))
-                if self._half:
-                    _add_rows(gathered, spos, ops.apply_rows(
-                        t, projected.take(tpos, axis=0), transpose=True))
             _sibling_transfer(gathered, projected, ops, *self._siblings[level],
                               self._half)
             transfer[level] = gathered @ ops.projector.T
@@ -429,12 +420,7 @@ class SummationPlan:
         far = _leaf_values(kernel, tgt, receiving.y_points, local_coeffs)
         timings["L2P"] += time.perf_counter() - t0
 
-        fields = FieldData(
-            source_moments={k: v.T for k, v in moments.items()},
-            transfer_sums={k: v.T for k, v in transfer.items()},
-            local_moments={k: v.T for k, v in local_moments.items()},
-            local_coeffs={depth: local_coeffs.T},
-        )
+        fields = FieldData(moments, transfer, local_moments, {depth: local_coeffs})
         return far, fields, timings
 
     # -- near field --------------------------------------------------------

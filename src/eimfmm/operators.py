@@ -107,17 +107,14 @@ class M2lOperators:
         tag, *factors = self.blocks[t]
         return factors[0].shape[1] if tag == "lowrank" else self.rank
 
-    def apply_rows(self, t, rows, transpose=False):
+    def apply_rows(self, t, rows):
         """rows @ C_t.T: (n, r_v) moment rows projected on row_basis to
-        (n, rank) transfer rows.  With transpose, rows @ C_t: (n, rank)
-        rows back to (n, r_v), which is C_{-t} for a symmetric kernel.
-        The result is a new C-contiguous array."""
+        (n, rank) transfer rows, as a new C-contiguous array."""
         tag, *factors = self.blocks[t]
         if tag == "dense":
-            block = factors[0]
-            return rows @ (block if transpose else block.T)
+            return rows @ factors[0].T
         u, v = factors
-        return (rows @ u) @ v if transpose else (rows @ v.T) @ u.T
+        return (rows @ v.T) @ u.T
 
     def dense_block(self, t, out):
         """C_t, rank by r_v, written into out."""

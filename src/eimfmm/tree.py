@@ -12,6 +12,7 @@ or grid.
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +31,12 @@ class TreeConfig:
     center: tuple = None
 
     def __post_init__(self):
+        # CacheKey's rule: a value that int() would change is refused
+        for name in ("dimension", "depth"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+                raise ValueError(f"TreeConfig {name} must be an int, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
         if not (0.0 < self.side < np.inf):

@@ -196,9 +196,20 @@ def test_shared_tree_stores_half_the_near_pairs(cube_cloud, cache_store):
     assert shared._near.nnz <= 0.55 * full._near.nnz
 
 
-def _group_bytes(plan):
-    return sum(pos.nbytes for groups in plan._transfer_groups.values()
-               for group in groups.values() for pos in group)
+def _assert_same_transfer_groups(shared, full):
+    """The per-offset groups are built one way on either tree: every
+    offset, equal array for array, at 8 B per pair (two int32 positions)."""
+    assert shared._half and not full._half
+    n = len(ef.transfer_offsets(full.config.dimension))
+    assert shared._transfer_groups.keys() == full._transfer_groups.keys()
+    for level, groups in full._transfer_groups.items():
+        assert sorted(groups) == sorted(shared._transfer_groups[level]) == list(range(n))
+        for t, group in groups.items():
+            for got, expect in zip(shared._transfer_groups[level][t], group):
+                assert got.dtype == expect.dtype == np.int32
+                assert np.array_equal(got, expect)
+    assert any(tpos.size for groups in full._transfer_groups.values()
+               for tpos, _ in groups.values())
 
 
 def _parent_pair_bytes(plan):
@@ -224,12 +235,8 @@ def test_shared_tree_stores_half_the_transfer_pairs(cube_cloud, cache_store,
     for level, sums in fields_full.transfer_sums.items():
         got = fields_shared.transfer_sums[level]
         assert np.abs(got - sums).max() <= 1e-13 * np.abs(sums).max()
-    # half the pairs, at 8 B each (two int32 positions): a quarter of the
-    # 16 B per pair that int64 positions of every pair took
-    pairs = sum(tpos.size for groups in full._transfer_groups.values()
-                for tpos, _ in groups.values())
-    assert 2 * _group_bytes(shared) == _group_bytes(full) == 8 * pairs
-    # and so are the parent pairs of the sibling blocks: 13 of the 26
+    _assert_same_transfer_groups(shared, full)
+    # the parent pairs of the sibling blocks are stored half: 13 of the 26
     # parent offsets at level 2, where all 8 level-1 boxes are complete
     parent_pairs = sum(tpar.size for _, _, blocks in full._siblings.values()
                        for _, tpar, _ in blocks)
@@ -243,6 +250,22 @@ def test_shared_tree_stores_half_the_transfer_pairs(cube_cloud, cache_store,
     for groups in drift._transfer_groups.values():
         assert sorted(groups) == list(range(n))
     assert len(drift._siblings[2][2]) == 26
+
+
+@pytest.mark.parametrize("dim", [2, 1])
+def test_shared_tree_builds_the_transfer_groups_of_a_source_tree(dim, cache):
+    # few points, so that some parents miss a child and their pairs stay
+    # in the per-offset groups
+    points = np.random.default_rng(9).uniform(-0.5, 0.5, size=(60 * dim, dim))
+    if dim == 2:
+        config, ops = CONFIG, cache
+    else:
+        config = ef.TreeConfig(dimension=1, side=1.0, depth=5)
+        ops = ef.build_operator_cache(KERNEL, config, 1e-6)
+    shared = ef.SummationPlan(KERNEL, points, points, config, ops)
+    full = ef.SummationPlan(KERNEL, points, points, config, ops,
+                            source_tree=ef.build_tree(points, config))
+    _assert_same_transfer_groups(shared, full)
 
 
 def test_multilevel_matches_direct(cloud, cache):
@@ -375,9 +398,9 @@ def test_field_data_shapes(cloud, cache):
     terms = cache.terms_per_level()
     for level in (2, 3):
         boxes = tree.level_flat[level].size
-        assert fields.source_moments[level].shape == (terms[level], boxes)
-        assert fields.transfer_sums[level].shape == (terms[level], boxes)
-        assert fields.local_moments[level].shape == (terms[level], boxes)
+        assert fields.source_moments[level].shape == (boxes, terms[level])
+        assert fields.transfer_sums[level].shape == (boxes, terms[level])
+        assert fields.local_moments[level].shape == (boxes, terms[level])
     assert list(fields.local_coeffs) == [CONFIG.depth]
 
 
@@ -438,19 +461,14 @@ def test_transfer_groups_match_interaction_list(case, cube_cloud, cache_store, c
     parities = child_offsets(config.dimension)
     for level in range(2, config.depth + 1):
         groups = plan._transfer_groups[level]
-        # a shared tree keeps the lexicographically positive offsets only
-        assert sorted(groups) == list(range(n // 2 if shared else 0, n))
+        # every offset, on a shared tree too, and no pair sent back
+        assert sorted(groups) == list(range(n))
         got = []
         for t, (tpos, spos) in groups.items():
             assert tpos.dtype == spos.dtype == np.int32
             # the transfer pass scatter-adds per offset: each target once
             assert np.all(np.diff(tpos) > 0)
             got += zip(tpos.tolist(), [t] * tpos.size, spos.tolist())
-            if shared:
-                # and back through C_t^T to the sources (offset -t is entry
-                # n-1-t): each source once
-                assert np.unique(spos).size == spos.size
-                got += zip(spos.tolist(), [n - 1 - t] * spos.size, tpos.tolist())
         # the sibling blocks join complete parents only: each row holds the
         # 2^D children of one parent, in parity order
         tgt_kids, src_kids, blocks = plan._siblings[level]
@@ -474,7 +492,7 @@ def _pairwise_transfer_sums(plan, fields):
     the source's projected moments, summed per target, then projected."""
     sums = {}
     for level, ops in plan.cache.m2l.items():
-        projected = fields.source_moments[level].T @ plan._folded[level]
+        projected = fields.source_moments[level] @ plan._folded[level]
         by_offset = {}
         for i, t, j in _interaction_pairs(plan.tgt_tree, plan.src_tree, level):
             by_offset.setdefault(t, []).append((i, j))
@@ -515,7 +533,7 @@ def test_transfer_sums_match_pairwise_reference(case, cube_cloud, cache_store, c
                for level in plan._siblings)
     _, fields, _ = plan.apply_far(weights[: sources.shape[0]])
     for level, expect in _pairwise_transfer_sums(plan, fields).items():
-        got = fields.transfer_sums[level].T
+        got = fields.transfer_sums[level]
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
@@ -540,10 +558,10 @@ def test_far_pass_independent_of_chunk_size(cache, monkeypatch):
     moments = np.zeros((tree.leaf_counts.size, eims.radiating.d))
     np.add.at(moments, leaf_of,
               KERNEL.pairwise(eims.radiating.x_points, local).T * weights[:, None])
-    coeffs = fields.local_coeffs[depth][:, leaf_of]
-    values = np.einsum("ij,ji->i", KERNEL.pairwise(local, eims.receiving.y_points), coeffs)
+    coeffs = fields.local_coeffs[depth][leaf_of]
+    values = np.einsum("ij,ij->i", KERNEL.pairwise(local, eims.receiving.y_points), coeffs)
     scale = np.abs(moments).max()
-    assert np.abs(fields.source_moments[depth].T - moments).max() <= 1e-13 * scale
+    assert np.abs(fields.source_moments[depth] - moments).max() <= 1e-13 * scale
     assert np.abs(far - values).max() <= 1e-13 * np.abs(values).max()
 
     # five points per chunk against the leaf models' nodes
@@ -590,11 +608,11 @@ def test_folded_projection_matches_solve_then_project(case, cloud, cache,
     _, fields, _ = plan.apply_far(weights)
     assert sorted(fields.source_moments) == list(range(2, config.depth + 1))
     for level, moments in fields.source_moments.items():
-        coeffs = ops.eims[level].radiating.coefficients(moments)
+        coeffs = ops.eims[level].radiating.coefficients(moments.T)
         expect = coeffs.T @ ops.m2l[level].row_basis
         folded = plan._folded[level]
-        got = moments.T @ folded
-        scale = np.abs(moments.T) @ np.abs(folded)
+        got = moments @ folded
+        scale = np.abs(moments) @ np.abs(folded)
         assert np.all(np.abs(got - expect) <= 1e-13 * scale)
 
 

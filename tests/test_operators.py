@@ -276,19 +276,14 @@ def test_m2l_apply_block_matches_dense(small_cache, loose_cache):
                 expect = dense @ block
                 scale = max(np.abs(expect).max(), 1e-30)
                 assert np.abs(got - expect).max() <= 1e-13 * scale
-                # rows @ C_t, for the rows a symmetric kernel carries back
-                back = ops.apply_rows(t, block.T, transpose=True)
-                expect = block.T @ dense
-                scale = max(np.abs(expect).max(), 1e-30)
-                assert np.abs(back - expect).max() <= 1e-13 * scale
-                assert back.flags.c_contiguous
     assert seen == {"dense", "lowrank"}  # both storage layouts exercised
 
 
 def test_symmetric_blocks_of_mirrored_offsets_are_transposes(small_cache,
                                                             loose_cache):
-    # the transfer pass of a shared tree applies C_t^T for offset -t: the
-    # two stored blocks agree within the per-block tail bound
+    # the sibling blocks of a shared tree apply M_P^T for parent offset -P,
+    # so C_t^T for offset -t: the two stored blocks agree within the
+    # per-block tail bound
     n = len(ef.transfer_offsets(CONFIG.dimension))
     for cache in (small_cache, loose_cache):
         eps = cache.key.compress_tol

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,23 @@ def test_config_validation():
     for center in ((np.nan, 0.0, 0.0), (0.0, -np.inf, 0.0)):
         with pytest.raises(ValueError, match="not finite"):
             ef.TreeConfig(center=center)
+
+
+@pytest.mark.parametrize("name, value", [("dimension", 2.5), ("depth", 3.5),
+                                         ("depth", "4"), ("dimension", None),
+                                         ("depth", np.nan), ("depth", np.inf)])
+def test_config_refuses_non_integer_dimension_and_depth(name, value):
+    with pytest.raises(ValueError, match=f"TreeConfig {name} must be an int, "
+                                         f"got {re.escape(repr(value))}"):
+        ef.TreeConfig(**{"dimension": 3, "side": 1.0, "depth": 3, name: value})
+
+
+def test_config_stores_integral_dimension_and_depth_as_int():
+    config = ef.TreeConfig(np.int64(2), 1.0, 3.0)
+    assert type(config.dimension) is int and type(config.depth) is int
+    assert config == ef.TreeConfig(2, 1.0, 3)
+    tree = ef.build_tree(np.zeros((1, 2)), config)
+    assert tree.level_multi[3].shape == (1, 2)
 
 
 def test_half_width_halves_per_level():
