@@ -31,24 +31,6 @@ def require_tolerance(name, value):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-class TrainingSet:
-    """Candidate argmax points for the greedy search, one array per side."""
-
-    def __init__(self, points_x, points_y):
-        self.points_x = np.atleast_2d(np.asarray(points_x, dtype=float))
-        self.points_y = np.atleast_2d(np.asarray(points_y, dtype=float))
-        if self.points_x.size == 0 or self.points_y.size == 0:
-            raise ValueError("training sets must be non-empty")
-        if self.points_x.shape[1] != self.points_y.shape[1]:
-            raise ValueError("training sets must share the point dimension")
-
-    def __repr__(self):
-        return (
-            f"TrainingSet({self.points_x.shape[0]} x-candidates, "
-            f"{self.points_y.shape[0]} y-candidates)"
-        )
-
-
 class EimModel:
     """Separable kernel approximant selected greedily from training grids.
 
@@ -75,10 +57,6 @@ class EimModel:
     def d(self):
         """Number of interpolation terms."""
         return self.x_points.shape[0]
-
-    @property
-    def dimension(self):
-        return self.x_points.shape[1]
 
     def coefficients(self, rhs):
         """Map kernel samples at the x nodes to coefficients on the y basis.
@@ -119,8 +97,9 @@ class EimModel:
         return f"EimModel(d={self.d})"
 
 
-def eim_build(kernel, training, tolerance, max_terms=300):
-    """Select interpolation nodes until the training residual is small.
+def eim_build(kernel, points_x, points_y, tolerance, max_terms=300):
+    """Select interpolation nodes, x among points_x and y among points_y,
+    until the residual over their product is small.
 
     Stops once the max residual over the training product drops below
     tolerance relative to its starting value, or after max_terms terms, or
@@ -129,7 +108,11 @@ def eim_build(kernel, training, tolerance, max_terms=300):
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     require_tolerance("tolerance", tolerance)
-    px, py = training.points_x, training.points_y
+    px, py = (np.atleast_2d(np.asarray(p, dtype=float)) for p in (points_x, points_y))
+    if px.size == 0 or py.size == 0:
+        raise ValueError("training sets must be non-empty")
+    if px.shape[1] != py.shape[1]:
+        raise ValueError("training sets must share the point dimension")
     n_rows, n_cols = px.shape[0], py.shape[0]
     # Each chunk's row maxima are taken from its kernel values, so no
     # second residual-sized array is ever formed.
@@ -194,8 +177,8 @@ def eim_build(kernel, training, tolerance, max_terms=300):
     basis = np.stack([r[cols_sel] for r in basis_rows], axis=1)
     pivots = np.stack([c[rows_sel] for c in pivot_cols], axis=1)
     return EimModel(
-        x_points=training.points_x[rows_sel],
-        y_points=training.points_y[cols_sel],
+        x_points=px[rows_sel],
+        y_points=py[cols_sel],
         basis_matrix=basis,
         pivot_matrix=pivots,
         residual_history=np.asarray(history),

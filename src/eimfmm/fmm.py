@@ -158,6 +158,15 @@ def _source_tree(sources, targets, target_tree, source_tree=None):
     return _tree_of("source", sources, target_tree.config, source_tree)
 
 
+def _require_memory(need, what, advice):
+    """Refuse, with a ValueError, to allocate need bytes for what when they
+    exceed the machine's physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ValueError(f"{what} in {need} bytes, more than the {memory} "
+                         f"bytes of physical memory; {advice}")
+
+
 def _box_lookup(target_multi, source_multi, level):
     """(base, lookup, strides): the source box at integer offset off (each
     component at most _PAD) from target box i is at position
@@ -165,9 +174,14 @@ def _box_lookup(target_multi, source_multi, level):
     the level's box grid padded by _PAD boxes on every side, as int32
     whenever the source box count allows it."""
     side = 2**level + 2 * _PAD
-    strides = side ** np.arange(target_multi.shape[1] - 1, -1, -1, dtype=np.int64)
-    lookup = np.full(side ** target_multi.shape[1], -1,
-                     dtype=get_index_dtype(maxval=source_multi.shape[0]))
+    dim = target_multi.shape[1]
+    size = side**dim
+    index = get_index_dtype(maxval=source_multi.shape[0])
+    _require_memory(size * np.dtype(index).itemsize,
+                    f"the box lookup of level {level} would hold {size} entries",
+                    "a shallower tree needs a smaller one")
+    strides = side ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    lookup = np.full(size, -1, dtype=index)
     lookup[(source_multi + _PAD) @ strides] = np.arange(source_multi.shape[0])
     return (target_multi + _PAD) @ strides, lookup, strides
 
@@ -273,6 +287,15 @@ class SummationPlan:
             raise CacheMismatchError(
                 f"cache {key} does not match kernel {kernel.name!r} and {config}"
             )
+        # A symmetric kernel's plan may apply M_P^T = M_{-P}, which needs the
+        # one transfer basis only a symmetric build has; the key does not
+        # record symmetry.
+        for level, ops in cache.m2l.items():
+            if kernel.is_symmetric and not np.array_equal(ops.row_basis, ops.projector):
+                raise CacheMismatchError(
+                    f"cache {key} was built for a non-symmetric kernel: its "
+                    f"level {level} transfer bases differ, and kernel "
+                    f"{kernel.name!r} is declared symmetric")
         self.kernel = kernel
         self.config = config
         self.cache = cache
@@ -495,13 +518,9 @@ def _near_matrix(kernel, target_tree, source_tree, half):
     row_len = leaf_len[leaf_of_row]
     nnz = int(row_len.sum())
     index_dtype = get_index_dtype(maxval=max(nnz, src.n_points))
-    need = nnz * (8 + np.dtype(index_dtype).itemsize)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
-        raise ValueError(
-            f"the near field would store {nnz} pairs in {need} bytes, more "
-            f"than the {memory} bytes of physical memory; a deeper tree "
-            "stores fewer pairs")
+    _require_memory(nnz * (8 + np.dtype(index_dtype).itemsize),
+                    f"the near field would store {nnz} pairs",
+                    "a deeper tree stores fewer pairs")
     indptr = np.zeros(tgt.n_points + 1, dtype=index_dtype)
     np.cumsum(row_len, out=indptr[1:])
     data = np.empty(nnz)

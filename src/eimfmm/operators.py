@@ -27,8 +27,8 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 from scipy.linalg import qr
 
-from .eim import EimModel, TrainingSet, eim_build, require_tolerance
-from .tree import child_offsets, level_geometry, training_grids, transfer_offsets
+from .eim import EimModel, eim_build, require_tolerance
+from .tree import child_offsets, training_grids, transfer_offsets
 
 CACHE_MAGIC = b"EIMFMM01"
 CACHE_VERSION = 5
@@ -140,25 +140,19 @@ def build_level_eims(kernel, config, level, tolerance, max_terms,
         deepest = build_level_eims(kernel, config, config.depth, tolerance,
                                    max_terms, resolution, x_budget)
         return _rescaled(kernel, deepest, config.depth - level)
-    geo = level_geometry(config, level)
-    train = training_grids(geo, resolution, x_budget)
+    px, py = training_grids(config, level, resolution, x_budget)
     # the deepest level stands in for every coarser one of a scaling kernel
     factors = 2.0 ** np.arange(1, level - 1) if kernel.scaling is not None else ()
-    _check_promises(kernel, train, tolerance, factors)
-    radiating = eim_build(kernel, train, tolerance, max_terms)
+    _check_promises(kernel, px, py, tolerance, factors)
+    radiating = eim_build(kernel, px, py, tolerance, max_terms)
     if kernel.is_symmetric:
         receiving = radiating.transposed()
     else:
-        receiving = eim_build(
-            kernel,
-            TrainingSet(train.points_y, train.points_x),
-            tolerance,
-            max_terms,
-        )
+        receiving = eim_build(kernel, py, px, tolerance, max_terms)
     return LevelEims(level=level, radiating=radiating, receiving=receiving)
 
 
-def _check_promises(kernel, train, tolerance, factors):
+def _check_promises(kernel, points_x, points_y, tolerance, factors):
     """Refuse a kernel that breaks what it declares, on a fixed subsample of
     <= 64 x 64 of the training pairs.  Symmetry selects the transposed
     receiving model, the half near field and V = U; a scaling selects
@@ -166,7 +160,7 @@ def _check_promises(kernel, train, tolerance, factors):
     wrong for a kernel that breaks it, so K(y, x) must match K(x, y), and
     K(a x, a y) must match a^p K(x, y), within tolerance of the largest
     value compared."""
-    xs, ys = (p[::-(-len(p) // 64)] for p in (train.points_x, train.points_y))
+    xs, ys = (p[::-(-len(p) // 64)] for p in (points_x, points_y))
     forward = kernel.pairwise(xs, ys)
     checks = []
     if kernel.is_symmetric:

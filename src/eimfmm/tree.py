@@ -2,13 +2,12 @@
 
 A Tree bins its points once: it sorts them by leaf and recenters each on
 its leaf, which is all the leaf passes and the near field read per point.
-Alongside point binning, this module owns the per-level reference geometry
-the far-field operators are built on: a source box recentered at the
-origin, the hollow "far region" holding every well-separated translate,
-and the training lattices sampled from both.  Well-separation is the
-integer criterion (Chebyshev index distance >= 2), and the lattice zones
-are cubes of whole cells, so no floating-point tie cases exist in any list
-or grid.
+Alongside point binning, this module samples the greedy's training points
+per level (training_grids): one array in the far region, the hollow cube
+holding every well-separated translate, and one in the source box, both
+recentered at the origin.  Well-separation is the integer criterion
+(Chebyshev index distance >= 2), and the lattice zones are cubes of whole
+cells, so no floating-point tie cases exist in any list or grid.
 """
 
 import itertools
@@ -17,8 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .eim import TrainingSet
 
 
 @dataclass(frozen=True)
@@ -45,6 +42,10 @@ class TreeConfig:
             # Levels 0 and 1 have no well-separated boxes, so a shallower
             # tree has an empty far field and nothing to accelerate.
             raise ValueError("depth must be at least 2")
+        if self.dimension * self.depth > 63:
+            # a leaf's flat index has dimension * depth bits, in an int64
+            raise ValueError(f"dimension * depth must be at most 63, got "
+                             f"{self.dimension} * {self.depth}")
         if self.center is None:
             c = np.zeros(self.dimension)
         else:
@@ -60,37 +61,6 @@ class TreeConfig:
 
     def center_array(self):
         return np.asarray(self.center, dtype=float)
-
-
-@dataclass(frozen=True)
-class LevelGeometry:
-    """Reference domains of one level, translated to the origin.
-
-    The source box is the cube [-half_width, half_width]^D.  The far region
-    is the closed cube of bound far_outer minus the open cube of bound
-    far_inner; it contains the recentered position of every point of every
-    well-separated same-level box.
-    """
-
-    level: int
-    dimension: int
-    half_width: float
-    far_outer: float   # side - half_width
-    far_inner: float   # 3 * half_width, open exclusion bound
-
-
-def level_geometry(config, level):
-    """Per-level reference geometry; valid for 0 <= level <= depth."""
-    if not (0 <= level <= config.depth):
-        raise ValueError(f"level {level} outside 0..{config.depth}")
-    half = config.half_width(level)
-    return LevelGeometry(
-        level=level,
-        dimension=config.dimension,
-        half_width=half,
-        far_outer=config.side - half,
-        far_inner=3.0 * half,
-    )
 
 
 def _unrank_hollow(ranks, n, lo, hi, dimension):
@@ -115,15 +85,23 @@ def _thinned(n, hole, dimension, take):
     return _unrank_hollow(ranks, n, lo, lo + hole, dimension)
 
 
-def training_grids(geometry, resolution, x_budget=8192):
-    """Cell-centered candidate grids for the greedy node searches.
+def training_grids(config, level, resolution, x_budget=8192):
+    """Candidate points (points_x, points_y) for a level's greedy node
+    searches, cell-centered on the level's reference domains translated to
+    the origin; valid for 0 <= level <= depth.
 
-    The source-box grid has resolution^D points strictly inside the box.
-    The far-region grid reuses the same spacing over the n^D cells covering
-    the outer cube, n = (2^(level+1) - 1) * resolution, minus the centered
-    cube of 3 * resolution cells per axis.  It is split in two zones, each
-    thinned to evenly spaced row-major ranks (the lattice at deep levels is
-    far too large to materialize, let alone train on):
+    The source box is the cube [-h, h]^D, h the level's half width.  The
+    far region is the closed cube of bound side - h minus the open cube of
+    bound 3h; it contains the recentered position of every point of every
+    well-separated same-level box.
+
+    The source-box grid, points_y, has resolution^D points strictly inside
+    the box.  The far-region grid, points_x, reuses the same spacing over
+    the n^D cells covering the outer cube, n = (2^(level+1) - 1) *
+    resolution, minus the centered cube of 3 * resolution cells per axis.
+    It is split in two zones, each thinned to evenly spaced row-major ranks
+    (the lattice at deep levels is far too large to materialize, let alone
+    train on):
 
     * the transfer shell, the centered 7 * resolution cells per axis (max-norm
       distance up to 7 half-widths), where the kernel varies fastest and all
@@ -134,27 +112,30 @@ def training_grids(geometry, resolution, x_budget=8192):
       the kernel restricted there is far smoother, but the upward/downward
       recursions still evaluate the interpolants there.
     """
+    if not (0 <= level <= config.depth):
+        raise ValueError(f"level {level} outside 0..{config.depth}")
     res = int(resolution)
     if res != resolution or res < 2:
         raise ValueError("resolution must be an integer of at least 2")
     if x_budget < 1:
         raise ValueError("x_budget must be positive")
-    dim = geometry.dimension
-    half = geometry.half_width
+    dim = config.dimension
+    half = config.half_width(level)
+    far_outer = config.side - half
     spacing = 2.0 * half / res
     ycoords = -half + (np.arange(res) + 0.5) * spacing
     cells = np.unravel_index(np.arange(res**dim), (res,) * dim)
     points_y = ycoords[np.stack(cells, axis=1)]
 
-    n = int(round(2.0 * geometry.far_outer / spacing))
-    xcoords = -geometry.far_outer + (np.arange(n) + 0.5) * spacing
+    n = int(round(2.0 * far_outer / spacing))
+    xcoords = -far_outer + (np.arange(n) + 0.5) * spacing
     hole, shell = 3 * res, min(7 * res, n)
     if n <= hole:
-        raise ValueError(f"level {geometry.level} has no far region")
+        raise ValueError(f"level {level} has no far region")
     idx = _thinned(shell, hole, dim, x_budget) + (n - shell) // 2
     if n > shell:
         idx = np.concatenate([idx, _thinned(n, shell, dim, max(1, x_budget // 4))])
-    return TrainingSet(xcoords[idx], points_y)
+    return xcoords[idx], points_y
 
 
 @dataclass(frozen=True)
@@ -244,8 +225,10 @@ class Tree:
             )
         nleaf = 2**config.depth
         cell = config.side / nleaf
-        leaf_multi = np.floor((shifted + half_side) / cell).astype(np.int64)
-        np.clip(leaf_multi, 0, nleaf - 1, out=leaf_multi)
+        # unsigned, so the upper face's index nleaf casts even at nleaf = 2^63
+        leaf_multi = np.floor((shifted + half_side) / cell).astype(np.uint64)
+        np.minimum(leaf_multi, nleaf - 1, out=leaf_multi)
+        leaf_multi = leaf_multi.view(np.int64)
 
         self.config = config
         flat = self._ravel(leaf_multi, config.depth)
@@ -254,9 +237,10 @@ class Tree:
         self.sorted_points = points[order]
         multi = leaf_multi[order]
         # Exact dyadic leaf centers, so recentering commutes with a dyadic
-        # translation of the domain.
+        # translation of the domain (2 * multi + 1 in floats: exact to depth
+        # 52, and no int64 wrap at 63).
         half = config.half_width(config.depth)
-        self.leaf_local = shifted[order] - ((2 * multi + 1) * half - half_side)
+        self.leaf_local = shifted[order] - ((2.0 * multi + 1) * half - half_side)
         leaves, starts, counts = np.unique(
             flat[order], return_index=True, return_counts=True
         )
@@ -275,7 +259,7 @@ class Tree:
         dim = self.config.dimension
         if multi.size == 0:
             return np.empty(0, dtype=np.int64)
-        weights = (2**level) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        weights = np.int64(1) << (level * np.arange(dim - 1, -1, -1, dtype=np.int64))
         return multi @ weights
 
     @property

@@ -6,20 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eimfmm as ef
-from eimfmm.eim import TrainingSet, eim_build
-from eimfmm.tree import level_geometry, training_grids
+from eimfmm.eim import eim_build
+from eimfmm.tree import training_grids
 
 
 def small_training(dim=2, level=2, resolution=6):
     config = ef.TreeConfig(dimension=dim, side=1.0, depth=3)
-    return training_grids(level_geometry(config, level), resolution)
+    return training_grids(config, level, resolution)
 
 
 def grid_residual(model, kernel, training):
     """Worst absolute interpolation error over the full training product."""
-    exact = kernel.pairwise(training.points_x, training.points_y)
-    at_nodes_y = kernel.pairwise(training.points_x, model.y_points)
-    at_nodes_x = kernel.pairwise(model.x_points, training.points_y)
+    points_x, points_y = training
+    exact = kernel.pairwise(points_x, points_y)
+    at_nodes_y = kernel.pairwise(points_x, model.y_points)
+    at_nodes_x = kernel.pairwise(model.x_points, points_y)
     return np.abs(exact - at_nodes_y @ model.coefficients(at_nodes_x)).max()
 
 
@@ -28,23 +29,24 @@ def laplace_model():
     # resolution 8 keeps the greedy well away from grid exhaustion at 1e-7
     kernel = ef.make_builtin_kernel("laplace")
     training = small_training(resolution=8)
-    return kernel, training, eim_build(kernel, training, 1e-7)
+    return kernel, training, eim_build(kernel, *training, 1e-7)
 
 
 def test_training_set_validation():
-    with pytest.raises(ValueError):
-        TrainingSet(np.empty((0, 2)), np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        TrainingSet(np.ones((3, 2)), np.ones((3, 3)))
+    kernel = ef.make_builtin_kernel("gaussian")
+    with pytest.raises(ValueError, match="non-empty"):
+        eim_build(kernel, np.empty((0, 2)), np.ones((3, 2)), 1e-6)
+    with pytest.raises(ValueError, match="point dimension"):
+        eim_build(kernel, np.ones((3, 2)), np.ones((3, 3)), 1e-6)
 
 
 def test_eim_build_validation():
     kernel, training = ef.make_builtin_kernel("gaussian"), small_training()
     with pytest.raises(ValueError, match="max_terms"):
-        eim_build(kernel, training, 1e-6, max_terms=0)
+        eim_build(kernel, *training, 1e-6, max_terms=0)
     for tolerance in (0.0, -1e-6, np.nan, np.inf):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
-            eim_build(kernel, training, tolerance)
+            eim_build(kernel, *training, tolerance)
 
 
 def test_certified_stop_and_history(laplace_model):
@@ -52,9 +54,7 @@ def test_certified_stop_and_history(laplace_model):
     h = model.residual_history
     assert len(h) == model.d + 1
     assert h[-1] <= 1e-7 * h[0]
-    assert h[0] == pytest.approx(
-        np.abs(kernel.pairwise(training.points_x, training.points_y)).max()
-    )
+    assert h[0] == pytest.approx(np.abs(kernel.pairwise(*training)).max())
 
 
 def test_certified_tail_matches_recomputation(laplace_model):
@@ -106,9 +106,9 @@ def test_coefficients_match_dense_inverse(laplace_model):
 
 def test_node_exactness(laplace_model):
     # interpolant equals the kernel whenever either argument is a node
-    kernel, training, model = laplace_model
-    kx = kernel.pairwise(model.x_points, training.points_y)
-    ky = kernel.pairwise(training.points_x, model.y_points)
+    kernel, (points_x, points_y), model = laplace_model
+    kx = kernel.pairwise(model.x_points, points_y)
+    ky = kernel.pairwise(points_x, model.y_points)
     a = kernel.pairwise(model.x_points, model.y_points)
     scale = np.abs(kx).max()
     assert np.max(np.abs(a @ model.coefficients(kx) - kx)) < 1e-12 * scale
@@ -116,12 +116,12 @@ def test_node_exactness(laplace_model):
 
 
 def test_selected_points_come_from_training(laplace_model):
-    _, training, model = laplace_model
+    _, (points_x, points_y), model = laplace_model
     def rows_in(points, pool):
         pool_view = {tuple(p) for p in pool}
         return all(tuple(p) in pool_view for p in points)
-    assert rows_in(model.x_points, training.points_x)
-    assert rows_in(model.y_points, training.points_y)
+    assert rows_in(model.x_points, points_x)
+    assert rows_in(model.y_points, points_y)
     # nodes are distinct
     assert len({tuple(p) for p in model.x_points}) == model.d
     assert len({tuple(p) for p in model.y_points}) == model.d
@@ -131,7 +131,7 @@ def test_greedy_not_worse_than_svd_rank(laplace_model):
     # sigma_{d+1} <= sqrt(Nx*Ny) * max-residual: the greedy's certified
     # max-norm tail bounds the optimal rank at the blown-up threshold
     kernel, training, model = laplace_model
-    matrix = kernel.pairwise(training.points_x, training.points_y)
+    matrix = kernel.pairwise(*training)
     svals = np.linalg.svd(matrix, compute_uv=False)
     bound = np.sqrt(matrix.size) * model.residual_history[-1]
     assert svals[model.d] <= bound
@@ -152,9 +152,9 @@ def test_transposed_model_swaps_roles(laplace_model):
 
 
 def test_interpolate_single_pair(laplace_model):
-    kernel, training, model = laplace_model
-    x = training.points_x[5]
-    y = training.points_y[7]
+    kernel, (points_x, points_y), model = laplace_model
+    x = points_x[5]
+    y = points_y[7]
     at_nodes_x = kernel.pairwise(model.x_points, y[np.newaxis, :])[:, 0]
     at_nodes_y = kernel.pairwise(x[np.newaxis, :], model.y_points)[0]
     approx = at_nodes_y @ model.coefficients(at_nodes_x)
@@ -165,7 +165,7 @@ def test_interpolation_grid_error_within_tolerance():
     kernel = ef.make_builtin_kernel("gaussian")
     training = small_training(resolution=7)
     for tol in (1e-3, 1e-6, 1e-9):
-        model = eim_build(kernel, training, tol)
+        model = eim_build(kernel, *training, tol)
         err = grid_residual(model, kernel, training)
         assert err <= tol * model.residual_history[0] * (1 + 1e-12)
 
@@ -173,14 +173,14 @@ def test_interpolation_grid_error_within_tolerance():
 def test_tolerance_monotonicity():
     kernel = ef.make_builtin_kernel("multiquadric")
     training = small_training()
-    sizes = [eim_build(kernel, training, tol).d for tol in (1e-2, 1e-5, 1e-8)]
+    sizes = [eim_build(kernel, *training, tol).d for tol in (1e-2, 1e-5, 1e-8)]
     assert sizes == sorted(sizes)
 
 
 def test_max_terms_cap():
     kernel = ef.make_builtin_kernel("gaussian")
     training = small_training()
-    model = eim_build(kernel, training, 1e-300, max_terms=5)
+    model = eim_build(kernel, *training, 1e-300, max_terms=5)
     assert model.d == 5
     assert len(model.residual_history) == 6
     assert not model.degenerate
@@ -189,7 +189,7 @@ def test_max_terms_cap():
 def test_degenerate_flag_on_numerically_exhausted_kernel():
     kernel = ef.make_builtin_kernel("gaussian")
     training = small_training()
-    model = eim_build(kernel, training, 1e-300, max_terms=300)
+    model = eim_build(kernel, *training, 1e-300, max_terms=300)
     assert model.degenerate
     assert model.residual_history[-1] < 1e-12 * model.residual_history[0]
 
@@ -197,14 +197,14 @@ def test_degenerate_flag_on_numerically_exhausted_kernel():
 def test_rank_one_kernel_stops_immediately():
     # exp(sum(x - y)) factorizes exactly, so one term suffices
     sep = ef.Kernel("separable", lambda d: np.exp(d.sum(axis=-1)), True)
-    model = eim_build(sep, small_training(), 1e-300, max_terms=50)
+    model = eim_build(sep, *small_training(), 1e-300, max_terms=50)
     assert model.d == 1
 
 
 def _reference_greedy(kernel, training, tolerance, max_terms=300):
     """The greedy loop written plainly: an ``np.outer`` update and separate
     |resid| passes for the pivot row and the recorded residual."""
-    resid = kernel.pairwise(training.points_x, training.points_y)
+    resid = kernel.pairwise(*training)
     scale = float(np.abs(resid).max())
     history, rows, cols = [scale], [], []
     degenerate = False
@@ -240,10 +240,10 @@ def test_greedy_matches_reference_loop(case, drift_kernel):
         "gaussian-exhausted": (ef.make_builtin_kernel("gaussian"),
                                small_training(), 1e-300),
     }[case]
-    model = eim_build(kernel, training, tol)
+    model = eim_build(kernel, *training, tol)
     rows, cols, history, degenerate = _reference_greedy(kernel, training, tol)
-    assert np.array_equal(model.x_points, training.points_x[rows])
-    assert np.array_equal(model.y_points, training.points_y[cols])
+    assert np.array_equal(model.x_points, training[0][rows])
+    assert np.array_equal(model.y_points, training[1][cols])
     assert model.d == len(rows)
     assert model.degenerate == degenerate
     # same arithmetic in the same order, so the history is bitwise equal
@@ -255,14 +255,14 @@ def test_greedy_matches_reference_loop(case, drift_kernel):
 def test_greedy_independent_of_chunk_budget(monkeypatch):
     kernel = ef.make_builtin_kernel("laplace")
     training = small_training(dim=3, level=3, resolution=5)
-    n_rows, n_cols = training.points_x.shape[0], training.points_y.shape[0]
-    full = eim_build(kernel, training, 1e-6)
+    n_rows, n_cols = training[0].shape[0], training[1].shape[0]
+    full = eim_build(kernel, *training, 1e-6)
     # fill chunks of seven whole rows (update blocks of one column), then
     # two fill chunks (blocks of 62 columns); each leaves a shorter last one
     for rows in (7, n_rows // 2 + 1):
         assert n_rows % rows != 0
         monkeypatch.setattr(ef.kernels, "_EVAL_CHUNK", rows * n_cols + 3)
-        chunked = eim_build(kernel, training, 1e-6)
+        chunked = eim_build(kernel, *training, 1e-6)
         for name in ("x_points", "y_points", "basis_matrix", "pivot_matrix",
                      "residual_history"):
             assert np.array_equal(getattr(chunked, name),
@@ -274,12 +274,12 @@ def test_greedy_holds_one_residual():
     # values: the fill's displacements and the update's cross block
     kernel = ef.make_builtin_kernel("laplace")
     config = ef.TreeConfig(dimension=3, side=1.0, depth=3)
-    training = training_grids(level_geometry(config, 3), 6, 1024)
-    n_rows, n_cols = training.points_x.shape[0], training.points_y.shape[0]
+    training = training_grids(config, 3, 6, 1024)
+    n_rows, n_cols = training[0].shape[0], training[1].shape[0]
     assert n_cols < ef.kernels._EVAL_CHUNK
     tracemalloc.start()
     try:
-        model = eim_build(kernel, training, 1e-6, max_terms=66)
+        model = eim_build(kernel, *training, 1e-6, max_terms=66)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -293,7 +293,7 @@ def test_greedy_holds_one_residual():
 def test_coefficients_solve_property(seed):
     # property: for any rhs, A @ coefficients(rhs) == rhs
     kernel = ef.make_builtin_kernel("gaussian")
-    model = eim_build(kernel, small_training(resolution=4), 1e-6)
+    model = eim_build(kernel, *small_training(resolution=4), 1e-6)
     a = kernel.pairwise(model.x_points, model.y_points)
     rhs = np.random.default_rng(seed).standard_normal(model.d)
     back = a @ model.coefficients(rhs)
@@ -303,7 +303,6 @@ def test_coefficients_solve_property(seed):
 def test_build_on_3d_levels_matches_2d_structure():
     kernel = ef.make_builtin_kernel("gaussian")
     config = ef.TreeConfig(dimension=3, side=1.0, depth=4)
-    training = training_grids(level_geometry(config, 3), 5)
-    model = eim_build(kernel, training, 1e-4)
-    assert model.dimension == 3
+    model = eim_build(kernel, *training_grids(config, 3, 5), 1e-4)
+    assert model.x_points.shape[1] == model.y_points.shape[1] == 3
     assert model.d == len(model.x_points) == len(model.y_points)

@@ -688,6 +688,53 @@ def test_near_field_refuses_more_pairs_than_memory(cache, monkeypatch):
     assert plan._near is None
 
 
+def test_box_lookup_refuses_more_entries_than_memory(monkeypatch):
+    # the dense lookup of a 3D depth-11 tree spans (2^11 + 6)^3 int32
+    # entries, 34.7 GB whatever the point count; the near field that asks
+    # for it refuses it before it is allocated, and np.full fails the test
+    # if it is reached
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=11)
+    tree = ef.build_tree(np.zeros((1, 3)), config)
+    entries = (2**11 + 6) ** 3
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if memory >= 4 * entries:
+        pytest.skip("this machine could hold the lookup")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the box lookup was allocated")
+
+    monkeypatch.setattr(np, "full", refuse)
+    message = (f"the box lookup of level 11 would hold {entries} entries in "
+               f"{4 * entries} bytes, more than the {memory} bytes of physical "
+               "memory; a shallower tree needs a smaller one")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ef.fmm._near_matrix(KERNEL, tree, tree, True)
+
+
+def test_symmetric_kernel_refuses_a_non_symmetric_cache():
+    # the key does not record symmetry: a profile built as non-symmetric
+    # has two transfer bases, and a plan declaring it symmetric would apply
+    # M_P^T = M_{-P} across them
+    def profile(disp):
+        return np.exp(-np.einsum("...k,...k->...", disp, disp))
+
+    one_way = ef.Kernel("gauss-profile", profile, is_symmetric=False)
+    both_ways = ef.Kernel("gauss-profile", profile, is_symmetric=True)
+    points = np.random.default_rng(8).uniform(-0.5, 0.5, size=(300, 2))
+    weights = np.ones(300)
+    built_one_way = ef.build_operator_cache(one_way, CONFIG, 1e-4,
+                                            resolution=6, x_budget=256)
+    with pytest.raises(ef.CacheMismatchError, match="level 3 transfer bases differ"):
+        ef.SummationPlan(both_ways, points, points, CONFIG, built_one_way)
+    # a symmetric build serves a kernel declared either way
+    built_both_ways = ef.build_operator_cache(both_ways, CONFIG, 1e-4,
+                                              resolution=6, x_budget=256)
+    far = [ef.SummationPlan(kernel, points, points, CONFIG,
+                            built_both_ways).apply_far(weights)[0]
+           for kernel in (both_ways, one_way)]
+    assert np.allclose(far[1], far[0], rtol=0, atol=1e-12 * np.abs(far[0]).max())
+
+
 def test_add_rows_matches_fancy_add():
     rng = np.random.default_rng(4)
     for width in (3, 0):

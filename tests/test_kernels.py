@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eimfmm as ef
-from eimfmm.tree import level_geometry, training_grids
+from eimfmm.tree import training_grids
 
 VECTORS = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -57,9 +57,9 @@ def test_pairwise_rounds_like_an_in_order_sum():
     # takes its displacements in the leaf passes' coordinate-plane layout,
     # where r^2 is summed coordinate by coordinate in order.
     config = ef.TreeConfig(dimension=3, side=1.0, depth=4)
-    train = training_grids(level_geometry(config, 4), 7, 8192)
-    values = ef.make_builtin_kernel("laplace").pairwise(train.points_x, train.points_y)
-    d = train.points_x[:, None, :] - train.points_y[None, :, :]
+    points_x, points_y = training_grids(config, 4, 7, 8192)
+    values = ef.make_builtin_kernel("laplace").pairwise(points_x, points_y)
+    d = points_x[:, None, :] - points_y[None, :, :]
     r2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
     assert values.shape == (10240, 343)
     assert np.array_equal(values, 1.0 / np.sqrt(r2))

@@ -15,10 +15,9 @@ import pytest
 
 import eimfmm as ef
 from eimfmm import operators
-from eimfmm.eim import TrainingSet, eim_build
+from eimfmm.eim import eim_build
 from eimfmm.operators import LevelEims, _tail_rank
-from eimfmm.tree import (child_offsets, level_geometry, training_grids,
-                         transfer_offsets)
+from eimfmm.tree import child_offsets, training_grids, transfer_offsets
 
 EPS = np.finfo(float).eps
 KERNEL = ef.make_builtin_kernel("gaussian")
@@ -141,10 +140,10 @@ def test_symmetric_receiving_shares_nodes(small_cache):
 
 def test_level_model_node_roles(small_cache):
     for level in (2, 3):
-        geo = level_geometry(CONFIG, level)
+        half = CONFIG.half_width(level)
         rad = small_cache.eims[level].radiating
-        assert np.abs(rad.y_points).max() <= geo.half_width
-        assert np.abs(rad.x_points).max(axis=1).min() >= geo.far_inner
+        assert np.abs(rad.y_points).max() <= half
+        assert np.abs(rad.x_points).max(axis=1).min() >= 3 * half
 
 
 def test_vertical_operators_check_child_level(small_cache):
@@ -394,9 +393,9 @@ def test_nonsymmetric_kernel_builds_both_directions(drift_kernel, drift_cache):
     )
     for level in (2, 3):
         pair = drift_cache.eims[level]
-        geo = level_geometry(CONFIG, level)
-        assert np.abs(pair.receiving.x_points).max() <= geo.half_width
-        assert np.abs(pair.receiving.y_points).max(axis=1).min() >= geo.far_inner
+        half = CONFIG.half_width(level)
+        assert np.abs(pair.receiving.x_points).max() <= half
+        assert np.abs(pair.receiving.y_points).max(axis=1).min() >= 3 * half
         ops = drift_cache.m2l[level]
         assert ops.row_basis.shape[0] == pair.radiating.d
         assert ops.projector.shape[0] == pair.receiving.d
@@ -405,12 +404,9 @@ def test_nonsymmetric_kernel_builds_both_directions(drift_kernel, drift_cache):
 
 def test_m2l_unequal_term_counts_assemble(drift_kernel):
     drift = drift_kernel
-    geo = level_geometry(CONFIG, 2)
-    train = training_grids(geo, 6, 256)
-    radiating = eim_build(drift, train, 1e-12, max_terms=6)
-    receiving = eim_build(
-        drift, TrainingSet(train.points_y, train.points_x), 1e-12, max_terms=9
-    )
+    px, py = training_grids(CONFIG, 2, 6, 256)
+    radiating = eim_build(drift, px, py, 1e-12, max_terms=6)
+    receiving = eim_build(drift, py, px, 1e-12, max_terms=9)
     assert (radiating.d, receiving.d) == (6, 9)
     pair = LevelEims(level=2, radiating=radiating, receiving=receiving)
     ops = ef.assemble_m2l(drift, CONFIG, 2, pair, 1e-6)

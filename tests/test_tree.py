@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import eimfmm as ef
 from eimfmm.fmm import _near_matrix
-from eimfmm.tree import (_unrank_hollow, child_offsets, level_geometry,
-                         parity_rank, training_grids)
+from eimfmm.tree import (_unrank_hollow, child_offsets, parity_rank,
+                         training_grids)
 
 
 def _brute_leaf_multi(points, config):
@@ -66,37 +66,54 @@ def test_half_width_halves_per_level():
     assert config.half_width(0) == 0.5 * config.half_width(0) * 2
 
 
-def test_level_geometry_regions():
+@pytest.mark.parametrize("dim,depth", [(3, 21), (2, 31), (1, 63)])
+def test_config_refuses_box_indices_beyond_int64(dim, depth):
+    # a box's flat index has dimension * level bits: 63 fit an int64, and
+    # the corner boxes of every level of the deepest tree allowed get the
+    # first and the last index
+    config = ef.TreeConfig(dimension=dim, side=1.0, depth=depth)
+    tree = ef.build_tree(np.array([[-0.5] * dim, [0.5] * dim]), config)
+    for level in range(1, depth + 1):
+        assert tree.level_flat[level].tolist() == [0, 2 ** (dim * level) - 1]
+    with pytest.raises(ValueError, match=re.escape(
+            f"dimension * depth must be at most 63, got {dim} * {depth + 1}")):
+        ef.TreeConfig(dimension=dim, side=1.0, depth=depth + 1)
+
+
+def test_training_grids_regions():
+    # the far points lie in the far region, 3h <= |x|_inf <= side - h
     config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
-    geo = level_geometry(config, 2)
-    l = geo.half_width
-    assert geo.far_inner == pytest.approx(3 * l)
-    assert geo.far_outer == pytest.approx(1.0 - l)
-    with pytest.raises(ValueError):
-        level_geometry(config, 5)
+    l = config.half_width(2)
+    far = np.abs(training_grids(config, 2, 6, x_budget=10**6)[0]).max(axis=1)
+    assert far.min() >= 3 * l and far.max() <= 1.0 - l
+    # cell centers half a spacing inside both bounds
+    assert far.min() == pytest.approx(3 * l + l / 6)
+    assert far.max() == pytest.approx(1.0 - l - l / 6)
+    with pytest.raises(ValueError, match=re.escape("level 5 outside 0..4")):
+        training_grids(config, 5, 6)
 
 
 def test_training_grid_membership_and_spacing():
     config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
     for level in (2, 3):
-        geo = level_geometry(config, level)
-        grids = training_grids(geo, 6, x_budget=500)
-        assert np.abs(grids.points_y).max() <= geo.half_width
-        far = np.abs(grids.points_x).max(axis=1)
-        assert far.min() >= geo.far_inner and far.max() <= geo.far_outer
-        assert len(grids.points_y) == 36
-        assert len(grids.points_x) <= 500 + 125
+        l = config.half_width(level)
+        points_x, points_y = training_grids(config, level, 6, x_budget=500)
+        assert np.abs(points_y).max() <= l
+        far = np.abs(points_x).max(axis=1)
+        assert far.min() >= 3 * l and far.max() <= config.side - l
+        assert len(points_y) == 36
+        assert len(points_x) <= 500 + 125
         # both grids share the same spacing
-        ys = np.unique(grids.points_y[:, 0])
-        assert np.allclose(np.diff(ys), 2 * geo.half_width / 6)
+        ys = np.unique(points_y[:, 0])
+        assert np.allclose(np.diff(ys), 2 * l / 6)
 
 
 def test_training_grid_needs_far_region():
     config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
     with pytest.raises(ValueError, match="far region"):
-        training_grids(level_geometry(config, 0), 4)
+        training_grids(config, 0, 4)
     with pytest.raises(ValueError, match="resolution must be an integer"):
-        training_grids(level_geometry(config, 2), 6.5)
+        training_grids(config, 2, 6.5)
 
 
 def _thin(zone, take):
@@ -111,24 +128,25 @@ def test_training_grids_match_brute_force_thinning(dim, resolution):
     # zone in row-major order, against the integer cell counts
     config = ef.TreeConfig(dimension=dim, side=1.0, depth=4)
     for level in (2, 3, 4):
-        geo = level_geometry(config, level)
-        spacing = 2 * geo.half_width / resolution
-        n = round(2 * geo.far_outer / spacing)
-        xs = -geo.far_outer + (np.arange(n) + 0.5) * spacing
+        half = config.half_width(level)
+        far_outer = config.side - half
+        spacing = 2 * half / resolution
+        n = round(2 * far_outer / spacing)
+        xs = -far_outer + (np.arange(n) + 0.5) * spacing
         axes = np.meshgrid(*[xs] * dim, indexing="ij")
         lattice = np.stack([a.ravel() for a in axes], axis=1)
         norm = np.abs(lattice).max(axis=1)
-        shell = lattice[(norm >= geo.far_inner) & (norm < 7 * geo.half_width)]
-        outer = lattice[norm >= 7 * geo.half_width]
-        ys = -geo.half_width + (np.arange(resolution) + 0.5) * spacing
+        shell = lattice[(norm >= 3 * half) & (norm < 7 * half)]
+        outer = lattice[norm >= 7 * half]
+        ys = -half + (np.arange(resolution) + 0.5) * spacing
         box = np.asarray(list(itertools.product(ys, repeat=dim)))
         for budget in (1, 5, 64, 1000, 10**6):
             expect = np.concatenate([_thin(shell, budget),
                                      _thin(outer, max(1, budget // 4))])
             for res, x_budget in ((resolution, budget), (float(resolution), float(budget))):
-                grids = training_grids(geo, res, x_budget)
-                assert np.array_equal(grids.points_x, expect)
-                assert np.array_equal(grids.points_y, box)
+                points_x, points_y = training_grids(config, level, res, x_budget)
+                assert np.array_equal(points_x, expect)
+                assert np.array_equal(points_y, box)
 
 
 def test_shell_pattern_identical_across_levels():
@@ -136,10 +154,10 @@ def test_shell_pattern_identical_across_levels():
     config = ef.TreeConfig(dimension=3, side=1.0, depth=5)
     ref = None
     for level in (2, 3, 4):
-        geo = level_geometry(config, level)
-        pts = training_grids(geo, 5, x_budget=1000).points_x
-        shell = pts[np.max(np.abs(pts), axis=1) < 7 * geo.half_width]
-        scaled = np.sort((shell / geo.half_width).round(9).view("f8"))
+        half = config.half_width(level)
+        pts = training_grids(config, level, 5, x_budget=1000)[0]
+        shell = pts[np.max(np.abs(pts), axis=1) < 7 * half]
+        scaled = np.sort((shell / half).round(9).view("f8"))
         if ref is None:
             ref = scaled
         else:
