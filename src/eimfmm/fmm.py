@@ -11,17 +11,19 @@ model's coefficient solve composed with the transfer row basis: the upward
 pass carries moments only and runs no triangular solve; the one solve left
 in a sweep is the leaf receiving model's, after the downward sum.
 
-The transfer pass applies the pairs under two complete parents (all 2^D
-children occupied) as one dense block M_P per parent offset P, over the
-2^D children of each parent pair, and the other pairs per offset, one way.
-For a symmetric kernel on a shared tree (the sources are the targets) the
-blocks are stored half, as the near field is, and M_P^T = M_{-P} is
-applied back.  Positions are int32 whenever box counts allow it.
+The transfer pass takes its pairs, once, as the children of neighbor parent
+pairs.  It applies those under two complete parents (all 2^D children
+occupied) as one dense block M_P per parent offset P, over the 2^D children
+of each parent pair, and the other pairs per offset, one way.  For a
+symmetric kernel on a shared tree (the sources are the targets) the blocks
+are stored half, as the near field is, and M_P^T = M_{-P} is applied back.
+Positions are int32 whenever box counts allow it.
 
 The leaf passes (P2M and L2P) read the tree's leaf-local coordinates,
 computed once when the tree is built.  Kernel evaluations go in chunks of
-at most kernels._EVAL_CHUNK values (whole leaves in the leaf passes, whole
-rows in the near build), so every displacement array stays cache-sized.
+at most kernels._EVAL_CHUNK values, split by one run splitter (_runs) into
+whole leaves in the leaf passes and whole rows in the near build, so every
+displacement array stays cache-sized.
 Displacements are built as one contiguous plane per coordinate and handed
 to the kernel as an (..., D) view of those planes.
 """
@@ -42,8 +44,7 @@ from .operators import (
     make_cache_key,
     save_cache,
 )
-from .tree import (_transfer_index_table, build_tree, child_offsets,
-                   parity_rank, require_finite, transfer_offsets)
+from .tree import _transfer_index_table, build_tree, child_offsets, require_finite
 
 _COINCIDENT_DISTANCE = 1e-300
 # Padding of the dense box lookup: the largest transfer offset component.
@@ -186,14 +187,6 @@ def _box_lookup(target_multi, source_multi, level):
     return (target_multi + _PAD) @ strides, lookup, strides
 
 
-def _children(tree, level):
-    """Per box at level - 1, its children's positions at level in parity
-    order, -1 where a child is absent."""
-    parents = tree.level_multi[level - 1]
-    base, lookup, strides = _box_lookup(2 * parents, tree.level_multi[level], level)
-    return lookup.take(base[:, None] + child_offsets(parents.shape[1]) @ strides)
-
-
 def _add_rows(target, pos, values):
     """target[pos] += values for distinct rows pos.  np.put of whole rows
     as opaque records is several times faster than a fancy assignment.
@@ -210,14 +203,15 @@ def _add_rows(target, pos, values):
 def _sibling_transfer(gathered, projected, ops, tgt_kids, src_kids, blocks, half):
     """Add the rows of the pairs under two complete parents: per parent
     offset P, M_P (one buffer) maps the 2^D source children of each parent
-    pair at P to its 2^D target children, and back by M_P^T when half."""
+    pair at P to its 2^D target children, and back by M_P^T when half; the
+    parent rows of blocks index the trees' children tables tgt_kids, src_kids."""
     if not blocks:
         return
     n_kids, r_v = tgt_kids.shape[1], projected.shape[1]
     block = np.empty((n_kids * ops.rank, n_kids * r_v))
     panels = block.reshape(n_kids, ops.rank, n_kids, r_v)
     for layout, tpar, spar in blocks:
-        for c_t, c_s, t in layout:
+        for (c_t, c_s), t in np.ndenumerate(layout):
             if t < 0:
                 panels[c_t, :, c_s] = 0.0
             else:
@@ -231,18 +225,23 @@ def _sibling_transfer(gathered, projected, ops, tgt_kids, src_kids, blocks, half
                 tpar.size, -1) @ block).reshape(spos.size, -1))
 
 
+def _runs(ends, budget):
+    """Runs of whole consecutive items, item i spanning the values from
+    ends[i - 1] (0 for the first) to ends[i], of at most budget values or
+    a single item each, as (first item, end item, first value, end value)."""
+    i0 = v0 = 0
+    while i0 < ends.size:
+        i1 = max(i0 + 1, int(np.searchsorted(ends, v0 + budget, side="right")))
+        v1 = int(ends[i1 - 1])
+        yield i0, i1, v0, v1
+        i0, v0 = i1, v1
+
+
 def _leaf_chunks(tree, terms):
-    """Runs of whole consecutive leaves, at most _EVAL_CHUNK // terms points
-    (so _EVAL_CHUNK kernel values against terms nodes) or a single leaf
-    each, as (first leaf, end leaf, first point, end point)."""
-    points = kernels._EVAL_CHUNK // terms
-    ends = tree.leaf_starts + tree.leaf_counts
-    l0 = 0
-    while l0 < ends.size:
-        p0 = int(tree.leaf_starts[l0])
-        l1 = max(l0 + 1, int(np.searchsorted(ends, p0 + points, side="right")))
-        yield l0, l1, p0, int(ends[l1 - 1])
-        l0 = l1
+    """Runs of whole leaves of at most _EVAL_CHUNK // terms points (so
+    _EVAL_CHUNK kernel values against terms nodes) or a single leaf each,
+    as (first leaf, end leaf, first point, end point)."""
+    return _runs(tree.leaf_starts + tree.leaf_counts, kernels._EVAL_CHUNK // terms)
 
 
 def _leaf_moments(kernel, tree, nodes, sigma):
@@ -307,63 +306,49 @@ class SummationPlan:
 
         depth = config.depth
         dim = config.dimension
-        # Children of each box one level up: vertical passes, sibling blocks.
-        levels = range(2, depth + 1)
-        self._tgt_kids = {k: _children(self.tgt_tree, k) for k in levels}
-        self._src_kids = (self._tgt_kids if self.src_tree is self.tgt_tree
-                          else {k: _children(self.src_tree, k) for k in levels})
-        # Transfer pair groups per level, {offset index: (target positions,
-        # source positions)}, of the pairs whose parents are neighbors (the
-        # others are covered at a coarser level).  The parent gap depends
-        # only on the target's parity and the offset.  Pairs under two
-        # complete parents go to _siblings instead: (target children, source
-        # children, [(layout of M_P, target parent rows, source parent rows)]
-        # per parent offset P), where sub-block (c_t, c_s) of M_P is C_t,
-        # t = 2P + c_s - c_t, or zero (t = -1) for a neighbor pair.  _half
-        # keeps the positive P.
-        offsets = transfer_offsets(dim)
-        # Offsets share their sets of parity classes, so their rows too.
-        gap = np.abs((child_offsets(dim)[:, None, :] + offsets) >> 1).max(axis=2)
-        masks, which = np.unique(gap <= 1, axis=1, return_inverse=True)
+        # Transfer pairs per level, enumerated once from the neighbor parent
+        # pairs one level up (farther parents are covered further up): at
+        # parent offset P (a step), sub-block (c_t, c_s) of the layout of M_P
+        # is C_t, t = 2P + c_s - c_t, or zero (t = -1) for a neighbor pair.
+        # Complete parents (all 2^D children occupied) pair in _siblings
+        # [level], per P (layout, target parent rows, source parent rows);
+        # _half keeps the positive P, the second half.  Other parent pairs
+        # give their pairs of occupied children to _transfer_groups[level],
+        # {offset index: (target positions, source positions)} by target.
         steps = np.array(list(np.ndindex(*(3,) * dim))) - 1
-        steps = steps[steps.shape[0] // 2 + 1 :] if self._half else steps[steps.any(axis=1)]
-        named = _transfer_index_table(dim)
-        parities = list(enumerate(child_offsets(dim)))
-        layouts = [[(c_t, c_s, named.get(tuple(2 * step + ks - kt), -1))
-                    for c_t, kt in parities for c_s, ks in parities] for step in steps]
-        self._transfer_groups = {}
-        self._siblings = {}
+        steps = steps[steps.any(axis=1)]
+        named, parities = _transfer_index_table(dim), child_offsets(dim)
+        moves = 2 * steps[:, None, None] + parities - parities[:, None]  # [P, c_t, c_s]
+        layouts = np.array([[[named.get(tuple(m), -1) for m in row] for row in move]
+                            for move in moves.tolist()])
+        self._transfer_groups, self._siblings = {}, {}
         for level in range(2, depth + 1):
-            tgt_kids, src_kids = self._tgt_kids[level], self._src_kids[level]
+            tgt_kids, src_kids = self.tgt_tree.children[level], self.src_tree.children[level]
             tgt_full, src_full = ((kids >= 0).all(axis=1) for kids in (tgt_kids, src_kids))
-            tgt_kids, src_kids = tgt_kids[tgt_full], src_kids[src_full]
-            base, lookup, strides = _box_lookup(
-                self.tgt_tree.level_multi[level - 1][tgt_full],
-                self.src_tree.level_multi[level - 1][src_full], level - 1)
-            blocks = []
-            for layout, step in zip(layouts, steps):
+            base, lookup, strides = _box_lookup(self.tgt_tree.level_multi[level - 1],
+                                                self.src_tree.level_multi[level - 1], level - 1)
+            blocks, found = [], []
+            for j, (step, layout) in enumerate(zip(steps, layouts)):
                 spar = lookup.take(base + step @ strides)
-                hit = np.flatnonzero(spar >= 0)
-                if hit.size:
-                    blocks.append((layout, hit.astype(spar.dtype), spar[hit]))
-            self._siblings[level] = (tgt_kids, src_kids, blocks)
-            tgt_multi = self.tgt_tree.level_multi[level]
-            base, lookup, strides = _box_lookup(
-                tgt_multi, self.src_tree.level_multi[level], level)
-            # a target under a complete parent skips sources under complete ones
-            base[tgt_kids] += lookup.size
-            lookup = np.concatenate([lookup, np.where(np.isin(lookup, src_kids), -1, lookup)])
-            parity = parity_rank(tgt_multi)
-            index = get_index_dtype(maxval=tgt_multi.shape[0])
-            rows_of = [np.flatnonzero(mask[parity]).astype(index) for mask in masks.T]
-            base_of = [base[rows] for rows in rows_of]
-            groups = {}
-            for t in range(offsets.shape[0]):
-                m = which.flat[t]
-                pos = lookup.take(base_of[m] + offsets[t] @ strides)
-                hit = pos >= 0
-                groups[t] = (rows_of[m][hit], pos[hit])
-            self._transfer_groups[level] = groups
+                tpar = np.flatnonzero(spar >= 0).astype(spar.dtype)
+                spar = spar[tpar]
+                full = tgt_full[tpar] & src_full[spar]
+                if full.any() and (not self._half or j >= steps.shape[0] // 2):
+                    blocks.append((layout, tpar[full], spar[full]))
+                # (sub-block, parent pair) entries with both children present
+                c_t, c_s = np.nonzero(layout >= 0)
+                tpos, spos = tgt_kids[tpar[~full]].T[c_t], src_kids[spar[~full]].T[c_s]
+                hit = np.flatnonzero((tpos >= 0) & (spos >= 0))
+                t = layout[c_t, c_s].take(hit // tpos.shape[1])
+                found.append((t, tpos.take(hit), spos.take(hit)))
+            self._siblings[level] = blocks
+            # one sort by (offset, target), which names a pair
+            t, tpos, spos = (np.concatenate(parts) for parts in zip(*found))
+            order = np.argsort(t * self.tgt_tree.level_flat[level].size + tpos)
+            tpos, spos = tpos.take(order), spos.take(order)
+            ends = np.cumsum(np.bincount(t, minlength=len(named))).tolist()
+            self._transfer_groups[level] = {
+                k: (tpos[a:b], spos[a:b]) for k, (a, b) in enumerate(zip([0] + ends, ends))}
         # The radiating coefficient solve composed with the transfer row
         # basis, (terms, r_v) per level: the transfer pass projects moments
         # straight through it.
@@ -400,7 +385,7 @@ class SummationPlan:
             up = cache.m2m[level].matrices
             child = moments[level + 1]
             acc = np.zeros((src.level_flat[level].size, up[0].shape[0]))
-            for mat, kids in zip(up, self._src_kids[level + 1].T):
+            for mat, kids in zip(up, src.children[level + 1].T):
                 parent = np.flatnonzero(kids >= 0)
                 acc[parent] += child.take(kids[parent], axis=0) @ mat.T
             moments[level] = acc
@@ -418,8 +403,8 @@ class SummationPlan:
             for t, (tpos, spos) in self._transfer_groups[level].items():
                 _add_rows(gathered, tpos,
                           ops.apply_rows(t, projected.take(spos, axis=0)))
-            _sibling_transfer(gathered, projected, ops, *self._siblings[level],
-                              self._half)
+            _sibling_transfer(gathered, projected, ops, tgt.children[level],
+                              src.children[level], self._siblings[level], self._half)
             transfer[level] = gathered @ ops.projector.T
         timings["M2L"] += time.perf_counter() - t0
 
@@ -430,7 +415,7 @@ class SummationPlan:
             down = cache.l2l[level].matrices
             parent = local_moments[level]
             arr = transfer[level + 1].copy()
-            for mat, kids in zip(down, self._tgt_kids[level + 1].T):
+            for mat, kids in zip(down, tgt.children[level + 1].T):
                 ppos = np.flatnonzero(kids >= 0)
                 arr[kids[ppos]] += parent.take(ppos, axis=0) @ mat.T
             local_moments[level + 1] = arr
@@ -529,11 +514,7 @@ def _near_matrix(kernel, target_tree, source_tree, half):
     src_planes = (tgt_planes if src is tgt
                   else np.ascontiguousarray(src.sorted_points.T))
 
-    r0 = 0
-    while r0 < tgt.n_points:
-        stop = indptr[r0] + kernels._EVAL_CHUNK
-        r1 = max(r0 + 1, int(np.searchsorted(indptr, stop, side="right")) - 1)
-        p0, p1 = int(indptr[r0]), int(indptr[r1])
+    for r0, r1, p0, p1 in _runs(indptr[1:], kernels._EVAL_CHUNK):
         leaves = leaf_of_row[r0:r1]
         l0 = leaves[0]
         l1 = leaves[-1] + 1
@@ -558,7 +539,6 @@ def _near_matrix(kernel, target_tree, source_tree, half):
             values[_ragged_arange(indptr[r0:r1] - p0, own)] *= 0.5
         data[p0:p1] = values
         indices[p0:p1] = cols
-        r0 = r1
     return csr_matrix((data, indices, indptr), shape=(tgt.n_points, src.n_points))
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import get_index_dtype
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,10 @@ class TreeConfig:
             # a leaf's flat index has dimension * depth bits, in an int64
             raise ValueError(f"dimension * depth must be at most 63, got "
                              f"{self.dimension} * {self.depth}")
+        if self.depth > 42:
+            # Binning rounds a point up to 2^(depth - 53) leaf half widths
+            # out of its leaf: 2^-10 at depth 43 (only 1D gets that deep).
+            raise ValueError(f"depth must be at most 42, got {self.depth}")
         if self.center is None:
             c = np.zeros(self.dimension)
         else:
@@ -175,15 +180,6 @@ def _transfer_index_table(dimension):
     return {tuple(off): i for i, off in enumerate(transfer_offsets(dimension))}
 
 
-def transfer_index(delta):
-    """Canonical index of an integer offset among transfer_offsets."""
-    table = _transfer_index_table(len(delta))
-    try:
-        return table[tuple(int(c) for c in delta)]
-    except KeyError:
-        raise ValueError(f"{tuple(delta)} is not a valid transfer offset") from None
-
-
 def require_finite(name, values):
     """Refuse NaN or infinite entries, naming the first offending row."""
     values = np.asarray(values)
@@ -201,7 +197,8 @@ class Tree:
     reads: ``order`` (its input index), ``sorted_points`` (the near field)
     and ``leaf_local``, the point recentered on its leaf (the leaf passes).
     Occupied boxes of every level (ancestors of occupied leaves) are kept
-    as sorted flat indices and multi-indices.
+    as sorted flat indices and multi-indices; ``children[level]`` holds per
+    box at level - 1 its children's rows at level in parity order, or -1.
     """
 
     def __init__(self, points, config):
@@ -225,10 +222,8 @@ class Tree:
             )
         nleaf = 2**config.depth
         cell = config.side / nleaf
-        # unsigned, so the upper face's index nleaf casts even at nleaf = 2^63
-        leaf_multi = np.floor((shifted + half_side) / cell).astype(np.uint64)
+        leaf_multi = np.floor((shifted + half_side) / cell).astype(np.int64)
         np.minimum(leaf_multi, nleaf - 1, out=leaf_multi)
-        leaf_multi = leaf_multi.view(np.int64)
 
         self.config = config
         flat = self._ravel(leaf_multi, config.depth)
@@ -237,8 +232,7 @@ class Tree:
         self.sorted_points = points[order]
         multi = leaf_multi[order]
         # Exact dyadic leaf centers, so recentering commutes with a dyadic
-        # translation of the domain (2 * multi + 1 in floats: exact to depth
-        # 52, and no int64 wrap at 63).
+        # translation of the domain.
         half = config.half_width(config.depth)
         self.leaf_local = shifted[order] - ((2.0 * multi + 1) * half - half_side)
         leaves, starts, counts = np.unique(
@@ -247,13 +241,19 @@ class Tree:
         self.leaf_starts = starts
         self.leaf_counts = counts
 
-        # Occupied boxes per level, from the leaves up.
+        # Occupied boxes per level, from the leaves up, and their children.
         self.level_flat = {config.depth: leaves}
         self.level_multi = {config.depth: multi[starts]}
-        for level in range(config.depth - 1, -1, -1):
-            coarser = np.unique(self.level_multi[level + 1] >> 1, axis=0)
-            self.level_flat[level] = self._ravel(coarser, level)
-            self.level_multi[level] = coarser
+        self.children = {}
+        for level in range(config.depth, 0, -1):
+            finer = self.level_multi[level]
+            flat, first, parent = np.unique(self._ravel(finer >> 1, level - 1),
+                                            return_index=True, return_inverse=True)
+            self.level_flat[level - 1] = flat
+            self.level_multi[level - 1] = finer[first] >> 1
+            self.children[level] = np.full((flat.size, 2**config.dimension), -1,
+                                           dtype=get_index_dtype(maxval=len(finer)))
+            self.children[level][parent, parity_rank(finer)] = np.arange(len(finer))
 
     def _ravel(self, multi, level):
         dim = self.config.dimension
@@ -283,17 +283,12 @@ def interaction_list(tree, box):
     if box.level < 2:
         return []
     n = 2**box.level
-    own = np.asarray(box.multi_index, dtype=np.int64)
-    parent = own >> 1
-    nparent = n >> 1
-    ranges = [
-        range(max(0, 2 * (p - 1)), min(n - 1, 2 * (p + 1) + 1) + 1)
-        for p in parent.tolist()
-    ]
+    own = tuple(int(c) for c in box.multi_index)
+    ranges = [range(max(0, 2 * (c // 2 - 1)), min(n, 2 * (c // 2 + 2))) for c in own]
+    named = _transfer_index_table(len(own))
     out = []
     for combo in itertools.product(*ranges):
-        delta = np.asarray(combo, dtype=np.int64) - own
-        if np.max(np.abs(delta)) < 2:
-            continue
-        out.append((BoxId(box.level, combo), transfer_index(delta)))
+        delta = tuple(c - o for c, o in zip(combo, own))
+        if max(map(abs, delta)) >= 2:
+            out.append((BoxId(box.level, combo), named[delta]))
     return out

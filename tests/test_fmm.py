@@ -213,7 +213,7 @@ def _assert_same_transfer_groups(shared, full):
 
 
 def _parent_pair_bytes(plan):
-    return sum(rows.nbytes for _, _, blocks in plan._siblings.values()
+    return sum(rows.nbytes for blocks in plan._siblings.values()
                for _, tpar, spar in blocks for rows in (tpar, spar))
 
 
@@ -238,10 +238,10 @@ def test_shared_tree_stores_half_the_transfer_pairs(cube_cloud, cache_store,
     _assert_same_transfer_groups(shared, full)
     # the parent pairs of the sibling blocks are stored half: 13 of the 26
     # parent offsets at level 2, where all 8 level-1 boxes are complete
-    parent_pairs = sum(tpar.size for _, _, blocks in full._siblings.values()
+    parent_pairs = sum(tpar.size for blocks in full._siblings.values()
                        for _, tpar, _ in blocks)
     assert 2 * _parent_pair_bytes(shared) == _parent_pair_bytes(full) == 8 * parent_pairs
-    assert len(shared._siblings[2][2]) == 13 and len(full._siblings[2][2]) == 26
+    assert len(shared._siblings[2]) == 13 and len(full._siblings[2]) == 26
 
     # a non-symmetric kernel on a shared tree keeps every offset
     drift = ef.SummationPlan(DRIFT_3D, points, points, DRIFT_CONFIG, drift_cache)
@@ -249,7 +249,7 @@ def test_shared_tree_stores_half_the_transfer_pairs(cube_cloud, cache_store,
     n = len(ef.transfer_offsets(3))
     for groups in drift._transfer_groups.values():
         assert sorted(groups) == list(range(n))
-    assert len(drift._siblings[2][2]) == 26
+    assert len(drift._siblings[2]) == 26
 
 
 @pytest.mark.parametrize("dim", [2, 1])
@@ -424,10 +424,10 @@ def _sibling_pairs(plan, level):
     pair a sibling block applies at level: sub-block (c_t, c_s) of each
     parent pair, and on a half plan the same pairs back."""
     n = len(ef.transfer_offsets(plan.config.dimension))
-    tgt_kids, src_kids, blocks = plan._siblings[level]
+    tgt_kids, src_kids = plan.tgt_tree.children[level], plan.src_tree.children[level]
     pairs = []
-    for layout, tpar, spar in blocks:
-        for c_t, c_s, t in layout:
+    for layout, tpar, spar in plan._siblings[level]:
+        for (c_t, c_s), t in np.ndenumerate(layout):
             if t >= 0:
                 tpos, spos = tgt_kids[tpar, c_t].tolist(), src_kids[spar, c_s].tolist()
                 pairs += zip(tpos, [t] * len(tpos), spos)
@@ -469,10 +469,12 @@ def test_transfer_groups_match_interaction_list(case, cube_cloud, cache_store, c
             # the transfer pass scatter-adds per offset: each target once
             assert np.all(np.diff(tpos) > 0)
             got += zip(tpos.tolist(), [t] * tpos.size, spos.tolist())
-        # the sibling blocks join complete parents only: each row holds the
-        # 2^D children of one parent, in parity order
-        tgt_kids, src_kids, blocks = plan._siblings[level]
-        for tree, kids in ((plan.tgt_tree, tgt_kids), (plan.src_tree, src_kids)):
+        # the sibling blocks join complete parents only: each children row
+        # they read holds the 2^D children of one parent, in parity order
+        blocks = plan._siblings[level]
+        for tree, side in ((plan.tgt_tree, 1), (plan.src_tree, 2)):
+            rows = np.concatenate([[]] + [block[side] for block in blocks]).astype(int)
+            kids = tree.children[level][rows]
             assert kids.dtype == np.int32 and np.all(kids >= 0)
             multi = tree.level_multi[level][kids]
             assert np.array_equal(multi >> 1, np.repeat(multi[:, :1] >> 1, len(parities), 1))
@@ -528,7 +530,7 @@ def test_transfer_sums_match_pairwise_reference(case, cube_cloud, cache_store, c
     assert plan._half == (case in ("shared-3d", "2d", "1d"))
     # some level holds complete and incomplete parents side by side, so
     # both the sibling blocks and the per-offset groups carry pairs there
-    assert any(plan._siblings[level][2]
+    assert any(plan._siblings[level]
                and any(tpos.size for tpos, _ in plan._transfer_groups[level].values())
                for level in plan._siblings)
     _, fields, _ = plan.apply_far(weights[: sources.shape[0]])

@@ -66,18 +66,55 @@ def test_half_width_halves_per_level():
     assert config.half_width(0) == 0.5 * config.half_width(0) * 2
 
 
-@pytest.mark.parametrize("dim,depth", [(3, 21), (2, 31), (1, 63)])
+@pytest.mark.parametrize("dim,depth", [(3, 21), (2, 31), (1, 42)])
 def test_config_refuses_box_indices_beyond_int64(dim, depth):
-    # a box's flat index has dimension * level bits: 63 fit an int64, and
-    # the corner boxes of every level of the deepest tree allowed get the
-    # first and the last index
+    # a box's flat index has dimension * level bits: 63 fit an int64 (1D
+    # stops sooner, where its leaves still hold their points), and the
+    # corner boxes of every level of the deepest tree allowed get the first
+    # and the last index
     config = ef.TreeConfig(dimension=dim, side=1.0, depth=depth)
     tree = ef.build_tree(np.array([[-0.5] * dim, [0.5] * dim]), config)
     for level in range(1, depth + 1):
         assert tree.level_flat[level].tolist() == [0, 2 ** (dim * level) - 1]
-    with pytest.raises(ValueError, match=re.escape(
-            f"dimension * depth must be at most 63, got {dim} * {depth + 1}")):
+    refusal = ("depth must be at most 42, got 43" if dim == 1 else
+               f"dimension * depth must be at most 63, got {dim} * {depth + 1}")
+    with pytest.raises(ValueError, match=re.escape(refusal)):
         ef.TreeConfig(dimension=dim, side=1.0, depth=depth + 1)
+
+
+def test_deepest_1d_tree_keeps_points_in_their_leaves():
+    # binning rounds a point up to 2^(depth - 53) half widths out of its
+    # leaf: points on leaf faces and one ulp either side, at depth 42
+    config = ef.TreeConfig(dimension=1, side=1.0, depth=42)
+    cell = 2 * config.half_width(42)
+    faces = -0.5 + np.random.default_rng(4).integers(0, 2**42, 20000) * cell
+    points = np.concatenate([faces, np.nextafter(faces, -1.0), np.nextafter(faces, 1.0)])
+    tree = ef.build_tree(np.clip(points, -0.5, 0.5)[:, None], config)
+    assert np.abs(tree.leaf_local).max() <= (1 + 2**-10) * config.half_width(42)
+    with pytest.raises(ValueError, match="depth must be at most 42, got 43"):
+        ef.TreeConfig(dimension=1, side=1.0, depth=43)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_children_tables_brute_force(dim):
+    # clustered, so that many parents miss children
+    rng = np.random.default_rng(dim)
+    points = np.clip(0.15 * rng.standard_normal((300, dim)) + 0.1, -0.5, 0.5)
+    config = ef.TreeConfig(dimension=dim, side=1.0, depth=4)
+    tree = ef.build_tree(points, config)
+    assert sorted(tree.children) == list(range(1, config.depth + 1))
+    incomplete = False
+    for level, kids in tree.children.items():
+        parents, multi = tree.level_multi[level - 1], tree.level_multi[level]
+        assert kids.dtype == np.int32 and kids.shape == (len(parents), 2**dim)
+        incomplete |= bool((kids < 0).any())
+        # every occupied child exactly once
+        assert np.array_equal(np.sort(kids[kids >= 0]), np.arange(len(multi)))
+        for p, c in zip(*np.nonzero(kids >= 0)):
+            child = multi[kids[p, c]]
+            assert np.array_equal(child >> 1, parents[p])
+            assert parity_rank(child) == c
+    assert incomplete
 
 
 def test_training_grids_regions():
