@@ -11,13 +11,14 @@ model's coefficient solve composed with the transfer row basis: the upward
 pass carries moments only and runs no triangular solve; the one solve left
 in a sweep is the leaf receiving model's, after the downward sum.
 
-The transfer pass takes its pairs, once, as the children of neighbor parent
-pairs.  It applies those under two complete parents (all 2^D children
-occupied) as one dense block M_P per parent offset P, over the 2^D children
-of each parent pair, and the other pairs per offset, one way.  For a
-symmetric kernel on a shared tree (the sources are the targets) the blocks
-are stored half, as the near field is, and M_P^T = M_{-P} is applied back.
-Positions are int32 whenever box counts allow it.
+One walk down the trees' children tables gives each level's neighbors: the
+near field's at the leaves, and the transfer pairs as the children of
+neighbor parent pairs.  The pairs under two complete parents (all 2^D
+children occupied) go through one dense block M_P per parent offset P, over
+the 2^D children of each parent pair, the others per offset, one way.  For
+a symmetric kernel on a shared tree the blocks are stored half, as the near
+field is, and M_P^T = M_{-P} is applied back.  Positions are int32 whenever
+box counts allow it.
 
 The leaf passes (P2M and L2P) read the tree's leaf-local coordinates,
 computed once when the tree is built.  Kernel evaluations go in chunks of
@@ -44,11 +45,10 @@ from .operators import (
     make_cache_key,
     save_cache,
 )
-from .tree import _transfer_index_table, build_tree, child_offsets, require_finite
+from .tree import (_transfer_index_table, build_tree, child_offsets, finite_floats,
+                   parity_rank)
 
 _COINCIDENT_DISTANCE = 1e-300
-# Padding of the dense box lookup: the largest transfer offset component.
-_PAD = 3
 
 FAR_PHASES = ("P2M", "M2M", "M2L", "L2L", "L2P")
 ALL_PHASES = FAR_PHASES + ("near_build", "near")
@@ -63,20 +63,17 @@ class ParticleSystem:
     potentials: np.ndarray
 
     def __post_init__(self):
-        self.targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
+        self.targets = finite_floats("target", np.atleast_2d(self.targets))
         if self.sources is not self.targets:
-            self.sources = np.atleast_2d(np.asarray(self.sources, dtype=float))
+            self.sources = finite_floats("source", np.atleast_2d(self.sources))
         if (self.targets.ndim != 2 or self.sources.ndim != 2
                 or self.targets.shape[1] != self.sources.shape[1]):
             raise ValueError(
                 f"targets {self.targets.shape} and sources {self.sources.shape} "
                 "must be (n, D) arrays of one point dimension D")
-        self.potentials = np.asarray(self.potentials, dtype=float)
+        self.potentials = finite_floats("potential", self.potentials)
         if self.potentials.shape != (self.sources.shape[0],):
             raise ValueError("need exactly one potential per source point")
-        require_finite("target", self.targets)
-        require_finite("source", self.sources)
-        require_finite("potential", self.potentials)
 
 
 @dataclass
@@ -139,7 +136,7 @@ def _tree_of(name, points, config, tree=None):
     if tree.config != config:
         raise ValueError(f"{name} tree built under {tree.config} cannot be "
                          f"used under {config}")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = finite_floats(name, np.atleast_2d(points))
     if (tree.n_points != points.shape[0]
             or not np.array_equal(tree.sorted_points, points[tree.order])):
         raise ValueError(f"{name} tree does not bin the {points.shape[0]} "
@@ -159,32 +156,37 @@ def _source_tree(sources, targets, target_tree, source_tree=None):
     return _tree_of("source", sources, target_tree.config, source_tree)
 
 
-def _require_memory(need, what, advice):
-    """Refuse, with a ValueError, to allocate need bytes for what when they
-    exceed the machine's physical memory."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
-        raise ValueError(f"{what} in {need} bytes, more than the {memory} "
-                         f"bytes of physical memory; {advice}")
-
-
-def _box_lookup(target_multi, source_multi, level):
-    """(base, lookup, strides): the source box at integer offset off (each
-    component at most _PAD) from target box i is at position
-    lookup[base[i] + off @ strides], or nowhere if that is -1.  lookup spans
-    the level's box grid padded by _PAD boxes on every side, as int32
-    whenever the source box count allows it."""
-    side = 2**level + 2 * _PAD
-    dim = target_multi.shape[1]
-    size = side**dim
-    index = get_index_dtype(maxval=source_multi.shape[0])
-    _require_memory(size * np.dtype(index).itemsize,
-                    f"the box lookup of level {level} would hold {size} entries",
-                    "a shallower tree needs a smaller one")
-    strides = side ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    lookup = np.full(size, -1, dtype=index)
-    lookup[(source_multi + _PAD) @ strides] = np.arange(source_multi.shape[0])
-    return (target_multi + _PAD) @ strides, lookup, strides
+def _neighbor_tables(target_tree, source_tree, half):
+    """Per level from 0 to the depth, the neighbor table: row i holds the
+    source box rows at the offsets {-1, 0, 1}^D (lexicographic) from target
+    box i, or -1.  When half, the leaves' table keeps the columns of the
+    near field's half: the self offset and the positive ones after it.  A
+    box's neighbors are children of its parent's neighbors: each table is
+    one gather from the one above through the source children table, in
+    its dtype."""
+    tgt, src = target_tree, source_tree
+    dim, depth = tgt.config.dimension, tgt.config.depth
+    steps = np.array(list(np.ndindex(*(3,) * dim))) - 1
+    n = steps.shape[0]
+    # per (child parity, offset): the parent's offset, as a column, and the
+    # neighbor's parity rank
+    reach = child_offsets(dim)[:, None] + steps
+    up = ((reach >> 1) + 1) @ 3 ** np.arange(dim - 1, -1, -1)
+    down = parity_rank(reach)
+    # at offset 0 the source root, or -1 for an empty source tree
+    table = np.full((tgt.level_flat[0].size, n), -1)
+    table[:, n // 2] = src.level_flat[0].size - 1
+    tables = {0: table}
+    for level in range(1, depth + 1):
+        cols = slice(n // 2 if half and level == depth else 0, None)
+        parity = parity_rank(tgt.level_multi[level])
+        above = tables[level - 1].take(tgt.parents[level][:, None] * n
+                                       + up[:, cols].take(parity, axis=0))
+        # position -1 (no neighbor parent) lands in the appended row of -1
+        kids = np.pad(src.children[level], ((0, 1), (0, 0)), constant_values=-1)
+        tables[level] = kids.take(down[:, cols].take(parity, axis=0)
+                                  + above.astype(np.intp) * kids.shape[1])
+    return tables
 
 
 def _add_rows(target, pos, values):
@@ -304,11 +306,15 @@ class SummationPlan:
         # pair: K(x, y) = K(y, x) and the targets are the sources.
         self._half = self.src_tree is self.tgt_tree and kernel.is_symmetric
 
-        depth = config.depth
-        dim = config.dimension
+        depth, dim = config.depth, config.dimension
+        # Neighbor tables per level, walked once from the root; the near
+        # field reads the leaves'.
+        neighbors = _neighbor_tables(self.tgt_tree, self.src_tree, self._half)
+        self._leaf_neighbors = neighbors[depth]
         # Transfer pairs per level, enumerated once from the neighbor parent
         # pairs one level up (farther parents are covered further up): at
-        # parent offset P (a step), sub-block (c_t, c_s) of the layout of M_P
+        # parent offset P (a step: a column of the neighbor tables, the self
+        # offset aside), sub-block (c_t, c_s) of the layout of M_P
         # is C_t, t = 2P + c_s - c_t, or zero (t = -1) for a neighbor pair.
         # Complete parents (all 2^D children occupied) pair in _siblings
         # [level], per P (layout, target parent rows, source parent rows);
@@ -316,7 +322,6 @@ class SummationPlan:
         # give their pairs of occupied children to _transfer_groups[level],
         # {offset index: (target positions, source positions)} by target.
         steps = np.array(list(np.ndindex(*(3,) * dim))) - 1
-        steps = steps[steps.any(axis=1)]
         named, parities = _transfer_index_table(dim), child_offsets(dim)
         moves = 2 * steps[:, None, None] + parities - parities[:, None]  # [P, c_t, c_s]
         layouts = np.array([[[named.get(tuple(m), -1) for m in row] for row in move]
@@ -325,15 +330,13 @@ class SummationPlan:
         for level in range(2, depth + 1):
             tgt_kids, src_kids = self.tgt_tree.children[level], self.src_tree.children[level]
             tgt_full, src_full = ((kids >= 0).all(axis=1) for kids in (tgt_kids, src_kids))
-            base, lookup, strides = _box_lookup(self.tgt_tree.level_multi[level - 1],
-                                                self.src_tree.level_multi[level - 1], level - 1)
             blocks, found = [], []
-            for j, (step, layout) in enumerate(zip(steps, layouts)):
-                spar = lookup.take(base + step @ strides)
+            for j in np.flatnonzero(steps.any(axis=1)):
+                layout, spar = layouts[j], neighbors[level - 1][:, j]
                 tpar = np.flatnonzero(spar >= 0).astype(spar.dtype)
                 spar = spar[tpar]
                 full = tgt_full[tpar] & src_full[spar]
-                if full.any() and (not self._half or j >= steps.shape[0] // 2):
+                if full.any() and (not self._half or j > steps.shape[0] // 2):
                     blocks.append((layout, tpar[full], spar[full]))
                 # (sub-block, parent pair) entries with both children present
                 c_t, c_s = np.nonzero(layout >= 0)
@@ -449,17 +452,16 @@ class SummationPlan:
         """The near-field matrix, built on first use."""
         if self._near is None:
             self._near = _near_matrix(self.kernel, self.tgt_tree, self.src_tree,
-                                      self._half)
+                                      self._half, self._leaf_neighbors)
         return self._near
 
     def _sorted_weights(self, potentials):
-        """One finite potential per source, in leaf-sorted source order."""
-        sigma = np.asarray(potentials, dtype=float)
+        """One finite real potential per source, in leaf-sorted source order."""
+        sigma = finite_floats("potential", potentials)
         expected = (self.src_tree.n_points,)
         if sigma.shape != expected:
             raise ValueError(
                 f"potentials have shape {sigma.shape}, sources need {expected}")
-        require_finite("potential", sigma)
         return sigma[self.src_tree.order]
 
 
@@ -471,41 +473,37 @@ def _ragged_arange(starts, counts):
     )
 
 
-def _near_matrix(kernel, target_tree, source_tree, half):
+def _near_matrix(kernel, target_tree, source_tree, half, neighbors):
     """Kernel values between each target and the sources in its leaf's
     neighbor boxes (own box included), coincident pairs zeroed, as a CSR
     matrix with leaf-sorted targets as rows and leaf-sorted sources as
     columns.
 
-    Each row lists its neighbor boxes in lexicographic offset order, which
-    keeps the columns sorted.  When half (the plan's _half), only the self
-    offset and the lexicographically positive offsets are stored, with the
-    self blocks halved: the near field is then H @ sigma + H.T @ sigma.
+    neighbors holds per leaf the source leaf at each stored offset, or -1,
+    in lexicographic offset order, which keeps the columns sorted.  When
+    half (the plan's _half), only the self offset and the
+    lexicographically positive offsets are stored, with the self blocks
+    halved: the near field is then H @ sigma + H.T @ sigma.
     Rows are filled in chunks of at most _EVAL_CHUNK pairs (or one row),
     straight into arrays sized from the leaf counts.  Arrays larger than
     the machine's physical memory are refused before any is allocated.
     """
-    tgt = target_tree
-    src = source_tree
-    depth = tgt.config.depth
+    tgt, src = target_tree, source_tree
     dim = tgt.config.dimension
-    deltas = np.array(list(np.ndindex(*(3,) * dim))) - 1
-    if half:
-        deltas = deltas[deltas.shape[0] // 2 :]  # the self offset is the middle one
-    base, lookup, strides = _box_lookup(
-        tgt.level_multi[depth], src.level_multi[depth], depth)
     # Position -1 (no source box there) picks the appended zero.
-    pos = lookup.take(base[:, None] + deltas @ strides)
-    nbr_start = np.append(src.leaf_starts, 0).take(pos)
-    nbr_count = np.append(src.leaf_counts, 0).take(pos)
+    nbr_start = np.append(src.leaf_starts, 0).take(neighbors)
+    nbr_count = np.append(src.leaf_counts, 0).take(neighbors)
     leaf_len = nbr_count.sum(axis=1)
     leaf_of_row = np.repeat(np.arange(tgt.leaf_starts.size), tgt.leaf_counts)
     row_len = leaf_len[leaf_of_row]
     nnz = int(row_len.sum())
     index_dtype = get_index_dtype(maxval=max(nnz, src.n_points))
-    _require_memory(nnz * (8 + np.dtype(index_dtype).itemsize),
-                    f"the near field would store {nnz} pairs",
-                    "a deeper tree stores fewer pairs")
+    need = nnz * (8 + np.dtype(index_dtype).itemsize)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ValueError(f"the near field would store {nnz} pairs in {need} bytes, more "
+                         f"than the {memory} bytes of physical memory; a deeper tree "
+                         "stores fewer pairs")
     indptr = np.zeros(tgt.n_points + 1, dtype=index_dtype)
     np.cumsum(row_len, out=indptr[1:])
     data = np.empty(nnz)
@@ -516,13 +514,9 @@ def _near_matrix(kernel, target_tree, source_tree, half):
 
     for r0, r1, p0, p1 in _runs(indptr[1:], kernels._EVAL_CHUNK):
         leaves = leaf_of_row[r0:r1]
-        l0 = leaves[0]
-        l1 = leaves[-1] + 1
-        # Each leaf's source columns, then each row's copy of its leaf's.
-        pattern = _ragged_arange(nbr_start[l0:l1].ravel(), nbr_count[l0:l1].ravel())
-        pattern_start = np.cumsum(leaf_len[l0:l1]) - leaf_len[l0:l1]
         lens = row_len[r0:r1]
-        cols = pattern[_ragged_arange(pattern_start[leaves - l0], lens)]
+        # each row's source columns, its leaf's neighbor ranges in turn
+        cols = _ragged_arange(nbr_start[leaves].ravel(), nbr_count[leaves].ravel())
         # Gathered one coordinate plane at a time.  The mask takes r^2 from
         # these planes and the kernel computes its own: handing r^2 over
         # would need a radial entry point next to from_displacements, which

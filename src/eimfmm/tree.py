@@ -51,13 +51,10 @@ class TreeConfig:
             # Binning rounds a point up to 2^(depth - 53) leaf half widths
             # out of its leaf: 2^-10 at depth 43 (only 1D gets that deep).
             raise ValueError(f"depth must be at most 42, got {self.depth}")
-        if self.center is None:
-            c = np.zeros(self.dimension)
-        else:
-            c = np.asarray(self.center, dtype=float)
+        c = (np.zeros(self.dimension) if self.center is None
+             else finite_floats("center coordinate", self.center))
         if c.shape != (self.dimension,):
             raise ValueError("center must have one coordinate per dimension")
-        require_finite("center coordinate", c)
         object.__setattr__(self, "center", tuple(float(v) for v in c))
 
     def half_width(self, level):
@@ -180,13 +177,19 @@ def _transfer_index_table(dimension):
     return {tuple(off): i for i, off in enumerate(transfer_offsets(dimension))}
 
 
-def require_finite(name, values):
-    """Refuse NaN or infinite entries, naming the first offending row."""
+def finite_floats(name, values):
+    """values as a float array.  A ValueError refuses a complex dtype,
+    naming name, and NaN or infinite entries, naming the first offending
+    row."""
     values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} values must be real, not {values.dtype}")
+    values = values.astype(float, copy=False)
     bad = ~np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"{name} {i} is not finite: {values[i].tolist()}")
+    return values
 
 
 class Tree:
@@ -198,18 +201,16 @@ class Tree:
     and ``leaf_local``, the point recentered on its leaf (the leaf passes).
     Occupied boxes of every level (ancestors of occupied leaves) are kept
     as sorted flat indices and multi-indices; ``children[level]`` holds per
-    box at level - 1 its children's rows at level in parity order, or -1.
+    box at level - 1 its children's rows at level in parity order, or -1,
+    and ``parents[level]`` per box at level its parent's row.
     """
 
     def __init__(self, points, config):
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[np.newaxis, :]
+        points = finite_floats("point", np.atleast_2d(points))
         if points.ndim != 2 or points.shape[1] != config.dimension:
             raise ValueError(
                 f"points must have shape (n, {config.dimension}), got {points.shape}"
             )
-        require_finite("point", points)
         shifted = points - config.center_array()
         half_side = 0.5 * config.side
         # The closed cube is accepted; exact upper-boundary points clamp into
@@ -241,10 +242,10 @@ class Tree:
         self.leaf_starts = starts
         self.leaf_counts = counts
 
-        # Occupied boxes per level, from the leaves up, and their children.
+        # Occupied boxes per level, from the leaves up, with children and parents.
         self.level_flat = {config.depth: leaves}
         self.level_multi = {config.depth: multi[starts]}
-        self.children = {}
+        self.children, self.parents = {}, {}
         for level in range(config.depth, 0, -1):
             finer = self.level_multi[level]
             flat, first, parent = np.unique(self._ravel(finer >> 1, level - 1),
@@ -254,6 +255,7 @@ class Tree:
             self.children[level] = np.full((flat.size, 2**config.dimension), -1,
                                            dtype=get_index_dtype(maxval=len(finer)))
             self.children[level][parent, parity_rank(finer)] = np.arange(len(finer))
+            self.parents[level] = parent
 
     def _ravel(self, multi, level):
         dim = self.config.dimension

@@ -2,6 +2,7 @@
 
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -656,12 +657,14 @@ def test_near_matrix_independent_of_chunk_budget(cloud, monkeypatch):
     # the shared tree stores half the pairs, the second tree all of them
     for source_tree in (tree, ef.build_tree(points, CONFIG)):
         half = source_tree is tree
-        full = ef.fmm._near_matrix(KERNEL, tree, source_tree, half)
+        neighbors = ef.fmm._neighbor_tables(tree, source_tree, half)
+        full = ef.fmm._near_matrix(KERNEL, tree, source_tree, half, neighbors[CONFIG.depth])
         assert np.diff(full.indptr).max() > 50
         # one row per chunk, then several rows per chunk
         for budget in (50, 1000):
             monkeypatch.setattr(ef.kernels, "_EVAL_CHUNK", budget)
-            small = ef.fmm._near_matrix(KERNEL, tree, source_tree, half)
+            small = ef.fmm._near_matrix(KERNEL, tree, source_tree, half,
+                                        neighbors[CONFIG.depth])
             assert np.array_equal(small.indptr, full.indptr)
             assert np.array_equal(small.indices, full.indices)
             assert np.all(np.abs(small.data - full.data)
@@ -690,27 +693,34 @@ def test_near_field_refuses_more_pairs_than_memory(cache, monkeypatch):
     assert plan._near is None
 
 
-def test_box_lookup_refuses_more_entries_than_memory(monkeypatch):
-    # the dense lookup of a 3D depth-11 tree spans (2^11 + 6)^3 int32
-    # entries, 34.7 GB whatever the point count; the near field that asks
-    # for it refuses it before it is allocated, and np.full fails the test
-    # if it is reached
+def test_depth_11_plan_holds_setup_memory_to_the_occupied_boxes(monkeypatch):
+    # A 3D depth-11 grid has 2^33 boxes; 200 clustered points occupy a few
+    # hundred per level.  Neighbors come from the tree, so plan and sweep
+    # stay small: large np.full requests (any array sized by a level's
+    # grid) fail the test at once, and tracemalloc bounds the peak.
     config = ef.TreeConfig(dimension=3, side=1.0, depth=11)
-    tree = ef.build_tree(np.zeros((1, 3)), config)
-    entries = (2**11 + 6) ** 3
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if memory >= 4 * entries:
-        pytest.skip("this machine could hold the lookup")
+    cache = ef.build_operator_cache(KERNEL, config, 1e-4, resolution=2, x_budget=64)
+    rng = np.random.default_rng(11)
+    points = 0.03 * rng.standard_normal((200, 3))
+    weights = rng.uniform(0.5, 1.5, size=200)
+    full = np.full
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the box lookup was allocated")
+    def small_full(shape, *args, **kwargs):
+        if np.prod(shape) > 10**6:
+            raise AssertionError(f"np.full of shape {shape}")
+        return full(shape, *args, **kwargs)
 
-    monkeypatch.setattr(np, "full", refuse)
-    message = (f"the box lookup of level 11 would hold {entries} entries in "
-               f"{4 * entries} bytes, more than the {memory} bytes of physical "
-               "memory; a shallower tree needs a smaller one")
-    with pytest.raises(ValueError, match=re.escape(message)):
-        ef.fmm._near_matrix(KERNEL, tree, tree, True)
+    monkeypatch.setattr(np, "full", small_full)
+    tracemalloc.start()
+    try:
+        plan = ef.SummationPlan(KERNEL, points, points, config, cache)
+        total = plan.apply_far(weights)[0] + plan.apply_near(weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    exact = ef.direct_sum(KERNEL, ef.ParticleSystem(points, points, weights))
+    assert np.linalg.norm(total - exact) <= 100 * 1e-4 * np.linalg.norm(exact)
 
 
 def test_symmetric_kernel_refuses_a_non_symmetric_cache():
@@ -807,6 +817,37 @@ def test_plan_rejects_non_finite_weights(cloud, cache):
     for apply in (plan.apply_far, plan.apply_near):
         with pytest.raises(ValueError, match="potential 7 is not finite"):
             apply(bad)
+
+
+def test_particle_system_refuses_complex_inputs():
+    # np.asarray(..., dtype=float) would keep the real parts with only a
+    # ComplexWarning
+    pts = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="potential values must be real, not complex128"):
+        ef.ParticleSystem(pts, pts, np.array([1 + 1j, 2]))
+    with pytest.raises(ValueError, match="target values must be real"):
+        ef.ParticleSystem(pts + 0.1j, pts, np.ones(2))
+    with pytest.raises(ValueError, match="source values must be real"):
+        ef.ParticleSystem(pts, [[0.1j, 0.0], [0.0, 0.0]], np.ones(2))
+
+
+def test_plan_refuses_complex_weights(cloud, cache):
+    # the far pass would otherwise return the far field of the real parts
+    points, weights = cloud
+    plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache)
+    for apply in (plan.apply_far, plan.apply_near):
+        with pytest.raises(ValueError, match="potential values must be real"):
+            apply(weights + 1j * weights)
+
+
+def test_plan_refuses_complex_points_with_their_trees(cloud, cache):
+    # complex points whose real parts the given tree bins are not its points
+    points, _ = cloud
+    tree = ef.build_tree(points, CONFIG)
+    with pytest.raises(ValueError, match="target values must be real"):
+        ef.SummationPlan(KERNEL, points + 0.1j, points, CONFIG, cache, target_tree=tree)
+    with pytest.raises(ValueError, match="source values must be real"):
+        ef.SummationPlan(KERNEL, points, points + 0.1j, CONFIG, cache, source_tree=tree)
 
 
 def test_plan_rejects_wrong_length_weights(cloud, cache):

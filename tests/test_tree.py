@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eimfmm as ef
-from eimfmm.fmm import _near_matrix
+from eimfmm.fmm import _near_matrix, _neighbor_tables
 from eimfmm.tree import (_unrank_hollow, child_offsets, parity_rank,
                          training_grids)
 
@@ -114,7 +114,55 @@ def test_children_tables_brute_force(dim):
             child = multi[kids[p, c]]
             assert np.array_equal(child >> 1, parents[p])
             assert parity_rank(child) == c
+            assert tree.parents[level][kids[p, c]] == p
     assert incomplete
+
+
+def _walk_cases(dim):
+    """(target tree, source tree) pairs of clustered trees with empty
+    regions and boxes on every grid face: shared, distinct, and against an
+    empty source tree."""
+    config = ef.TreeConfig(dimension=dim, side=1.0, depth={1: 7, 2: 5, 3: 4}[dim])
+    rng = np.random.default_rng(40 + dim)
+    # each face's center and each corner, on the closed cube
+    faces = np.concatenate([0.5 * np.eye(dim), -0.5 * np.eye(dim),
+                            child_offsets(dim) - 0.5])
+    points = np.concatenate([np.clip(0.08 * rng.standard_normal((150, dim)) - 0.2,
+                                     -0.5, 0.5), faces])
+    others = np.clip(0.1 * rng.standard_normal((120, dim)) + 0.15, -0.5, 0.5)
+    tree, other = ef.build_tree(points, config), ef.build_tree(others, config)
+    empty = ef.build_tree(np.empty((0, dim)), config)
+    return [(tree, tree), (tree, other), (other, tree), (tree, empty)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_neighbor_tables_brute_force(dim):
+    steps = np.array(list(np.ndindex(*(3,) * dim))) - 1
+    center = steps.shape[0] // 2
+    cases = _walk_cases(dim)
+    for tgt, src in cases:
+        depth = tgt.config.depth
+        every = _neighbor_tables(tgt, src, False)
+        half = _neighbor_tables(tgt, src, True)
+        assert sorted(every) == sorted(half) == list(range(depth + 1))
+        for level, table in every.items():
+            rows = {tuple(m): i for i, m in enumerate(src.level_multi[level].tolist())}
+            expect = [[rows.get(tuple(m), -1) for m in (multi + steps).tolist()]
+                      for multi in tgt.level_multi[level]]
+            assert np.array_equal(table, np.reshape(expect, table.shape))
+            if level:
+                assert table.dtype == src.children[level].dtype
+            if level < depth:
+                assert np.array_equal(half[level], table)
+            else:
+                assert np.array_equal(half[level], table[:, center:])
+    # the shared tree has leaves on every grid face, and inner leaves next
+    # to empty boxes
+    tree = cases[0][0]
+    leaves = tree.level_multi[depth]
+    assert (leaves.min(axis=0) == 0).all() and (leaves.max(axis=0) == 2**depth - 1).all()
+    inner = ((leaves > 0) & (leaves < 2**depth - 1)).all(axis=1)
+    assert (_neighbor_tables(tree, tree, False)[depth][inner] < 0).any()
 
 
 def test_training_grids_regions():
@@ -330,6 +378,19 @@ def test_points_outside_domain_rejected():
             ef.build_tree(np.array([[0.1, 0.1], [bad, 0.0]]), config)
 
 
+def test_complex_points_refused():
+    # np.asarray(..., dtype=float) would bin the real parts with only a
+    # ComplexWarning
+    config = ef.TreeConfig(dimension=2, side=1.0, depth=2)
+    with pytest.raises(ValueError, match="point values must be real, not complex128"):
+        ef.build_tree(np.array([[0.1, 0.1], [0.2, 0.0]]) + 0.1j, config)
+
+
+def test_complex_center_refused():
+    with pytest.raises(ValueError, match="center coordinate values must be real"):
+        ef.TreeConfig(dimension=2, side=1.0, depth=2, center=(0.1j, 0.0))
+
+
 def test_neighbor_list_brute_force(small_tree):
     # each near-field row holds exactly the sources in leaves within
     # Chebyshev distance 1 of its target's leaf; the half path (a shared
@@ -341,11 +402,13 @@ def test_neighbor_list_brute_force(small_tree):
     other = ef.build_tree(other_points, config)
     target_multi = _brute_leaf_multi(points, config)
     for src, src_points in ((other, other_points), (tree, points)):
-        matrix = _near_matrix(kernel, tree, src, half=src is tree)
+        half = src is tree
+        neighbors = _neighbor_tables(tree, src, half)
+        matrix = _near_matrix(kernel, tree, src, half, neighbors[config.depth])
         delta = (_brute_leaf_multi(src_points, config)[None, :, :]
                  - target_multi[:, None, :])
         expect = np.abs(delta).max(axis=2) <= 1
-        if src is tree:
+        if half:
             lead = np.take_along_axis(
                 delta, (delta != 0).argmax(axis=2)[..., None], axis=2)[..., 0]
             expect &= lead >= 0  # first nonzero component (0 if none)
