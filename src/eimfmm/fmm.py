@@ -5,11 +5,12 @@ per-box vectors whose lengths vary by level (each level keeps exactly the
 terms its interpolation models selected), stored box-major as one (boxes,
 terms) array per level so that every gather and scatter moves whole rows.
 A SummationPlan precomputes everything independent of the source
-strengths, so repeated sweeps with new potentials only pay for the five far
-passes and the near product.  That includes, per level, the radiating
-model's coefficient solve composed with the transfer row basis: the upward
-pass carries moments only and runs no triangular solve; the one solve left
-in a sweep is the leaf receiving model's, after the downward sum.
+strengths but the sibling blocks M_P below, assembled in each sweep to keep
+memory down; sweeps with new potentials pay for the five far passes and
+the near product.  That includes the near-field matrix and, per level, the
+radiating model's coefficient solve composed with the transfer row basis:
+the upward pass carries moments only and runs no triangular solve; the one
+solve left in a sweep is the leaf receiving model's, after the downward sum.
 
 One walk down the trees' children tables gives each level's neighbors: the
 near field's at the leaves, and the transfer pairs as the children of
@@ -51,7 +52,7 @@ from .tree import (_transfer_index_table, build_tree, child_offsets, finite_floa
 _COINCIDENT_DISTANCE = 1e-300
 
 FAR_PHASES = ("P2M", "M2M", "M2L", "L2L", "L2P")
-ALL_PHASES = FAR_PHASES + ("near_build", "near")
+ALL_PHASES = ("plan",) + FAR_PHASES + ("near",)
 
 
 @dataclass
@@ -276,8 +277,7 @@ class SummationPlan:
     """Geometry, operators, and index plumbing for one particle layout.
 
     apply_far/apply_near may be called any number of times with different
-    potentials.  Nothing changes after construction except the near-field
-    matrix, which the first apply_near builds and keeps.
+    potentials.  Nothing changes after construction.
     """
 
     def __init__(self, kernel, targets, sources, config, cache,
@@ -310,7 +310,6 @@ class SummationPlan:
         # Neighbor tables per level, walked once from the root; the near
         # field reads the leaves'.
         neighbors = _neighbor_tables(self.tgt_tree, self.src_tree, self._half)
-        self._leaf_neighbors = neighbors[depth]
         # Transfer pairs per level, enumerated once from the neighbor parent
         # pairs one level up (farther parents are covered further up): at
         # parent offset P (a step: a column of the neighbor tables, the self
@@ -359,7 +358,8 @@ class SummationPlan:
             level: cache.eims[level].radiating.coefficients_t(cache.m2l[level].row_basis)
             for level in range(2, depth + 1)
         }
-        self._near = None
+        self._near = _near_matrix(kernel, self.tgt_tree, self.src_tree,
+                                  self._half, neighbors[depth])
 
     # -- far field ---------------------------------------------------------
 
@@ -437,23 +437,14 @@ class SummationPlan:
     # -- near field --------------------------------------------------------
 
     def apply_near(self, potentials):
-        """Exact near-field values at the targets; the near-field matrix is
-        built on the first call and kept."""
+        """Exact near-field values at the targets."""
         sigma = self._sorted_weights(potentials)
-        near = self._near_built()
-        sorted_out = near @ sigma
+        sorted_out = self._near @ sigma
         if self._half:
-            sorted_out += near.T @ sigma
+            sorted_out += self._near.T @ sigma
         out = np.empty(self.tgt_tree.n_points)
         out[self.tgt_tree.order] = sorted_out
         return out
-
-    def _near_built(self):
-        """The near-field matrix, built on first use."""
-        if self._near is None:
-            self._near = _near_matrix(self.kernel, self.tgt_tree, self.src_tree,
-                                      self._half, self._leaf_neighbors)
-        return self._near
 
     def _sorted_weights(self, potentials):
         """One finite real potential per source, in leaf-sorted source order."""
@@ -538,7 +529,8 @@ def _near_matrix(kernel, target_tree, source_tree, half, neighbors):
 
 def evaluate(kernel, system, config, tolerance, compress_tol=None,
              max_terms=300, resolution=7, x_budget=8192, cache_path=None):
-    """One-call orchestration: cache load-or-build, far and near passes."""
+    """One-call orchestration: cache load-or-build, the plan, far and near
+    passes."""
     t0 = time.perf_counter()
     cache, hit = load_or_build_cache(
         kernel, config, tolerance, compress_tol, max_terms, resolution,
@@ -546,11 +538,11 @@ def evaluate(kernel, system, config, tolerance, compress_tol=None,
     )
     cache_seconds = time.perf_counter() - t0
 
-    plan = SummationPlan(kernel, system.targets, system.sources, config, cache)
-    far, _, timings = plan.apply_far(system.potentials)
     t0 = time.perf_counter()
-    plan._near_built()
-    timings["near_build"] = time.perf_counter() - t0
+    plan = SummationPlan(kernel, system.targets, system.sources, config, cache)
+    timings = {"plan": time.perf_counter() - t0}
+    far, _, far_timings = plan.apply_far(system.potentials)
+    timings.update(far_timings)
     t0 = time.perf_counter()
     near = plan.apply_near(system.potentials)
     timings["near"] = time.perf_counter() - t0

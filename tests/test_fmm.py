@@ -2,6 +2,7 @@
 
 import os
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -272,12 +273,17 @@ def test_shared_tree_builds_the_transfer_groups_of_a_source_tree(dim, cache):
 def test_multilevel_matches_direct(cloud, cache):
     points, weights = cloud
     system = ef.ParticleSystem(points, points, weights)
+    t0 = time.perf_counter()
     result = ef.evaluate(KERNEL, system, CONFIG, TOL, resolution=8, x_budget=1024)
+    wall = time.perf_counter() - t0
     expect = ef.direct_sum(KERNEL, system)
     rel = np.linalg.norm(result.total - expect) / np.linalg.norm(expect)
     assert rel <= 100.0 * TOL
     assert np.array_equal(result.total, result.far_field + result.near_field)
+    # the plan is timed as one phase, and the phases never overlap
     assert set(result.timings) == set(ef.fmm.ALL_PHASES)
+    assert result.timings["plan"] > 0
+    assert sum(result.timings.values()) + result.cache_build_seconds <= wall
 
 
 def test_monolevel_equals_multilevel(cloud, cache, monolevel_far_field):
@@ -350,6 +356,39 @@ def test_plan_reuse_is_deterministic(cloud, cache):
     # and the first sweep was not disturbed by the second
     again, _, _ = fresh.apply_far(weights)
     assert np.array_equal(far_a, again)
+
+
+def _arrays(value, path="plan"):
+    """Every array reachable from value through attributes, dicts, lists
+    and tuples, with its path."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _arrays(item, f"{path}[{key!r}]")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _arrays(item, f"{path}[{i}]")
+    elif hasattr(value, "__dict__") and not callable(value):
+        for key, item in vars(value).items():
+            yield from _arrays(item, f"{path}.{key}")
+
+
+def test_plan_does_not_change_after_construction(cloud, cache):
+    points, weights = cloud
+    plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache)
+    attributes = dict(vars(plan))
+    arrays = {path: (array, array.copy()) for path, array in _arrays(plan)}
+    assert "plan._near.data" in arrays
+    plan.apply_far(weights)
+    plan.apply_near(weights)
+    assert vars(plan).keys() == attributes.keys()
+    assert all(vars(plan)[name] is value for name, value in attributes.items())
+    after = dict(_arrays(plan))
+    assert after.keys() == arrays.keys()
+    for path, (array, copy) in arrays.items():
+        assert after[path] is array, path
+        assert array.dtype == copy.dtype and array.tobytes() == copy.tobytes(), path
 
 
 def test_far_and_near_are_linear(cloud, cache):
@@ -674,23 +713,26 @@ def test_near_matrix_independent_of_chunk_budget(cloud, monkeypatch):
 
 def test_near_field_refuses_more_pairs_than_memory(cache, monkeypatch):
     # 200k points in one depth-3 leaf: every pair is a near pair, 4e10 of
-    # them stored at 16 B each.  The count is refused before anything of
-    # that size is allocated; np.empty fails the test if it is reached.
+    # them stored at 16 B each.  The plan refuses the count before anything
+    # of that size is allocated: an np.empty of more than n entries (the
+    # plan's own tables are sized by the few boxes) fails the test.
     n = 200_000
     points = np.random.default_rng(21).uniform(0.01, 0.1, size=(n, 2))
-    plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache)
-    assert plan.tgt_tree.leaf_counts.tolist() == [n]
+    tree = ef.build_tree(points, CONFIG)
+    assert tree.leaf_counts.tolist() == [n]
+    empty = np.empty
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the near field was allocated")
+    def small_empty(shape, *args, **kwargs):
+        if np.prod(shape) > n:
+            raise AssertionError(f"np.empty of shape {shape}")
+        return empty(shape, *args, **kwargs)
 
-    monkeypatch.setattr(np, "empty", refuse)
+    monkeypatch.setattr(np, "empty", small_empty)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     message = (f"{n * n} pairs in {16 * n * n} bytes, more than the {memory} "
                "bytes of physical memory; a deeper tree stores fewer pairs")
     with pytest.raises(ValueError, match=re.escape(message)):
-        plan.apply_near(np.ones(n))
-    assert plan._near is None
+        ef.SummationPlan(KERNEL, points, points, CONFIG, cache, target_tree=tree)
 
 
 def test_depth_11_plan_holds_setup_memory_to_the_occupied_boxes(monkeypatch):
