@@ -193,9 +193,10 @@ def _neighbor_tables(target_tree, source_tree, half):
 def _add_rows(target, pos, values):
     """target[pos] += values for distinct rows pos.  np.put of whole rows
     as opaque records is several times faster than a fancy assignment.
-    The transfer pass scatters each group to its targets (one per target
-    box and offset) and each sibling block to the children of distinct
-    parents, which are distinct too."""
+    Four callers add distinct rows: the transfer pass, each group to its
+    targets (one per box and offset), and each sibling block to the
+    children of distinct parents; M2M and L2L, per child parity, to distinct
+    parents and to their children of that parity."""
     if values.size:
         rows = target.take(pos, axis=0)
         rows += values
@@ -266,10 +267,9 @@ def _leaf_values(kernel, tree, nodes, coeffs):
     coeffs."""
     out = np.empty(tree.n_points)
     for l0, l1, p0, p1 in _leaf_chunks(tree, nodes.shape[0]):
-        disp = _displacements(tree.leaf_local[p0:p1, None, :], nodes[None, :, :])
         per_point = np.repeat(coeffs[l0:l1], tree.leaf_counts[l0:l1], axis=0)
         out[tree.order[p0:p1]] = np.einsum(
-            "ij,ij->i", kernel.from_displacements(disp), per_point)
+            "ij,ij->i", kernel.pairwise(tree.leaf_local[p0:p1], nodes), per_point)
     return out
 
 
@@ -385,13 +385,11 @@ class SummationPlan:
         # into the transfer projection.
         t0 = time.perf_counter()
         for level in range(depth - 1, 1, -1):
-            up = cache.m2m[level].matrices
-            child = moments[level + 1]
-            acc = np.zeros((src.level_flat[level].size, up[0].shape[0]))
+            up, child = cache.m2m[level].matrices, moments[level + 1]
+            moments[level] = acc = np.zeros((src.level_flat[level].size, up[0].shape[0]))
             for mat, kids in zip(up, src.children[level + 1].T):
                 parent = np.flatnonzero(kids >= 0)
-                acc[parent] += child.take(kids[parent], axis=0) @ mat.T
-            moments[level] = acc
+                _add_rows(acc, parent, child.take(kids[parent], axis=0) @ mat.T)
         timings["M2M"] += time.perf_counter() - t0
 
         # Transfer pass in the projected coordinates, grouped by offset; a
@@ -415,13 +413,11 @@ class SummationPlan:
         t0 = time.perf_counter()
         local_moments = {2: transfer[2]}
         for level in range(2, depth):
-            down = cache.l2l[level].matrices
-            parent = local_moments[level]
-            arr = transfer[level + 1].copy()
+            down, parent = cache.l2l[level].matrices, local_moments[level]
+            local_moments[level + 1] = arr = transfer[level + 1].copy()
             for mat, kids in zip(down, tgt.children[level + 1].T):
                 ppos = np.flatnonzero(kids >= 0)
-                arr[kids[ppos]] += parent.take(ppos, axis=0) @ mat.T
-            local_moments[level + 1] = arr
+                _add_rows(arr, kids[ppos], parent.take(ppos, axis=0) @ mat.T)
         receiving = cache.eims[depth].receiving
         local_coeffs = receiving.coefficients(local_moments[depth].T).T
         timings["L2L"] += time.perf_counter() - t0

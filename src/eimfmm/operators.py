@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import qr
 
 from .eim import EimModel, eim_build, require_tolerance
-from .tree import child_offsets, training_grids, transfer_offsets
+from .tree import child_offsets, require_level, training_grids, transfer_offsets
 
 CACHE_MAGIC = b"EIMFMM01"
 CACHE_VERSION = 5
@@ -133,8 +133,7 @@ def build_level_eims(kernel, config, level, tolerance, max_terms,
     the deepest level's models, rescaled: bitwise what build_operator_cache
     stores for it.
     """
-    if not (2 <= level <= config.depth):
-        raise ValueError(f"level {level} outside 2..{config.depth}")
+    require_level(level, config.depth)
     require_tolerance("tolerance", tolerance)
     if kernel.scaling is not None and level < config.depth:
         deepest = build_level_eims(kernel, config, config.depth, tolerance,
@@ -203,23 +202,22 @@ def _rescaled(kernel, ops, coarser):
 def assemble_m2m(kernel, config, level, eims, child_eims):
     """Child-to-parent moment operators between two consecutive levels:
     the parent's far nodes seen from each child center."""
-    return _translation(kernel, config, level, child_eims,
+    return _translation(kernel, config, level, eims, child_eims,
                         eims.radiating.x_points, child_eims.radiating, -1)
 
 
 def assemble_l2l(kernel, config, level, eims, child_eims):
     """Parent-to-child local operators between two consecutive levels:
     the child's nodes seen from the parent center."""
-    return _translation(kernel, config, level, child_eims,
+    return _translation(kernel, config, level, eims, child_eims,
                         child_eims.receiving.x_points, eims.receiving, 1)
 
 
-def _translation(kernel, config, level, child_eims, points, model, sign):
+def _translation(kernel, config, level, eims, child_eims, points, model, sign):
     """Per child parity: kernel between points shifted by sign times the
     child's center offset and the model's y nodes, through the model's
     coefficient map."""
-    if child_eims.level != level + 1:
-        raise ValueError("child models must live one level below")
+    require_level(level, config.depth - 1, eims, child_eims)
     half_child = config.half_width(level + 1)
     mats = []
     for bits in 2 * child_offsets(config.dimension) - 1:
@@ -276,8 +274,7 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     rescales its models to the deepest level, assembles there and rescales
     the result back: bitwise what build_operator_cache stores for it.
     """
-    if level < 2:
-        raise ValueError("transfer operators exist at levels >= 2 only")
+    require_level(level, config.depth, eims)
     require_tolerance("compression_tolerance", compression_tolerance)
     eps = float(compression_tolerance)
     if kernel.scaling is not None and level < config.depth:

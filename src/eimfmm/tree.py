@@ -87,10 +87,20 @@ def _thinned(n, hole, dimension, take):
     return _unrank_hollow(ranks, n, lo, lo + hole, dimension)
 
 
+def require_level(level, top, *models):
+    """Refuse a level outside 2..top, the levels a per-level step serves, or
+    models[i] (each with a level) built for a level other than level + i."""
+    if not 2 <= level <= top:
+        raise ValueError(f"level {level} outside 2..{top}")
+    for want, pair in enumerate(models, level):
+        if pair.level != want:
+            raise ValueError(f"level {pair.level} models cannot serve level {want}")
+
+
 def training_grids(config, level, resolution, x_budget=8192):
     """Candidate points (points_x, points_y) for a level's greedy node
     searches, cell-centered on the level's reference domains translated to
-    the origin; valid for 0 <= level <= depth.
+    the origin; valid for 2 <= level <= depth, the levels with a far region.
 
     The source box is the cube [-h, h]^D, h the level's half width.  The
     far region is the closed cube of bound side - h minus the open cube of
@@ -114,8 +124,7 @@ def training_grids(config, level, resolution, x_budget=8192):
       the kernel restricted there is far smoother, but the upward/downward
       recursions still evaluate the interpolants there.
     """
-    if not (0 <= level <= config.depth):
-        raise ValueError(f"level {level} outside 0..{config.depth}")
+    require_level(level, config.depth)
     res = int(resolution)
     if res != resolution or res < 2:
         raise ValueError("resolution must be an integer of at least 2")
@@ -131,10 +140,8 @@ def training_grids(config, level, resolution, x_budget=8192):
 
     n = int(round(2.0 * far_outer / spacing))
     xcoords = -far_outer + (np.arange(n) + 0.5) * spacing
-    hole, shell = 3 * res, min(7 * res, n)
-    if n <= hole:
-        raise ValueError(f"level {level} has no far region")
-    idx = _thinned(shell, hole, dim, x_budget) + (n - shell) // 2
+    shell = 7 * res
+    idx = _thinned(shell, 3 * res, dim, x_budget) + (n - shell) // 2
     if n > shell:
         idx = np.concatenate([idx, _thinned(n, shell, dim, max(1, x_budget // 4))])
     return xcoords[idx], points_y

@@ -49,6 +49,23 @@ def test_eim_build_validation():
             eim_build(kernel, *training, tolerance)
 
 
+def test_eim_build_refuses_non_finite_or_vanishing_kernel():
+    training = small_training()
+    for value, reason in ((np.inf, "kernel must be finite on the training product"),
+                          (0.0, "kernel vanishes on the entire training product")):
+        kernel = ef.Kernel("constant", lambda d, v=value: np.full(d.shape[:-1], v), True)
+        with pytest.raises(ValueError, match=reason):
+            eim_build(kernel, *training, 1e-6)
+
+
+def test_coefficients_refuse_wrong_leading_size(laplace_model):
+    _, _, model = laplace_model
+    for solve in (model.coefficients, model.coefficients_t):
+        with pytest.raises(ValueError, match=f"expected leading size {model.d}, "
+                                             f"got {model.d + 1}"):
+            solve(np.ones((model.d + 1, 2)))
+
+
 def test_certified_stop_and_history(laplace_model):
     kernel, training, model = laplace_model
     h = model.residual_history

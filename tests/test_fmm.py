@@ -579,6 +579,28 @@ def test_transfer_sums_match_pairwise_reference(case, cube_cloud, cache_store, c
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
+def test_vertical_passes_match_indexed_add_reference(cloud, cache):
+    # M2M and L2L add each parity's rows at distinct positions; np.add.at
+    # per parity, in the same order, rounds every sum the same way
+    points, weights = cloud
+    plan = ef.SummationPlan(KERNEL, points[:500], points[500:], CONFIG, cache)
+    _, fields, _ = plan.apply_far(weights[500:])
+    for level in range(2, CONFIG.depth):
+        up = np.zeros_like(fields.source_moments[level])
+        down = fields.transfer_sums[level + 1].copy()
+        for parity in range(2**CONFIG.dimension):
+            kids = plan.src_tree.children[level + 1][:, parity]
+            have = np.flatnonzero(kids >= 0)
+            np.add.at(up, have, fields.source_moments[level + 1][kids[have]]
+                      @ cache.m2m[level].matrices[parity].T)
+            kids = plan.tgt_tree.children[level + 1][:, parity]
+            have = np.flatnonzero(kids >= 0)
+            np.add.at(down, kids[have], fields.local_moments[level][have]
+                      @ cache.l2l[level].matrices[parity].T)
+        assert np.array_equal(fields.source_moments[level], up)
+        assert np.array_equal(fields.local_moments[level + 1], down)
+
+
 def test_far_pass_independent_of_chunk_size(cache, monkeypatch):
     # clustered, so that small leaves share chunks and big ones exceed one
     rng = np.random.default_rng(8)

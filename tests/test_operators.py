@@ -7,6 +7,7 @@ synthetic source/field configurations whose exact answers are computable.
 
 import dataclasses
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -148,10 +149,33 @@ def test_level_model_node_roles(small_cache):
 
 def test_vertical_operators_check_child_level(small_cache):
     pair2 = small_cache.eims[2]
-    with pytest.raises(ValueError):
-        ef.assemble_m2m(KERNEL, CONFIG, 2, pair2, pair2)
-    with pytest.raises(ValueError):
-        ef.assemble_l2l(KERNEL, CONFIG, 2, pair2, pair2)
+    for assemble in (ef.assemble_m2m, ef.assemble_l2l):
+        with pytest.raises(ValueError, match="level 2 models cannot serve level 3"):
+            assemble(KERNEL, CONFIG, 2, pair2, pair2)
+
+
+def _m2l(kernel, config, level, eims):
+    return ef.assemble_m2l(kernel, config, level, eims, 1e-3)
+
+
+@pytest.mark.parametrize("assemble, level, models, message", [
+    (_m2l, 7, (3,), "level 7 outside 2..3"),
+    (_m2l, 2, (3,), "level 3 models cannot serve level 2"),
+    (ef.assemble_m2m, 2, (3, 3), "level 3 models cannot serve level 2"),
+    (ef.assemble_l2l, 2, (3, 3), "level 3 models cannot serve level 2"),
+    (ef.assemble_m2m, 3, (3, 4), "level 3 outside 2..2"),
+    (ef.assemble_l2l, 3, (3, 4), "level 3 outside 2..2"),
+], ids=["m2l-beyond-depth", "m2l-models", "m2m-models", "l2l-models", "m2m-at-depth",
+        "l2l-at-depth"])
+def test_per_level_steps_refuse_other_levels(small_cache, assemble, level, models,
+                                             message):
+    # each step serves 2..depth (M2M and L2L 2..depth - 1) and only the
+    # models of its own level and of its children's
+    last = small_cache.eims[CONFIG.depth]
+    eims = [small_cache.eims[k] if k in small_cache.eims
+            else LevelEims(k, last.radiating, last.receiving) for k in models]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        assemble(KERNEL, CONFIG, level, *eims)
 
 
 def test_m2m_matches_dense_inverse(small_cache):
@@ -640,6 +664,34 @@ def test_cache_rejects_truncation_and_trailing(small_cache, tmp_path):
             ef.load_cache(path)
 
 
+def _resigned(path, body):
+    """Write body under its own valid checksum, as save_cache would."""
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def test_cache_refuses_read_past_end_under_valid_checksum(small_cache, tmp_path):
+    # a cut body, and a first array whose shape claims 2^62 values: each
+    # length is checked against the bytes left before anything is allocated
+    path = tmp_path / "ops.bin"
+    ef.save_cache(small_cache, path)
+    body = path.read_bytes()[:-32]
+    huge = struct.pack("<2Q", 2**31, 2**31)
+    for mangled in (body[:_FIRST_ARRAY_AT + 8],
+                    body[:_FIRST_ARRAY_AT] + huge + body[_FIRST_ARRAY_AT + 16:]):
+        _resigned(path, mangled)
+        with pytest.raises(ef.CacheCorruptError, match="cache file is truncated"):
+            ef.load_cache(path)
+
+
+def test_cache_refuses_undecodable_kernel_name(small_cache, tmp_path):
+    path = tmp_path / "ops.bin"
+    ef.save_cache(small_cache, path)
+    body = path.read_bytes()[:-32]
+    _resigned(path, body[:_NAME_AT] + b"\xff" * len(KERNEL.name) + body[_FIELDS_AT:])
+    with pytest.raises(ef.CacheCorruptError, match="undecodable kernel name in cache file"):
+        ef.load_cache(path)
+
+
 def test_cache_checks_layout_under_valid_checksum(small_cache, tmp_path):
     # each file below is re-signed, so only the structure checks can refuse it
     path = tmp_path / "ops.bin"
@@ -662,6 +714,6 @@ def test_cache_checks_layout_under_valid_checksum(small_cache, tmp_path):
         (body + struct.pack("<2Q", *extra.shape) + extra.tobytes(), "trailing"),
     ]
     for mangled, reason in cases:
-        path.write_bytes(mangled + hashlib.sha256(mangled).digest())
+        _resigned(path, mangled)
         with pytest.raises(ef.CacheCorruptError, match=reason):
             ef.load_cache(path)

@@ -174,7 +174,7 @@ def test_training_grids_regions():
     # cell centers half a spacing inside both bounds
     assert far.min() == pytest.approx(3 * l + l / 6)
     assert far.max() == pytest.approx(1.0 - l - l / 6)
-    with pytest.raises(ValueError, match=re.escape("level 5 outside 0..4")):
+    with pytest.raises(ValueError, match=re.escape("level 5 outside 2..4")):
         training_grids(config, 5, 6)
 
 
@@ -194,11 +194,15 @@ def test_training_grid_membership_and_spacing():
 
 
 def test_training_grid_needs_far_region():
+    # levels 0 and 1 have no well-separated box: the greedy serves 2..depth
     config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
-    with pytest.raises(ValueError, match="far region"):
-        training_grids(config, 0, 4)
+    for level in (0, 1):
+        with pytest.raises(ValueError, match=re.escape(f"level {level} outside 2..4")):
+            training_grids(config, level, 4)
     with pytest.raises(ValueError, match="resolution must be an integer"):
         training_grids(config, 2, 6.5)
+    with pytest.raises(ValueError, match="x_budget must be positive"):
+        training_grids(config, 2, 6, x_budget=0)
 
 
 def _thin(zone, take):
@@ -384,6 +388,19 @@ def test_complex_points_refused():
     config = ef.TreeConfig(dimension=2, side=1.0, depth=2)
     with pytest.raises(ValueError, match="point values must be real, not complex128"):
         ef.build_tree(np.array([[0.1, 0.1], [0.2, 0.0]]) + 0.1j, config)
+
+
+def test_center_of_wrong_length_refused():
+    with pytest.raises(ValueError, match="center must have one coordinate per dimension"):
+        ef.TreeConfig(dimension=2, side=1.0, depth=2, center=(0.0, 0.0, 0.0))
+
+
+def test_points_of_wrong_shape_refused():
+    config = ef.TreeConfig(dimension=2, side=1.0, depth=2)
+    for points in (np.zeros((3, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"points must have shape (n, 2), got {points.shape}")):
+            ef.build_tree(points, config)
 
 
 def test_complex_center_refused():
