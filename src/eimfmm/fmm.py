@@ -39,13 +39,8 @@ from scipy.sparse import csr_matrix, get_index_dtype
 
 from . import kernels
 from .kernels import _displacements
-from .operators import (
-    CacheMismatchError,
-    build_operator_cache,
-    load_cache,
-    make_cache_key,
-    save_cache,
-)
+from .operators import (CacheMismatchError, build_operator_cache, load_cache,
+                        make_cache_key, save_cache)
 from .tree import (_transfer_index_table, build_tree, child_offsets, finite_floats,
                    parity_rank)
 
@@ -288,15 +283,21 @@ class SummationPlan:
             raise CacheMismatchError(
                 f"cache {key} does not match kernel {kernel.name!r} and {config}"
             )
-        # A symmetric kernel's plan may apply M_P^T = M_{-P}, which needs the
-        # one transfer basis only a symmetric build has; the key does not
-        # record symmetry.
-        for level, ops in cache.m2l.items():
+        # Per level, the radiating solve of the level where the transfer
+        # operators were built (see OperatorCache.transfer), composed with
+        # their row basis: the transfer pass projects moments through it.  A
+        # symmetric kernel may apply M_P^T = M_{-P}, which needs the one
+        # basis only a symmetric build has; the key does not record symmetry.
+        self._folded = {}
+        for level in range(config.depth, 1, -1):
+            ops = cache.transfer(level)
             if kernel.is_symmetric and not np.array_equal(ops.row_basis, ops.projector):
                 raise CacheMismatchError(
                     f"cache {key} was built for a non-symmetric kernel: its "
-                    f"level {level} transfer bases differ, and kernel "
+                    f"level {ops.level} transfer bases differ, and kernel "
                     f"{kernel.name!r} is declared symmetric")
+            self._folded[level] = cache.eims[ops.level].radiating.coefficients_t(
+                ops.row_basis)
         self.kernel = kernel
         self.config = config
         self.cache = cache
@@ -351,13 +352,6 @@ class SummationPlan:
             ends = np.cumsum(np.bincount(t, minlength=len(named))).tolist()
             self._transfer_groups[level] = {
                 k: (tpos[a:b], spos[a:b]) for k, (a, b) in enumerate(zip([0] + ends, ends))}
-        # The radiating coefficient solve composed with the transfer row
-        # basis, (terms, r_v) per level: the transfer pass projects moments
-        # straight through it.
-        self._folded = {
-            level: cache.eims[level].radiating.coefficients_t(cache.m2l[level].row_basis)
-            for level in range(2, depth + 1)
-        }
         self._near = _near_matrix(kernel, self.tgt_tree, self.src_tree,
                                   self._half, neighbors[depth])
 
@@ -398,7 +392,7 @@ class SummationPlan:
         t0 = time.perf_counter()
         transfer = {}
         for level in range(2, depth + 1):
-            ops = cache.m2l[level]
+            ops = cache.transfer(level)
             projected = moments[level] @ self._folded[level]
             gathered = np.zeros((tgt.level_flat[level].size, ops.rank))
             for t, (tpos, spos) in self._transfer_groups[level].items():

@@ -105,8 +105,8 @@ def make_builtin_kernel(name):
     Supported: laplace (1/r), oscillatory (cos(20 r)/r), gaussian
     (exp(-r^2)), multiquadric (sqrt(r^2 + 1)), with r the Euclidean
     distance.  All four are symmetric.  laplace declares scaling=-1, so
-    its operators are built at the deepest tree level only and rescaled to
-    every coarser one.
+    its operators are built at the deepest tree level only: coarser levels
+    rescale its models and run its transfer operators.
     """
     try:
         fn = _BUILTINS[name]

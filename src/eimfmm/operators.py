@@ -11,10 +11,10 @@ through the small R factor of a QR, then a per-offset truncated SVD.  The
 QR operand, the largest array of the build, is filled straight from the
 kernel and factored in place; the per-offset stage evaluates each block
 again.  A kernel that declares a degree p, K(a d) = a^p K(d), is built at
-the deepest level only: every coarser level is that level rescaled by exact
-powers of two (see _rescaled).  Everything serializes to a versioned
-little-endian binary cache: the key, the arrays in the order the key fixes,
-one SHA-256 checksum (laid out above save_cache).
+the deepest level only: coarser models are its own rescaled by exact powers
+of two (see _rescaled), and its transfer operators serve every level.  All
+of it serializes to a versioned little-endian binary cache: the key, the
+arrays in the key's order, one SHA-256 checksum (laid out above save_cache).
 """
 
 import hashlib
@@ -31,7 +31,7 @@ from .eim import EimModel, eim_build, require_tolerance
 from .tree import child_offsets, require_level, training_grids, transfer_offsets
 
 CACHE_MAGIC = b"EIMFMM01"
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 
 
 class CacheError(Exception):
@@ -84,7 +84,7 @@ class TranslationOperators:
 
 @dataclass
 class M2lOperators:
-    """Compressed same-level transfer operators.
+    """Compressed same-level transfer operators, built at ``level``.
 
     The transfer block of offset t is approximated by projector @ C_t @
     row_basis.T.  ``projector`` is the orthonormal column basis on the
@@ -155,10 +155,10 @@ def _check_promises(kernel, points_x, points_y, tolerance, factors):
     """Refuse a kernel that breaks what it declares, on a fixed subsample of
     <= 64 x 64 of the training pairs.  Symmetry selects the transposed
     receiving model, the half near field and V = U; a scaling selects
-    operators rescaled from this level at every factor a.  Each is silently
-    wrong for a kernel that breaks it, so K(y, x) must match K(x, y), and
-    K(a x, a y) must match a^p K(x, y), within tolerance of the largest
-    value compared."""
+    models rescaled from this level, and its transfer operators, at every
+    factor a.  Each is silently wrong for a kernel that breaks it, so
+    K(y, x) must match K(x, y), and K(a x, a y) must match a^p K(x, y),
+    within tolerance of the largest value compared."""
     xs, ys = (p[::-(-len(p) // 64)] for p in (points_x, points_y))
     forward = kernel.pairwise(xs, ys)
     checks = []
@@ -175,28 +175,24 @@ def _check_promises(kernel, points_x, points_y, tolerance, factors):
                              "training pairs")
 
 
-def _rescaled(kernel, ops, coarser):
-    """The operators ``ops`` of a kernel of degree p, K(a d) = a^p K(d),
+def _rescaled(kernel, eims, coarser):
+    """The models ``eims`` of a kernel of degree p, K(a d) = a^p K(d),
     moved ``coarser`` levels up the tree (down when negative), to boxes
     a = 2^coarser times wider.
 
     Every node scales by a and every kernel value by a^p, both exact powers
     of two, so a rescaled greedy model is bitwise the greedy run on the
     rescaled training grid: pivots and residuals scale by a^p, the unit
-    triangular basis is unchanged.  The transfer blocks scale by a^p, so
-    the bases are unchanged and so is each block's right factor; the dense
-    block or left factor takes the a^p.
+    triangular basis is unchanged.  The transfer operators need no rescaled
+    copy: each level runs the deepest level's, folded with the deepest
+    radiating model, whose pivots lack the a^p that the blocks lack.
     """
-    level = ops.level - coarser
     a, gain = 2.0 ** coarser, 2.0 ** (coarser * kernel.scaling)
-    if isinstance(ops, M2lOperators):
-        blocks = [(tag, first * gain, *rest) for tag, first, *rest in ops.blocks]
-        return M2lOperators(level, ops.projector, ops.row_basis, blocks)
     radiating, receiving = (
         EimModel(m.x_points * a, m.y_points * a, m.basis_matrix,
                  m.pivot_matrix * gain, m.residual_history * gain, m.degenerate)
-        for m in (ops.radiating, ops.receiving))
-    return LevelEims(level, radiating, receiving)
+        for m in (eims.radiating, eims.receiving))
+    return LevelEims(eims.level - coarser, radiating, receiving)
 
 
 def assemble_m2m(kernel, config, level, eims, child_eims):
@@ -270,18 +266,16 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     one at a time (twice per block in all for a symmetric kernel, three
     times otherwise).
 
-    For a kernel that declares a scaling, a level above the deepest
-    rescales its models to the deepest level, assembles there and rescales
-    the result back: bitwise what build_operator_cache stores for it.
+    For a kernel that declares a scaling, a level above the deepest gets
+    the operators assembled at the depth, on its models rescaled there,
+    labelled with the depth: every level runs them (OperatorCache.transfer).
     """
     require_level(level, config.depth, eims)
     require_tolerance("compression_tolerance", compression_tolerance)
     eps = float(compression_tolerance)
     if kernel.scaling is not None and level < config.depth:
-        coarser = config.depth - level
-        deepest = assemble_m2l(kernel, config, config.depth,
-                               _rescaled(kernel, eims, -coarser), eps)
-        return _rescaled(kernel, deepest, coarser)
+        return assemble_m2l(kernel, config, config.depth,
+                            _rescaled(kernel, eims, level - config.depth), eps)
     offsets = transfer_offsets(config.dimension)
     step = 2.0 * config.half_width(level)
     px = eims.receiving.x_points
@@ -373,7 +367,11 @@ class OperatorCache:
         return {k: self.eims[k].terms for k in self.levels}
 
     def ranks_per_level(self):
-        return {k: self.m2l[k].rank for k in sorted(self.m2l)}
+        return {k: self.transfer(k).rank for k in self.levels}
+
+    def transfer(self, level):
+        """The level's transfer operators, else the deepest level's."""
+        return self.m2l[level] if level in self.m2l else self.m2l[self.key.depth]
 
 
 def build_operator_cache(kernel, config, tolerance, compress_tol=None,
@@ -381,9 +379,9 @@ def build_operator_cache(kernel, config, tolerance, compress_tol=None,
     """Precompute every level's operators for a tree configuration.
 
     Levels go from the deepest up.  Each gets its greedy models and
-    transfer operators, built there or, for a kernel that declares a
-    scaling, rescaled from the deepest level's; then its M2M/L2L to the
-    level below.
+    transfer operators, built there; for a kernel that declares a scaling,
+    a coarser level gets the deepest level's models rescaled, and no
+    transfer operators of its own.  Then its M2M/L2L to the level below.
     """
     key = make_cache_key(kernel, config, tolerance, compress_tol, max_terms,
                          resolution, x_budget)
@@ -397,7 +395,6 @@ def build_operator_cache(kernel, config, tolerance, compress_tol=None,
                                             cache.eims[level], key.compress_tol)
         else:
             cache.eims[level] = _rescaled(kernel, cache.eims[depth], depth - level)
-            cache.m2l[level] = _rescaled(kernel, cache.m2l[depth], depth - level)
         if level < depth:
             cache.m2m[level] = assemble_m2m(
                 kernel, config, level, cache.eims[level], cache.eims[level + 1])
@@ -412,8 +409,9 @@ def build_operator_cache(kernel, config, tolerance, compress_tol=None,
 # all the bytes before it.  The key names the kernel, the levels (2..depth)
 # and the 2^D children and transfer offsets per level, so none of these is
 # stored; the layout also fixes each array's rank, so an array is its
-# shape, then its values.  Counts, flags and tags are little-endian u64,
-# reals f64; round trips are bitwise.
+# shape, then its values.  A flag says whether a level's transfer record
+# follows: only operators built at that level are stored.  Counts, flags
+# and tags are little-endian u64, reals f64; round trips are bitwise.
 
 _U64 = struct.Struct("<Q")
 # every key field after the kernel name, each one 8-byte word
@@ -464,13 +462,15 @@ def save_cache(cache, path):
                 if level < depth:
                     for mat in cache.m2m[level].matrices + cache.l2l[level].matrices:
                         put_array(mat)
-                trans = cache.m2l[level]
-                put_array(trans.projector)
-                put_array(trans.row_basis)
-                for tag, *factors in trans.blocks:
-                    put(_U64.pack(tag == "lowrank"))
-                    for f in factors:
-                        put_array(f)
+                trans = cache.transfer(level)
+                put(_U64.pack(trans.level == level))
+                if trans.level == level:
+                    put_array(trans.projector)
+                    put_array(trans.row_basis)
+                    for tag, *factors in trans.blocks:
+                        put(_U64.pack(tag == "lowrank"))
+                        for f in factors:
+                            put_array(f)
             fh.write(check.digest())
             fh.flush()
             os.fsync(fh.fileno())
@@ -554,11 +554,14 @@ def load_cache(path, expected_key=None):
             l2l = [body.array(2) for _ in range(2**dim)]
             cache.m2m[level] = TranslationOperators(level, m2m)
             cache.l2l[level] = TranslationOperators(level, l2l)
-        projector, row_basis = body.array(2), body.array(2)
-        blocks = [("lowrank", body.array(2), body.array(2))
-                  if body.flag("block tag") else ("dense", body.array(2))
-                  for _ in transfer_offsets(dim)]
-        cache.m2l[level] = M2lOperators(level, projector, row_basis, blocks)
+        if body.flag("transfer flag"):
+            projector, row_basis = body.array(2), body.array(2)
+            blocks = [("lowrank", body.array(2), body.array(2))
+                      if body.flag("block tag") else ("dense", body.array(2))
+                      for _ in transfer_offsets(dim)]
+            cache.m2l[level] = M2lOperators(level, projector, row_basis, blocks)
+    if depth not in cache.m2l:
+        raise CacheCorruptError("cache file has no deepest-level transfer operators")
     if body.pos != len(body.view):
         raise CacheCorruptError("trailing bytes in cache file")
     return cache

@@ -104,10 +104,12 @@ def test_criterion_4_compression_fidelity(kernel_name, cache_store):
     rng = np.random.default_rng(8)
     worst = 0.0
     for level in cache.levels:
-        pair = cache.eims[level]
-        assert pair.terms <= 60
-        ops = cache.m2l[level]
-        step = 2.0 * config.half_width(level)
+        assert cache.eims[level].terms <= 60
+        # the operators a level runs act on the models and the boxes of the
+        # level they were built at (the deepest, for laplace)
+        ops = cache.transfer(level)
+        pair = cache.eims[ops.level]
+        step = 2.0 * config.half_width(ops.level)
         coeffs = rng.standard_normal((pair.terms, 30))
         projected = ops.projector.T @ coeffs
         num = 0.0

@@ -11,6 +11,7 @@ import pytest
 import eimfmm as ef
 from eimfmm.eim import EimModel
 from eimfmm.fmm import load_or_build_cache
+from eimfmm.operators import M2lOperators, OperatorCache
 from eimfmm.tree import child_offsets
 
 KERNEL = ef.make_builtin_kernel("gaussian")
@@ -533,7 +534,8 @@ def _pairwise_transfer_sums(plan, fields):
     """Per level, (boxes, terms): C_t of every interaction pair applied to
     the source's projected moments, summed per target, then projected."""
     sums = {}
-    for level, ops in plan.cache.m2l.items():
+    for level in plan.cache.levels:
+        ops = plan.cache.transfer(level)
         projected = fields.source_moments[level] @ plan._folded[level]
         by_offset = {}
         for i, t, j in _interaction_pairs(plan.tgt_tree, plan.src_tree, level):
@@ -672,12 +674,41 @@ def test_folded_projection_matches_solve_then_project(case, cloud, cache,
     _, fields, _ = plan.apply_far(weights)
     assert sorted(fields.source_moments) == list(range(2, config.depth + 1))
     for level, moments in fields.source_moments.items():
-        coeffs = ops.eims[level].radiating.coefficients(moments.T)
-        expect = coeffs.T @ ops.m2l[level].row_basis
+        # the solve of the level the transfer operators were built at
+        trans = ops.transfer(level)
+        coeffs = ops.eims[trans.level].radiating.coefficients(moments.T)
+        expect = coeffs.T @ trans.row_basis
         folded = plan._folded[level]
         got = moments @ folded
         scale = np.abs(moments) @ np.abs(folded)
         assert np.all(np.abs(got - expect) <= 1e-13 * scale)
+
+
+def test_scaling_kernel_shared_transfer_matches_rescaled_copies(cube_cloud):
+    # Every level of laplace runs the deepest level's transfer operators,
+    # folded with the deepest radiating model.  Each coarser level's own
+    # blocks, rescaled by the exact gain a^p and folded with that level's
+    # rescaled models, give the same products: powers of two cancel.
+    points, weights = cube_cloud[0][:3000], cube_cloud[1][:3000]
+    kernel = ef.make_builtin_kernel("laplace")
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=4)
+    shared = ef.build_operator_cache(kernel, config, 1e-4, resolution=5,
+                                     x_budget=512)
+    deepest = shared.m2l[config.depth]
+    copies = {}
+    for level in shared.levels:
+        gain = 2.0 ** ((config.depth - level) * kernel.scaling)
+        copies[level] = M2lOperators(
+            level, deepest.projector, deepest.row_basis,
+            [(tag, first * gain, *rest) for tag, first, *rest in deepest.blocks])
+    rescaled = OperatorCache(shared.key, shared.eims, shared.m2m, shared.l2l, copies)
+    results = [ef.SummationPlan(kernel, points, points, config, c).apply_far(weights)
+               for c in (shared, rescaled)]
+    (far, fields, _), (ref_far, ref_fields, _) = results
+    assert far.tobytes() == ref_far.tobytes()
+    assert sorted(fields.transfer_sums) == [2, 3, 4]
+    for level, sums in fields.transfer_sums.items():
+        assert sums.tobytes() == ref_fields.transfer_sums[level].tobytes()
 
 
 def test_warm_far_pass_solves_only_for_the_leaf_receiving_model(cloud, cache,

@@ -115,8 +115,13 @@ def test_scaling_kernel_derived_levels_match_fresh_build():
     fresh = ef.build_operator_cache(per_level, config, 1e-4)
     assert derived.terms_per_level() == fresh.terms_per_level()
     assert derived.ranks_per_level() == fresh.ranks_per_level()
+    assert sorted(derived.m2l) == [config.depth]
     for level in derived.levels:
-        ops, fresh_ops = derived.m2l[level], fresh.m2l[level]
+        # every level runs the deepest level's operators, which lack the
+        # exact gain a^p of a level's blocks
+        ops, fresh_ops = derived.transfer(level), fresh.m2l[level]
+        assert ops is derived.m2l[config.depth]
+        gain = 2.0 ** ((config.depth - level) * LAPLACE.scaling)
         assert ([ops.block_rank(t) for t in range(len(ops.blocks))]
                 == [fresh_ops.block_rank(t) for t in range(len(ops.blocks))])
         p, q = ops.projector, fresh_ops.projector
@@ -127,7 +132,32 @@ def test_scaling_kernel_derived_levels_match_fresh_build():
         for t in range(len(ops.blocks)):
             got, expect = (o.projector @ o.apply_rows(t, o.row_basis).T
                            for o in (ops, fresh_ops))
+            got *= gain
             assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def test_scaling_kernel_stores_transfer_once(tmp_path):
+    # a kernel that declares a scaling builds, holds and writes its transfer
+    # operators at the deepest level only; one without stores every level
+    config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
+    built = ef.build_operator_cache(LAPLACE, config, 1e-3, resolution=6,
+                                    x_budget=256)
+    per_level = ef.Kernel("laplace-per-level", LAPLACE.from_displacements,
+                          is_symmetric=True)
+    every = ef.build_operator_cache(per_level, config, 1e-3, resolution=6,
+                                    x_budget=256)
+    for cache, stored in ((built, [4]), (every, [2, 3, 4])):
+        path = tmp_path / f"{cache.key.kernel_id}.bin"
+        ef.save_cache(cache, path)
+        loaded = ef.load_cache(path)
+        for c in (cache, loaded):
+            assert sorted(c.m2l) == stored
+            assert all(c.m2l[level].level == level for level in stored)
+            assert [c.transfer(level).level for level in c.levels] == (
+                [4, 4, 4] if stored == [4] else [2, 3, 4])
+    # the scaling file leaves out the coarser levels' transfer records
+    assert (tmp_path / "laplace.bin").stat().st_size < (
+        tmp_path / "laplace-per-level.bin").stat().st_size
 
 
 def test_symmetric_receiving_shares_nodes(small_cache):
@@ -712,6 +742,30 @@ def test_cache_checks_layout_under_valid_checksum(small_cache, tmp_path):
          "model shapes"),
         (body[:tag_at] + struct.pack("<Q", 2) + body[tag_at + 8:], "block tag"),
         (body + struct.pack("<2Q", *extra.shape) + extra.tobytes(), "trailing"),
+    ]
+    for mangled, reason in cases:
+        _resigned(path, mangled)
+        with pytest.raises(ef.CacheCorruptError, match=reason):
+            ef.load_cache(path)
+
+
+def test_cache_refuses_missing_deepest_transfer_under_valid_checksum(tmp_path):
+    # the deepest level's transfer record is the last thing before the
+    # checksum, behind its flag; every level runs it when it has none of
+    # its own, so a file without it is refused
+    config = ef.TreeConfig(dimension=2, side=1.0, depth=3)
+    cache = ef.build_operator_cache(LAPLACE, config, 1e-3, resolution=6, x_budget=256)
+    path = tmp_path / "ops.bin"
+    ef.save_cache(cache, path)
+    body = path.read_bytes()[:-32]
+    ops = cache.m2l[config.depth]
+    arrays = [ops.projector, ops.row_basis] + [f for _, *fs in ops.blocks for f in fs]
+    record = sum(8 * (a.ndim + a.size) for a in arrays) + 8 * len(ops.blocks)
+    flag_at = len(body) - record - 8
+    assert body[flag_at:flag_at + 8] == struct.pack("<Q", 1)
+    cases = [
+        (body[:flag_at] + struct.pack("<Q", 0), "no deepest-level transfer"),
+        (body[:flag_at] + struct.pack("<Q", 2) + body[flag_at + 8:], "transfer flag"),
     ]
     for mangled, reason in cases:
         _resigned(path, mangled)
