@@ -3,6 +3,7 @@
 from .fmm import (
     ParticleSystem,
     SummationPlan,
+    ToleranceNotReachedWarning,
     direct_sum,
     evaluate,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "OperatorCache",
     "ParticleSystem",
     "SummationPlan",
+    "ToleranceNotReachedWarning",
     "TreeConfig",
     "assemble_l2l",
     "assemble_m2l",

@@ -12,10 +12,24 @@ block are taken while it is still in cache, and they give both the
 recorded max residual and the next step's row.  A built model keeps the
 selected nodes plus two triangular factors; every linear action goes
 through forward/back substitution, the inverses are never formed.
+
+The solves run in numpy's LAPACK (``np.linalg.solve``), not in scipy's:
+scipy ships its own OpenBLAS, whose worker threads keep spinning after a
+call and take the cores from the single-threaded passes that follow, so a
+plan or a sweep that called it would run beside two BLAS pools.  Each
+solve factors the node cross matrix, the product of the two factors, again
+(O(d^3), against the O(d^2) per right-hand side of the substitutions).
+Partial pivoting exchanges no rows there: each greedy pivot is the largest
+residual of its column from the diagonal down, and the unit lower
+triangular basis has no entry above 1 in magnitude (a tie keeps the
+diagonal, the first maximum), so the LU recovers the two factors, with
+the pivots moved from one to the other, and the solve runs the same two
+substitutions.  One np.linalg.solve per factor would run four: its
+LU of a triangular factor has an identity or a diagonal for the other
+triangle, which LAPACK substitutes through at full cost.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import kernels
 
@@ -38,6 +52,10 @@ class EimModel:
     times coefficients(column of kernel values at the x nodes), where
     ``coefficients`` inverts the node cross matrix K(x_m, y_l) through two
     triangular solves.  Models are immutable once built.
+
+    ``cross_matrix`` is that matrix as the product of the two factors; a
+    model from ``transposed()`` holds its source's, transposed, so the pair
+    solves bitwise alike.
     """
 
     def __init__(self, x_points, y_points, basis_matrix, pivot_matrix,
@@ -52,6 +70,7 @@ class EimModel:
         self.pivot_matrix = np.asarray(pivot_matrix, dtype=float)
         self.residual_history = np.asarray(residual_history, dtype=float)
         self.degenerate = bool(degenerate)
+        self.cross_matrix = self.pivot_matrix @ self.basis_matrix.T
 
     @property
     def d(self):
@@ -66,16 +85,14 @@ class EimModel:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.d:
             raise ValueError(f"expected leading size {self.d}, got {rhs.shape[0]}")
-        z = solve_triangular(self.pivot_matrix, rhs, lower=True)
-        return solve_triangular(self.basis_matrix, z, lower=True, trans="T")
+        return np.linalg.solve(self.cross_matrix, rhs)
 
     def coefficients_t(self, rhs):
-        """Transpose of :meth:`coefficients` (same triangular factors)."""
+        """Transpose of :meth:`coefficients` (same cross matrix)."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.d:
             raise ValueError(f"expected leading size {self.d}, got {rhs.shape[0]}")
-        z = solve_triangular(self.basis_matrix, rhs, lower=True)
-        return solve_triangular(self.pivot_matrix, z, lower=True, trans="T")
+        return np.linalg.solve(self.cross_matrix.T, rhs)
 
     def transposed(self):
         """Model for the swapped domain pair of a symmetric kernel.
@@ -84,7 +101,7 @@ class EimModel:
         no new greedy run is needed.
         """
         diag = np.diag(self.pivot_matrix).copy()
-        return EimModel(
+        twin = EimModel(
             x_points=self.y_points,
             y_points=self.x_points,
             basis_matrix=self.pivot_matrix / diag[np.newaxis, :],
@@ -92,6 +109,10 @@ class EimModel:
             residual_history=self.residual_history,
             degenerate=self.degenerate,
         )
+        # the product of the rescaled factors rounds differently, and the
+        # solves amplify that by the condition number
+        twin.cross_matrix = self.cross_matrix.T
+        return twin
 
     def __repr__(self):
         return f"EimModel(d={self.d})"

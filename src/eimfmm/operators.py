@@ -63,6 +63,16 @@ class LevelEims:
     radiating: EimModel
     receiving: EimModel
 
+    def __post_init__(self):
+        # A receiving model with the arrays of the radiating model's
+        # transpose is that transpose, whether built, loaded or rescaled, so
+        # every copy of a level solves bitwise alike.
+        twin = self.radiating.transposed()
+        if twin.degenerate == self.receiving.degenerate and all(
+                np.array_equal(getattr(twin, name), getattr(self.receiving, name))
+                for name in _EIM_RANKS):
+            self.receiving = twin
+
     @property
     def terms(self):
         return self.radiating.d

@@ -205,7 +205,8 @@ class Tree:
     Points are sorted by leaf once at build time, so every per-box pass
     reads contiguous slices.  Per sorted point it keeps only what a pass
     reads: ``order`` (its input index), ``sorted_points`` (the near field)
-    and ``leaf_local``, the point recentered on its leaf (the leaf passes).
+    and ``leaf_local``, the point recentered on its leaf (the leaf passes),
+    an (n, D) view of one contiguous plane per coordinate.
     Occupied boxes of every level (ancestors of occupied leaves) are kept
     as sorted flat indices and multi-indices; ``children[level]`` holds per
     box at level - 1 its children's rows at level in parity order, or -1,
@@ -242,7 +243,10 @@ class Tree:
         # Exact dyadic leaf centers, so recentering commutes with a dyadic
         # translation of the domain.
         half = config.half_width(config.depth)
-        self.leaf_local = shifted[order] - ((2.0 * multi + 1) * half - half_side)
+        local = shifted[order] - ((2.0 * multi + 1) * half - half_side)
+        # stored one contiguous plane per coordinate, the layout the leaf
+        # passes build their displacements in; leaf_local is its (n, D) view
+        self.leaf_local = np.ascontiguousarray(local.T).T
         leaves, starts, counts = np.unique(
             flat[order], return_index=True, return_counts=True
         )

@@ -20,6 +20,13 @@ def test_perfbench_names_are_exported():
     assert used <= set(ef.__all__), sorted(used - set(ef.__all__))
 
 
+def test_public_api_size():
+    # the 25 names of the summation and its build steps, and the warning
+    # of a greedy stopped at max_terms
+    assert len(ef.__all__) == 26
+    assert issubclass(ef.ToleranceNotReachedWarning, UserWarning)
+
+
 def test_readme_api_section_lists_all():
     text = (ROOT / "README.md").read_text()
     section = text.split("\n## API\n", 1)[1].split("\n## ", 1)[0]

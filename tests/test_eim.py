@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 import eimfmm as ef
 from eimfmm.eim import eim_build
@@ -119,6 +120,38 @@ def test_coefficients_match_dense_inverse(laplace_model):
     dense_t = np.linalg.solve(a.T, rhs)
     ours_t = model.coefficients_t(rhs)
     assert np.max(np.abs(dense_t - ours_t)) < slack * np.max(np.abs(dense_t))
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+@pytest.mark.parametrize("kernel_name", ef.builtin_kernel_names())
+def test_coefficients_match_triangular_substitution(kernel_name, tol):
+    # numpy's LU of a greedy factor exchanges no rows, so its solve is the
+    # triangular substitution with the divisions moved into the multipliers.
+    # The coefficients are as ill-conditioned as the node cross matrix (at
+    # gaussian 1e-6 the two orders differ by 4e-10 of the largest), so they
+    # are compared through the matrix both invert, relative to the
+    # magnitudes it sums.
+    kernel = ef.make_builtin_kernel(kernel_name)
+    model = eim_build(kernel, *small_training(dim=3, resolution=5), tol)
+    assert model.d > 5
+
+    def reference(m, rhs, transpose):
+        first, second = ((m.basis_matrix, m.pivot_matrix) if transpose
+                         else (m.pivot_matrix, m.basis_matrix))
+        z = solve_triangular(first, rhs, lower=True)
+        return solve_triangular(second, z, lower=True, trans="T")
+
+    rng = np.random.default_rng(3)
+    for m in (model, model.transposed()):
+        cross = m.pivot_matrix @ m.basis_matrix.T
+        for rhs in (rng.standard_normal((m.d, 40)), rng.standard_normal(m.d)):
+            for transpose, solve in ((False, m.coefficients), (True, m.coefficients_t)):
+                expect = reference(m, rhs, transpose)
+                got = solve(rhs)
+                assert got.shape == expect.shape
+                a = cross.T if transpose else cross
+                scale = (np.abs(a) @ np.abs(expect)).max()
+                assert np.abs(a @ (got - expect)).max() <= 1e-13 * scale
 
 
 def test_node_exactness(laplace_model):

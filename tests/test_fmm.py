@@ -4,9 +4,12 @@ import os
 import re
 import time
 import tracemalloc
+import types
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import eimfmm as ef
 from eimfmm.eim import EimModel
@@ -985,3 +988,104 @@ def test_load_or_build_cache_flags(tmp_path):
                                      x_budget=256, cache_path=str(path))
     assert hit
     assert again.key == cache.key
+
+
+def test_plans_and_sweeps_call_no_scipy_linalg(cloud, cache, drift_cache,
+                                               cube_cloud, monkeypatch):
+    # The coefficient solves run in numpy's LAPACK: scipy's BLAS pool would
+    # spin beside numpy's.  Nothing from scipy.linalg is bound in the
+    # modules a plan runs, and a scipy.linalg that raises is never reached.
+    def from_scipy_linalg(obj):
+        name = (obj.__name__ if isinstance(obj, types.ModuleType)
+                else getattr(obj, "__module__", None) or "")
+        return name.startswith("scipy.linalg")
+
+    for module in (ef.eim, ef.fmm):
+        bound = [name for name, obj in vars(module).items() if from_scipy_linalg(obj)]
+        assert bound == [], (module.__name__, bound)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg reached")
+
+    for name in dir(scipy.linalg):
+        if not name.startswith("_") and callable(getattr(scipy.linalg, name)):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+    with pytest.raises(AssertionError, match="reached"):
+        scipy.linalg.solve_triangular(np.eye(2), np.ones(2))
+    points, weights = cloud
+    drift_points, drift_weights = cube_cloud[0][:2000], cube_cloud[1][:2000]
+    for kernel, config, ops, pts, w in (
+            (KERNEL, CONFIG, cache, points, weights),
+            (DRIFT_3D, DRIFT_CONFIG, drift_cache, drift_points, drift_weights)):
+        plan = ef.SummationPlan(kernel, pts, pts, config, ops)
+        far, _, _ = plan.apply_far(w)
+        assert np.isfinite(far + plan.apply_near(w)).all()
+
+
+@pytest.mark.parametrize("terms", [7, 96])
+def test_leaf_passes_match_dense_reference(terms, drift_kernel):
+    # K(d) != K(-d) for the drifted Gaussian, so a displacement taken the
+    # wrong way round (node minus point in L2P, point minus node in P2M)
+    # fails; many terms split the 800 points over several chunks
+    rng = np.random.default_rng(21)
+    points = np.clip(0.1 + 0.2 * rng.standard_normal((800, 2)), -0.5, 0.5)
+    tree = ef.build_tree(points, CONFIG)
+    nodes = rng.uniform(-0.4, 0.4, size=(terms, 2))
+    sigma = rng.uniform(0.5, 1.5, size=tree.n_points)
+    coeffs = rng.uniform(0.5, 1.5, size=(tree.leaf_counts.size, terms))
+    leaf_of = np.repeat(np.arange(tree.leaf_counts.size), tree.leaf_counts)
+
+    moments = np.zeros((tree.leaf_counts.size, terms))
+    np.add.at(moments, leaf_of,
+              drift_kernel.pairwise(nodes, tree.leaf_local).T * sigma[:, None])
+    got = ef.fmm._leaf_moments(drift_kernel, tree, nodes, sigma)
+    assert np.abs(got - moments).max() <= 1e-14 * np.abs(moments).max()
+
+    values = np.empty(tree.n_points)
+    values[tree.order] = np.einsum("ij,ij->i", drift_kernel.pairwise(tree.leaf_local, nodes),
+                                   coeffs[leaf_of])
+    got = ef.fmm._leaf_values(drift_kernel, tree, nodes, coeffs)
+    assert np.abs(got - values).max() <= 1e-14 * np.abs(values).max()
+
+
+def test_plan_warns_of_greedy_stopped_at_max_terms(cube_cloud, cache_store):
+    points, weights = cube_cloud[0][:3000], cube_cloud[1][:3000]
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=3)
+    system = ef.ParticleSystem(points, points, weights)
+    oscillatory = ef.make_builtin_kernel("oscillatory")
+    with pytest.warns(ef.ToleranceNotReachedWarning) as record:
+        ef.evaluate(oscillatory, system, config, 1e-6, max_terms=20)
+    assert len(record) == 1
+    message = str(record[0].message)
+    assert re.search(r"level 2 \(20 terms, residual \S+\), level 3 \(20 terms", message)
+    # a build that reaches its tolerance plans without a warning
+    gaussian = ef.make_builtin_kernel("gaussian")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ef.ToleranceNotReachedWarning)
+        ef.SummationPlan(gaussian, points, points, config,
+                         cache_store("gaussian", 3, 1e-4))
+
+
+def test_plan_refuses_cache_of_same_named_kernel(cloud, tmp_path):
+    # the key names the kernel; the models' stored kernel values tell two
+    # kernels of one name apart.  Unchecked, the narrow kernel would sum
+    # through the wide one's operators, at a relative l2 error of 1.8 here.
+    points, weights = cloud
+    system = ef.ParticleSystem(points, points, weights)
+
+    def gaussian(width):
+        return lambda disp: np.exp(-width * np.einsum("...k,...k->...", disp, disp))
+
+    wide, narrow = (ef.Kernel("mine", gaussian(w), is_symmetric=True) for w in (1.0, 4.0))
+    path = str(tmp_path / "mine.bin")
+    built = ef.evaluate(wide, system, CONFIG, 1e-4, resolution=6, x_budget=256,
+                        cache_path=path)
+    with pytest.raises(ef.CacheMismatchError, match="another kernel named 'mine'"):
+        ef.evaluate(narrow, system, CONFIG, 1e-4, resolution=6, x_budget=256,
+                    cache_path=path)
+    with pytest.raises(ef.CacheMismatchError, match="another kernel named 'mine'"):
+        ef.SummationPlan(narrow, points, points, CONFIG, built.cache)
+    # the kernel it was built for plans from the file and from memory
+    again = ef.evaluate(wide, system, CONFIG, 1e-4, resolution=6, x_budget=256,
+                        cache_path=path)
+    assert again.cache_hit and np.array_equal(again.total, built.total)

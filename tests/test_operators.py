@@ -492,7 +492,7 @@ def test_m2l_holds_one_operand():
 def _assert_models_equal(a, b):
     assert a.degenerate == b.degenerate
     for name in ("x_points", "y_points", "basis_matrix", "pivot_matrix",
-                 "residual_history"):
+                 "residual_history", "cross_matrix"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -536,6 +536,24 @@ def test_cache_round_trip_bitwise(small_cache, tmp_path):
     # a symmetric kernel's row basis is its column basis
     for ops in small_cache.m2l.values():
         assert np.array_equal(ops.row_basis, ops.projector)
+
+
+def test_transposed_receiving_models_share_the_cross_matrix(tmp_path):
+    # A symmetric kernel's receiving model solves through the radiating
+    # model's cross matrix, transposed: built, rescaled and loaded alike, so
+    # a loaded cache sums bitwise as the built one.
+    kernel = ef.make_builtin_kernel("laplace")
+    config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
+    built = ef.build_operator_cache(kernel, config, 1e-6, resolution=6, x_budget=512)
+    path = tmp_path / "ops.bin"
+    ef.save_cache(built, path)
+    loaded = ef.load_cache(path)
+    for cache in (built, loaded):
+        for level in cache.levels:
+            pair = cache.eims[level]
+            assert np.array_equal(pair.receiving.cross_matrix,
+                                  pair.radiating.cross_matrix.T)
+            _assert_models_equal(pair.receiving, built.eims[level].receiving)
 
 
 def test_nonsymmetric_cache_round_trip_bitwise(drift_cache, tmp_path):
