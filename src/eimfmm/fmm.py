@@ -215,9 +215,10 @@ def _add_rows(target, pos, values):
 
 def _sibling_transfer(gathered, projected, ops, tgt_kids, src_kids, blocks, half):
     """Add the rows of the pairs under two complete parents: per parent
-    offset P, M_P (one buffer) maps the 2^D source children of each parent
-    pair at P to its 2^D target children, and back by M_P^T when half; the
-    parent rows of blocks index the trees' children tables tgt_kids, src_kids."""
+    offset P, M_P (one buffer, sub-block (c_t, c_s) a copy of C_t or zero)
+    maps the 2^D source children of each parent pair at P to its 2^D target
+    children, and back by M_P^T when half; the parent rows of blocks index
+    the trees' children tables tgt_kids, src_kids."""
     if not blocks:
         return
     n_kids, r_v = tgt_kids.shape[1], projected.shape[1]
@@ -225,10 +226,7 @@ def _sibling_transfer(gathered, projected, ops, tgt_kids, src_kids, blocks, half
     panels = block.reshape(n_kids, ops.rank, n_kids, r_v)
     for layout, tpar, spar in blocks:
         for (c_t, c_s), t in np.ndenumerate(layout):
-            if t < 0:
-                panels[c_t, :, c_s] = 0.0
-            else:
-                ops.dense_block(t, out=panels[c_t, :, c_s])
+            panels[c_t, :, c_s] = ops.blocks[t] if t >= 0 else 0.0
         tpos = tgt_kids.take(tpar, axis=0).ravel()
         spos = src_kids.take(spar, axis=0).ravel()
         _add_rows(gathered, tpos, (projected.take(spos, axis=0).reshape(
@@ -412,8 +410,7 @@ class SummationPlan:
             projected = moments[level] @ self._folded[level]
             gathered = np.zeros((tgt.level_flat[level].size, ops.rank))
             for t, (tpos, spos) in self._transfer_groups[level].items():
-                _add_rows(gathered, tpos,
-                          ops.apply_rows(t, projected.take(spos, axis=0)))
+                _add_rows(gathered, tpos, projected.take(spos, axis=0) @ ops.blocks[t].T)
             _sibling_transfer(gathered, projected, ops, tgt.children[level],
                               src.children[level], self._siblings[level], self._half)
             transfer[level] = gathered @ ops.projector.T

@@ -7,9 +7,9 @@ folded in through triangular solves), and the compressed transfer
 operators, the same way for every kernel: a column basis and a row basis
 from truncated SVDs of the concatenated transfer blocks and of their
 transposes (one basis serves both for a symmetric kernel), each taken
-through the small R factor of a QR, then a per-offset truncated SVD.  The
-QR operand, the largest array of the build, is filled straight from the
-kernel and factored in place; the per-offset stage evaluates each block
+through the small R factor of a QR, then each block projected on both, kept
+dense.  The QR operand, the largest array of the build, is filled straight
+from the kernel and factored in place; the projection evaluates each block
 again.  A kernel that declares a degree p, K(a d) = a^p K(d), is built at
 the deepest level only: coarser models are its own rescaled by exact powers
 of two (see _rescaled), and its transfer operators serve every level.  All
@@ -31,7 +31,7 @@ from .eim import EimModel, eim_build, require_tolerance
 from .tree import child_offsets, require_level, training_grids, transfer_offsets
 
 CACHE_MAGIC = b"EIMFMM01"
-CACHE_VERSION = 6
+CACHE_VERSION = 7
 
 
 class CacheError(Exception):
@@ -96,43 +96,26 @@ class TranslationOperators:
 class M2lOperators:
     """Compressed same-level transfer operators, built at ``level``.
 
-    The transfer block of offset t is approximated by projector @ C_t @
-    row_basis.T.  ``projector`` is the orthonormal column basis on the
-    receiving side (d_recv by rank), ``row_basis`` the orthonormal basis on
-    the radiating side (d_rad by r_v); for a symmetric kernel they are the
-    same array.  ``blocks[t]`` holds C_t: either ("dense", C) with C
-    rank-by-r_v, or ("lowrank", U, V) with U rank-by-s and V s-by-r_v.
+    The transfer block B_t of offset t is approximated by projector @
+    blocks[t] @ row_basis.T.  ``projector`` is the orthonormal column basis
+    on the receiving side (d_recv by rank), ``row_basis`` the orthonormal
+    basis on the radiating side (d_rad by r_v); for a symmetric kernel they
+    are the same array.  ``blocks`` is one (offsets, rank, r_v) array:
+    blocks[t] is C_t = projector.T @ B_t @ row_basis.
     """
 
     level: int
     projector: np.ndarray
     row_basis: np.ndarray
-    blocks: list
+    blocks: np.ndarray
 
     @property
     def rank(self):
         return self.projector.shape[1]
 
     def block_rank(self, t):
-        tag, *factors = self.blocks[t]
-        return factors[0].shape[1] if tag == "lowrank" else self.rank
-
-    def apply_rows(self, t, rows):
-        """rows @ C_t.T: (n, r_v) moment rows projected on row_basis to
-        (n, rank) transfer rows, as a new C-contiguous array."""
-        tag, *factors = self.blocks[t]
-        if tag == "dense":
-            return rows @ factors[0].T
-        u, v = factors
-        return (rows @ v.T) @ u.T
-
-    def dense_block(self, t, out):
-        """C_t, rank by r_v, written into out."""
-        tag, *factors = self.blocks[t]
-        if tag == "dense":
-            out[...] = factors[0]
-        else:
-            np.matmul(*factors, out=out)
+        """Every block is stored dense, at the rank of the projector."""
+        return self.rank
 
 
 def build_level_eims(kernel, config, level, tolerance, max_terms,
@@ -265,16 +248,14 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
 
     Projects the transfer blocks B_t from both sides: a column basis U from
     the concatenation of all blocks (d_recv rows), a row basis V from the
-    concatenation of their transposes (d_rad rows), each a truncated SVD.
-    Every block is stored as U^T B_t V, recompressed with its own truncated
-    SVD (kept dense when the block rank does not drop enough to pay for two
-    products).  Both stages keep the smallest rank whose Frobenius tail
-    stays within the tolerance: eps per basis, eps/2 per block.
+    concatenation of their transposes (d_rad rows), each a truncated SVD
+    that keeps the smallest rank whose Frobenius tail is within the
+    tolerance.  Every block is stored as U^T B_t V, dense, in one array.
 
     No list of blocks is held: each basis evaluates every block straight
-    into its one QR operand, and the per-offset stage evaluates them again,
-    one at a time (twice per block in all for a symmetric kernel, three
-    times otherwise).
+    into its one QR operand, and the projection evaluates them again, one
+    at a time (twice per block in all for a symmetric kernel, three times
+    otherwise).
 
     For a kernel that declares a scaling, a level above the deepest gets
     the operators assembled at the depth, on its models rescaled there,
@@ -288,33 +269,20 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
                             _rescaled(kernel, eims, level - config.depth), eps)
     offsets = transfer_offsets(config.dimension)
     step = 2.0 * config.half_width(level)
-    px = eims.receiving.x_points
-    py = eims.radiating.y_points
+    px, py = eims.receiving.x_points, eims.radiating.y_points
 
-    def blocks():
+    def kernel_blocks():
         return (kernel.pairwise(px, py + step * off) for off in offsets)
 
-    projector = _column_basis(blocks(), len(offsets), eps)
+    projector = _column_basis(kernel_blocks(), len(offsets), eps)
     # For a symmetric kernel the offset set is closed under negation and
     # B_t^T = B_{-t}: the transposes are the same columns, so V is U.
     row_basis = projector if kernel.is_symmetric else _column_basis(
-        (b.T for b in blocks()), len(offsets), eps)
-    out_blocks = [_recompress_block(projector.T @ b @ row_basis, eps)
-                  for b in blocks()]
-    return M2lOperators(level, projector, row_basis, out_blocks)
-
-
-def _recompress_block(projected, eps):
-    """Per-offset second stage: truncated SVD within eps/2, square-root
-    split.  Falls back to the dense block when the rank does not drop."""
-    u_small, svals, vt_small = np.linalg.svd(projected)
-    keep = _tail_rank(svals, 0.5 * eps)
-    if keep > 0.8 * min(projected.shape):
-        return ("dense", projected)
-    roots = np.sqrt(svals[:keep])
-    u = u_small[:, :keep] * roots[np.newaxis, :]
-    v = roots[:, np.newaxis] * vt_small[:keep]
-    return ("lowrank", u, v)
+        (b.T for b in kernel_blocks()), len(offsets), eps)
+    blocks = np.empty((len(offsets), projector.shape[1], row_basis.shape[1]))
+    for t, b in enumerate(kernel_blocks()):
+        np.matmul(projector.T @ b, row_basis, out=blocks[t])
+    return M2lOperators(level, projector, row_basis, blocks)
 
 
 @dataclass(frozen=True)
@@ -420,8 +388,9 @@ def build_operator_cache(kernel, config, tolerance, compress_tol=None,
 # and the 2^D children and transfer offsets per level, so none of these is
 # stored; the layout also fixes each array's rank, so an array is its
 # shape, then its values.  A flag says whether a level's transfer record
-# follows: only operators built at that level are stored.  Counts, flags
-# and tags are little-endian u64, reals f64; round trips are bitwise.
+# (projector, row basis, the 3-D block array) follows: only operators built
+# at that level are stored.  Counts and flags are little-endian u64, reals
+# f64; round trips are bitwise.
 
 _U64 = struct.Struct("<Q")
 # every key field after the kernel name, each one 8-byte word
@@ -429,7 +398,7 @@ _KEY_REST = struct.Struct("<" + "".join(
     {int: "Q", float: "d"}[f.type] for f in fields(CacheKey)[1:]))
 _EIM_RANKS = {"x_points": 2, "y_points": 2, "basis_matrix": 2,
               "pivot_matrix": 2, "residual_history": 1}
-_SHAPES = {ndim: struct.Struct(f"<{ndim}Q") for ndim in (1, 2)}
+_SHAPES = {ndim: struct.Struct(f"<{ndim}Q") for ndim in (1, 2, 3)}
 
 
 def _key_bytes(key):
@@ -475,12 +444,8 @@ def save_cache(cache, path):
                 trans = cache.transfer(level)
                 put(_U64.pack(trans.level == level))
                 if trans.level == level:
-                    put_array(trans.projector)
-                    put_array(trans.row_basis)
-                    for tag, *factors in trans.blocks:
-                        put(_U64.pack(tag == "lowrank"))
-                        for f in factors:
-                            put_array(f)
+                    for arr in (trans.projector, trans.row_basis, trans.blocks):
+                        put_array(arr)
             fh.write(check.digest())
             fh.flush()
             os.fsync(fh.fileno())
@@ -560,18 +525,33 @@ def load_cache(path, expected_key=None):
     for level in range(2, depth + 1):
         cache.eims[level] = LevelEims(level, body.model(dim), body.model(dim))
         if level < depth:
-            m2m = [body.array(2) for _ in range(2**dim)]
-            l2l = [body.array(2) for _ in range(2**dim)]
-            cache.m2m[level] = TranslationOperators(level, m2m)
-            cache.l2l[level] = TranslationOperators(level, l2l)
+            for ops in (cache.m2m, cache.l2l):
+                matrices = [body.array(2) for _ in range(2**dim)]
+                ops[level] = TranslationOperators(level, matrices)
         if body.flag("transfer flag"):
-            projector, row_basis = body.array(2), body.array(2)
-            blocks = [("lowrank", body.array(2), body.array(2))
-                      if body.flag("block tag") else ("dense", body.array(2))
-                      for _ in transfer_offsets(dim)]
-            cache.m2l[level] = M2lOperators(level, projector, row_basis, blocks)
+            cache.m2l[level] = M2lOperators(level, body.array(2), body.array(2),
+                                            body.array(3))
     if depth not in cache.m2l:
         raise CacheCorruptError("cache file has no deepest-level transfer operators")
     if body.pos != len(body.view):
         raise CacheCorruptError("trailing bytes in cache file")
+    _check_operator_shapes(cache)
     return cache
+
+
+def _check_operator_shapes(cache):
+    """Refuse an operator array that does not fit the models (d radiating,
+    d receiving) of its level: a sweep would broadcast it, not fail."""
+    d = {k: (pair.radiating.d, pair.receiving.d) for k, pair in cache.eims.items()}
+    expected = []
+    for k in cache.m2m:
+        expected += [(m, (d[k][0], d[k + 1][0])) for m in cache.m2m[k].matrices]
+        expected += [(m, (d[k + 1][1], d[k][1])) for m in cache.l2l[k].matrices]
+    for k, ops in cache.m2l.items():
+        rank, r_v = ops.rank, ops.row_basis.shape[1]
+        expected += [(ops.projector, (d[k][1], rank)), (ops.row_basis, (d[k][0], r_v)),
+                     (ops.blocks, (len(transfer_offsets(cache.key.dimension)), rank, r_v))]
+    for arr, shape in expected:
+        if arr.shape != shape:
+            raise CacheCorruptError(f"operator of shape {arr.shape} in cache file, "
+                                    f"where its level's models need {shape}")

@@ -546,7 +546,7 @@ def _pairwise_transfer_sums(plan, fields):
         gathered = np.zeros((plan.tgt_tree.level_flat[level].size, ops.rank))
         for t, pairs in by_offset.items():
             i, j = np.array(pairs).T
-            np.add.at(gathered, i, ops.apply_rows(t, projected[j]))
+            np.add.at(gathered, i, projected[j] @ ops.blocks[t].T)
         sums[level] = gathered @ ops.projector.T
     return sums
 
@@ -701,9 +701,8 @@ def test_scaling_kernel_shared_transfer_matches_rescaled_copies(cube_cloud):
     copies = {}
     for level in shared.levels:
         gain = 2.0 ** ((config.depth - level) * kernel.scaling)
-        copies[level] = M2lOperators(
-            level, deepest.projector, deepest.row_basis,
-            [(tag, first * gain, *rest) for tag, first, *rest in deepest.blocks])
+        copies[level] = M2lOperators(level, deepest.projector, deepest.row_basis,
+                                     deepest.blocks * gain)
     rescaled = OperatorCache(shared.key, shared.eims, shared.m2m, shared.l2l, copies)
     results = [ef.SummationPlan(kernel, points, points, config, c).apply_far(weights)
                for c in (shared, rescaled)]

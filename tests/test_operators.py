@@ -40,8 +40,7 @@ def drift_cache(drift_kernel):
 
 @pytest.fixture(scope="module")
 def loose_cache():
-    # coarse tolerance drives the per-offset recompression into its dense
-    # fallback for most near offsets
+    # a coarse tolerance, at which the bases keep the fewest directions
     return ef.build_operator_cache(KERNEL, CONFIG, 1e-2, resolution=8, x_budget=1024)
 
 
@@ -122,15 +121,14 @@ def test_scaling_kernel_derived_levels_match_fresh_build():
         ops, fresh_ops = derived.transfer(level), fresh.m2l[level]
         assert ops is derived.m2l[config.depth]
         gain = 2.0 ** ((config.depth - level) * LAPLACE.scaling)
-        assert ([ops.block_rank(t) for t in range(len(ops.blocks))]
-                == [fresh_ops.block_rank(t) for t in range(len(ops.blocks))])
+        assert ops.blocks.shape == fresh_ops.blocks.shape
         p, q = ops.projector, fresh_ops.projector
         assert np.linalg.norm(p @ (p.T @ q) - q, 2) <= 1e-12
         # the rescaled values: pivots, and every transfer block U C_t V^T
         pivots = [c.eims[level].radiating.pivot_matrix for c in (derived, fresh)]
         assert np.abs(pivots[0] - pivots[1]).max() <= 1e-12 * np.abs(pivots[1]).max()
         for t in range(len(ops.blocks)):
-            got, expect = (o.projector @ o.apply_rows(t, o.row_basis).T
+            got, expect = (o.projector @ o.blocks[t] @ o.row_basis.T
                            for o in (ops, fresh_ops))
             got *= gain
             assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
@@ -311,32 +309,15 @@ def test_m2l_blocks_reconstruct_kernel(small_cache):
         # the certified budget is Frobenius over the block concatenation
         fat_norm = np.sqrt(sum(np.linalg.norm(e) ** 2 for e in exact))
         for t in range(len(offsets)):
-            approx = ops.projector @ ops.apply_rows(t, ops.projector).T
+            approx = ops.projector @ ops.blocks[t] @ ops.projector.T
             assert np.linalg.norm(approx - exact[t]) <= 5.0 * TOL * fat_norm
-
-
-def test_m2l_apply_block_matches_dense(small_cache, loose_cache):
-    rng = np.random.default_rng(7)
-    seen = set()
-    for cache in (small_cache, loose_cache):
-        for level in (2, 3):
-            ops = cache.m2l[level]
-            block = rng.uniform(-1.0, 1.0, (ops.rank, 5))
-            for t, (tag, *factors) in enumerate(ops.blocks):
-                seen.add(tag)
-                got = ops.apply_rows(t, block.T).T
-                dense = factors[0] if tag == "dense" else factors[0] @ factors[1]
-                expect = dense @ block
-                scale = max(np.abs(expect).max(), 1e-30)
-                assert np.abs(got - expect).max() <= 1e-13 * scale
-    assert seen == {"dense", "lowrank"}  # both storage layouts exercised
 
 
 def test_symmetric_blocks_of_mirrored_offsets_are_transposes(small_cache,
                                                             loose_cache):
     # the sibling blocks of a shared tree apply M_P^T for parent offset -P,
-    # so C_t^T for offset -t: the two stored blocks agree within the
-    # per-block tail bound
+    # so C_t^T for offset -t: B_{-t} = B_t^T, so the two stored projections
+    # agree to rounding, well within half the tolerance
     n = len(ef.transfer_offsets(CONFIG.dimension))
     for cache in (small_cache, loose_cache):
         eps = cache.key.compress_tol
@@ -344,27 +325,26 @@ def test_symmetric_blocks_of_mirrored_offsets_are_transposes(small_cache,
             ops = cache.m2l[level]
             assert ops.row_basis is ops.projector
             for t in range(n):
-                block, mirrored = (ops.projector @ ops.apply_rows(s, ops.projector).T
+                block, mirrored = (ops.projector @ ops.blocks[s] @ ops.projector.T
                                    for s in (t, n - 1 - t))
                 assert (np.linalg.norm(mirrored - block.T)
                         <= 0.5 * eps * np.linalg.norm(block))
 
 
-def test_m2l_block_rank_accounting(small_cache, drift_cache):
-    for cache in (small_cache, drift_cache):
-        for level in (2, 3):
-            ops = cache.m2l[level]
-            assert ops.rank == ops.projector.shape[1]
+def test_m2l_blocks_are_dense_projections(small_cache, drift_kernel, drift_cache):
+    # one (offsets, rank, r_v) array: block t is the transfer block
+    # projected on both bases, kept whole
+    for cache, kernel in ((small_cache, KERNEL), (drift_cache, drift_kernel)):
+        for level in cache.levels:
+            ops, pair = cache.m2l[level], cache.eims[level]
             r_v = ops.row_basis.shape[1]
-            for t, (tag, *factors) in enumerate(ops.blocks):
-                if tag == "lowrank":
-                    u, v = factors
-                    assert u.shape == (ops.rank, ops.block_rank(t))
-                    assert v.shape == (ops.block_rank(t), r_v)
-                    assert ops.block_rank(t) <= min(ops.rank, r_v)
-                else:
-                    assert factors[0].shape == (ops.rank, r_v)
-                    assert ops.block_rank(t) == ops.rank
+            exact = _exact_blocks(kernel, level, pair)
+            assert ops.blocks.dtype == np.float64
+            assert ops.blocks.shape == (len(exact), ops.rank, r_v)
+            assert all(ops.block_rank(t) == ops.rank for t in range(len(exact)))
+            for block, b in zip(ops.blocks, exact):
+                expect = ops.projector.T @ b @ ops.row_basis
+                assert np.abs(block - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def _exact_blocks(kernel, level, eims):
@@ -436,7 +416,7 @@ def _assert_blocks_reconstructed(kernel, level, eims, ops, eps):
     exact = _exact_blocks(kernel, level, eims)
     fat_norm = np.sqrt(sum(np.linalg.norm(e) ** 2 for e in exact))
     for t, block in enumerate(exact):
-        approx = ops.projector @ ops.apply_rows(t, ops.row_basis).T
+        approx = ops.projector @ ops.blocks[t] @ ops.row_basis.T
         assert np.linalg.norm(approx - block) <= 5.0 * eps * fat_norm
 
 
@@ -520,11 +500,8 @@ def _assert_round_trip_bitwise(small_cache, tmp_path):
         expect_ops = small_cache.m2l[level]
         assert np.array_equal(got_ops.projector, expect_ops.projector)
         assert np.array_equal(got_ops.row_basis, expect_ops.row_basis)
-        assert len(got_ops.blocks) == len(expect_ops.blocks)
-        for got, expect in zip(got_ops.blocks, expect_ops.blocks):
-            assert got[0] == expect[0]
-            for fg, fe in zip(got[1:], expect[1:]):
-                assert np.array_equal(fg, fe)
+        assert got_ops.blocks.dtype == expect_ops.blocks.dtype == np.float64
+        assert np.array_equal(got_ops.blocks, expect_ops.blocks)
     # a second save of the loaded cache reproduces the file byte for byte
     again = tmp_path / "ops2.bin"
     ef.save_cache(loaded, again)
@@ -748,17 +725,12 @@ def test_cache_checks_layout_under_valid_checksum(small_cache, tmp_path):
     assert body[_NAME_AT:_FIELDS_AT] == KERNEL.name.encode()
     shape = small_cache.eims[2].radiating.x_points.shape
     assert struct.unpack_from("<2Q", body, _FIRST_ARRAY_AT) == shape
-    # the last block's tag comes right before its factors' shapes and values
-    tag, *factors = small_cache.m2l[CONFIG.depth].blocks[-1]
-    tag_at = len(body) - sum(8 * (f.ndim + f.size) for f in factors) - 8
-    assert body[tag_at:tag_at + 8] == struct.pack("<Q", tag == "lowrank")
     flag_at, shape_at = _FIRST_ARRAY_AT - 8, _FIRST_ARRAY_AT
     extra = np.ones((2, 2))
     cases = [
         (body[:flag_at] + struct.pack("<Q", 2) + body[flag_at + 8:], "model flag"),
         (body[:shape_at] + struct.pack("<2Q", *shape[::-1]) + body[shape_at + 16:],
          "model shapes"),
-        (body[:tag_at] + struct.pack("<Q", 2) + body[tag_at + 8:], "block tag"),
         (body + struct.pack("<2Q", *extra.shape) + extra.tobytes(), "trailing"),
     ]
     for mangled, reason in cases:
@@ -777,8 +749,7 @@ def test_cache_refuses_missing_deepest_transfer_under_valid_checksum(tmp_path):
     ef.save_cache(cache, path)
     body = path.read_bytes()[:-32]
     ops = cache.m2l[config.depth]
-    arrays = [ops.projector, ops.row_basis] + [f for _, *fs in ops.blocks for f in fs]
-    record = sum(8 * (a.ndim + a.size) for a in arrays) + 8 * len(ops.blocks)
+    record = sum(8 * (a.ndim + a.size) for a in (ops.projector, ops.row_basis, ops.blocks))
     flag_at = len(body) - record - 8
     assert body[flag_at:flag_at + 8] == struct.pack("<Q", 1)
     cases = [
@@ -788,4 +759,29 @@ def test_cache_refuses_missing_deepest_transfer_under_valid_checksum(tmp_path):
     for mangled, reason in cases:
         _resigned(path, mangled)
         with pytest.raises(ef.CacheCorruptError, match=reason):
+            ef.load_cache(path)
+
+
+def _record(arr):
+    """An array as save_cache writes it: its shape words, then its values."""
+    return struct.pack(f"<{arr.ndim}Q", *arr.shape) + arr.astype("<f8").tobytes()
+
+
+def test_cache_refuses_misshaped_operators_under_valid_checksum(drift_cache, tmp_path):
+    # a re-signed file whose operator array no longer fits its level's
+    # models: a sweep would broadcast it into a wrong far field
+    path = tmp_path / "ops.bin"
+    ef.save_cache(drift_cache, path)
+    body = path.read_bytes()[:-32]
+    blocks = drift_cache.m2l[CONFIG.depth].blocks
+    m2m = drift_cache.m2m[2].matrices[0]
+    assert m2m.shape[0] != m2m.shape[1] and blocks.shape[1] > 1
+    # the deepest block array is the last record of the body
+    assert body.endswith(_record(blocks))
+    assert body.count(_record(m2m)) == 1
+    cases = [body[:-len(_record(blocks))] + _record(blocks[:, :1]),
+             body.replace(_record(m2m), _record(m2m.T))]
+    for mangled in cases:
+        _resigned(path, mangled)
+        with pytest.raises(ef.CacheCorruptError, match="operator of shape"):
             ef.load_cache(path)
