@@ -29,7 +29,10 @@ computed once when the tree is built and stored one contiguous plane per
 coordinate.  Kernel evaluations go in chunks of at most kernels._EVAL_CHUNK
 values, split by one run splitter (_runs) into whole leaves in the leaf
 passes and whole rows in the near build, so every displacement array stays
-cache-sized.
+cache-sized.  The near build fills its row runs on one thread per CPU of the
+process, each run into its own slices of the matrix, so a user kernel is
+evaluated from several threads at once; the sweeps run on the calling
+thread (threading the leaf passes gained no sweep time).
 Displacements are built as one contiguous plane per coordinate and handed
 to the kernel as an (..., D) view of those planes.  The leaf passes lay
 them out node-major, (D, terms, points): each plane row subtracts one node
@@ -39,8 +42,10 @@ and L2P sums the terms of each point, so no inner loop is only terms long
 """
 
 import os
+import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,15 +117,18 @@ class SummationResult:
     cache: object = None
 
 
-def _masked_kernel_values(kernel, displacements):
-    """Kernel values with coincident pairs zeroed out."""
-    r2 = np.einsum("...k,...k->...", displacements, displacements)
-    # threshold on the squared distance: its own square would underflow
-    tiny = r2 < _COINCIDENT_DISTANCE
-    values = kernel.from_displacements(displacements)
-    if tiny.any():
-        values = np.where(tiny, 0.0, values)
-    return values
+def _kernel_values(kernel, displacements, out):
+    """out[...] = the kernel at displacements (an (..., D) view of one plane
+    per coordinate), with the coincident pairs zeroed: those with r^2 <
+    _COINCIDENT_DISTANCE, a threshold on the squared distance (its own
+    square would underflow).  Such a pair has |d_0| < 1e-150, so r^2 is
+    reduced only where |d_0| < 2e-150."""
+    out[...] = kernel.from_displacements(displacements)
+    near = np.nonzero(np.abs(displacements[..., 0]) < 2e-150)
+    disp = displacements[near]
+    tiny = np.einsum("...k,...k->...", disp, disp) < _COINCIDENT_DISTANCE
+    out[tuple(i[tiny] for i in near)] = 0.0
+    return out
 
 
 def direct_sum(kernel, system):
@@ -133,7 +141,8 @@ def direct_sum(kernel, system):
     for start in range(0, targets.shape[0], step):
         chunk = targets[start : start + step]
         disp = _displacements(chunk[:, None, :], sources[None, :, :])
-        out[start : start + step] = _masked_kernel_values(kernel, disp) @ sigma
+        values = _kernel_values(kernel, disp, np.empty(disp.shape[:-1]))
+        out[start : start + step] = values @ sigma
     return out
 
 
@@ -239,7 +248,9 @@ def _sibling_transfer(gathered, projected, ops, tgt_kids, src_kids, blocks, half
 def _runs(ends, budget):
     """Runs of whole consecutive items, item i spanning the values from
     ends[i - 1] (0 for the first) to ends[i], of at most budget values or
-    a single item each, as (first item, end item, first value, end value)."""
+    a single item each, as (first item, end item, first value, end value).
+    The ends are int64: np.searchsorted casts narrower ends whole on every
+    run, a cost quadratic in the item count."""
     i0 = v0 = 0
     while i0 < ends.size:
         i1 = max(i0 + 1, int(np.searchsorted(ends, v0 + budget, side="right")))
@@ -502,6 +513,13 @@ def _ragged_arange(starts, counts):
     )
 
 
+def _process_cores():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _near_matrix(kernel, target_tree, source_tree, half, neighbors):
     """Kernel values between each target and the sources in its leaf's
     neighbor boxes (own box included), coincident pairs zeroed, as a CSR
@@ -514,8 +532,12 @@ def _near_matrix(kernel, target_tree, source_tree, half, neighbors):
     lexicographically positive offsets are stored, with the self blocks
     halved: the near field is then H @ sigma + H.T @ sigma.
     Rows are filled in chunks of at most _EVAL_CHUNK pairs (or one row),
-    straight into arrays sized from the leaf counts.  Arrays larger than
-    the machine's physical memory are refused before any is allocated.
+    straight into arrays sized from the leaf counts, one thread per CPU of
+    the process (the calling thread one of them) taking runs in turn.  Each
+    run writes only its own slices, so the matrix is bitwise the same for
+    any thread count; a kernel that raises ends every thread's work, and
+    its exception leaves this call.  Arrays larger than the machine's
+    physical memory are refused before any is allocated.
     """
     tgt, src = target_tree, source_tree
     dim = tgt.config.dimension
@@ -533,15 +555,16 @@ def _near_matrix(kernel, target_tree, source_tree, half, neighbors):
         raise ValueError(f"the near field would store {nnz} pairs in {need} bytes, more "
                          f"than the {memory} bytes of physical memory; a deeper tree "
                          "stores fewer pairs")
+    ends = np.cumsum(row_len)
     indptr = np.zeros(tgt.n_points + 1, dtype=index_dtype)
-    np.cumsum(row_len, out=indptr[1:])
+    indptr[1:] = ends
     data = np.empty(nnz)
     indices = np.empty(nnz, dtype=index_dtype)
     tgt_planes = np.ascontiguousarray(tgt.sorted_points.T)
     src_planes = (tgt_planes if src is tgt
                   else np.ascontiguousarray(src.sorted_points.T))
 
-    for r0, r1, p0, p1 in _runs(indptr[1:], kernels._EVAL_CHUNK):
+    def fill(r0, r1, p0, p1):
         leaves = leaf_of_row[r0:r1]
         lens = row_len[r0:r1]
         # each row's source columns, its leaf's neighbor ranges in turn
@@ -553,15 +576,43 @@ def _near_matrix(kernel, target_tree, source_tree, half, neighbors):
         # not forward, so wrapped and bare runs would round differently.
         planes = np.empty((dim, p1 - p0))
         for c, plane in enumerate(planes):
-            src_planes[c].take(cols, out=plane)
+            # mode "clip" writes straight into out ("raise" buffers it);
+            # every column is in range
+            src_planes[c].take(cols, out=plane, mode="clip")
             np.subtract(np.repeat(tgt_planes[c, r0:r1], lens), plane, out=plane)
-        values = _masked_kernel_values(kernel, planes.T)
+        values = _kernel_values(kernel, planes.T, data[p0:p1])
         if half:
             # the self block leads every row
-            own = tgt.leaf_counts[leaves]
-            values[_ragged_arange(indptr[r0:r1] - p0, own)] *= 0.5
-        data[p0:p1] = values
+            values[_ragged_arange(indptr[r0:r1] - p0, tgt.leaf_counts[leaves])] *= 0.5
         indices[p0:p1] = cols
+
+    # numpy releases the interpreter lock in the array steps of a run, so
+    # runs overlap on the process's CPUs.  The calling thread takes runs
+    # too, and runs stay at _EVAL_CHUNK values: each thread's allocator
+    # arena keeps its freed run temporaries after the build.
+    runs = list(_runs(ends, kernels._EVAL_CHUNK))
+    helpers = min(_process_cores(), len(runs)) - 1
+    lock, pending = threading.Lock(), (run for run in runs)
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    run = next(pending, None)
+                if run is None:
+                    return
+                fill(*run)
+        except BaseException:
+            # a failed run ends every thread's work
+            with lock:
+                pending.close()
+            raise
+
+    with ThreadPoolExecutor(max(1, helpers)) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for future in futures:
+            future.result()
     return csr_matrix((data, indices, indptr), shape=(tgt.n_points, src.n_points))
 
 

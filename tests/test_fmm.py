@@ -2,6 +2,7 @@
 
 import os
 import re
+import threading
 import time
 import tracemalloc
 import types
@@ -788,6 +789,100 @@ def test_near_field_refuses_more_pairs_than_memory(cache, monkeypatch):
                "bytes of physical memory; a deeper tree stores fewer pairs")
     with pytest.raises(ValueError, match=re.escape(message)):
         ef.SummationPlan(KERNEL, points, points, CONFIG, cache, target_tree=tree)
+
+
+def test_runs_same_for_int32_and_int64_ends():
+    ends = np.cumsum(np.random.default_rng(5).integers(0, 40, size=500))
+    for budget in (1, 37, 100, 10_000):
+        wide = list(ef.fmm._runs(ends, budget))
+        assert list(ef.fmm._runs(ends.astype(np.int32), budget)) == wide
+        assert (wide[-1][1], wide[-1][3]) == (ends.size, ends[-1])
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_near_field_keeps_the_coincident_rule(cache, shared):
+    # Every point lies in the four leaves around the origin, all neighbors of
+    # each other, so the near field is the whole sum, and it must zero the
+    # pairs that direct_sum zeroes: those with r^2 < 1e-300, r^2 reduced over
+    # the displacement planes.  The near build takes r^2 only where |d_0| <
+    # 2e-150, and some pairs below sit at that edge.  Binning adds the half
+    # side, so x_0 = +-1e-200 round into one leaf column.
+    rng = np.random.default_rng(8)
+    special = np.array([
+        [0.03, -0.02], [0.03, -0.02],        # a duplicated point
+        [1e-200, 0.05], [-1e-200, 0.05],     # r^2 = 4e-400 underflows: coincident
+        [0.06, 1e-200], [0.06, -1e-200],     # d_0 = 0, tiny d_1: coincident
+        [0.45e-150, 0.08], [-0.45e-150, 0.08],  # r^2 = 8.1e-301: coincident
+        [0.75e-150, -0.07], [-0.75e-150, -0.07],  # r^2 = 2.25e-300: kept
+        [1e-200, -0.09],                     # tiny d_0 to the others, other leaf
+    ])
+    points = np.concatenate([special, rng.uniform(-0.1, 0.1, size=(60, 2))])
+    weights = rng.uniform(0.5, 1.5, size=points.shape[0])
+    assert np.ptp(_leaf_indices(points, CONFIG), axis=0).tolist() == [1, 1]
+    disp = ef.kernels._displacements(points[:, None, :], points[None, :, :])
+    coincident = np.einsum("...k,...k->...", disp, disp) < 1e-300
+    assert np.count_nonzero(coincident) == points.shape[0] + 2 * 4
+    expect = np.where(coincident, 0.0, KERNEL.from_displacements(disp)) @ weights
+    system = ef.ParticleSystem(points, points, weights)
+    # a gaussian pair zeroed or kept wrongly moves its rows by about 0.5
+    assert np.abs(ef.direct_sum(KERNEL, system) - expect).max() <= 1e-13 * expect.max()
+    source_tree = None if shared else ef.build_tree(points, CONFIG)
+    plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache,
+                            source_tree=source_tree)
+    assert plan._half == shared
+    assert np.abs(plan.apply_near(weights) - expect).max() <= 1e-13 * expect.max()
+
+
+class _NearBuildError(RuntimeError):
+    pass
+
+
+def test_near_build_reraises_a_kernel_error_and_leaves_no_thread(cloud, cache,
+                                                                 monkeypatch):
+    # The kernel fails in the first pool thread to evaluate, while the
+    # calling thread waits for that; with no pool thread (one core), in the
+    # calling thread's third run.
+    points, _ = cloud
+    pooled = ef.fmm._process_cores() > 1
+    pool_failed, calls = threading.Event(), []
+
+    def profile(disp):
+        # (pairs, D) displacements come from the near build only: every
+        # other evaluation passes a 3-D block
+        if disp.ndim == 2:
+            if threading.current_thread() is not threading.main_thread():
+                pool_failed.set()
+                raise _NearBuildError("kernel refused a run")
+            calls.append(disp.shape[0])
+            if pooled:
+                assert pool_failed.wait(timeout=60)
+            elif len(calls) > 2:
+                raise _NearBuildError("kernel refused a run")
+        return KERNEL.from_displacements(disp)
+
+    failing = ef.Kernel(KERNEL.name, profile, is_symmetric=True)
+    # many runs, so that every thread of the pool takes some
+    monkeypatch.setattr(ef.kernels, "_EVAL_CHUNK", 500)
+    before = threading.active_count()
+    with pytest.raises(_NearBuildError, match="^kernel refused a run$"):
+        ef.SummationPlan(failing, points, points, CONFIG, cache)
+    assert threading.active_count() == before
+    plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache)
+    assert threading.active_count() == before
+    assert plan._near.nnz > 20 * 500
+
+
+def test_near_build_is_bitwise_repeatable(cloud, cache, monkeypatch):
+    points, _ = cloud
+    monkeypatch.setattr(ef.kernels, "_EVAL_CHUNK", 500)
+    for source_tree in (None, ef.build_tree(points, CONFIG)):
+        first, second = (ef.SummationPlan(KERNEL, points, points, CONFIG, cache,
+                                          source_tree=source_tree)._near
+                         for _ in range(2))
+        assert first.nnz > 20 * 500
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(first, name), getattr(second, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_depth_11_plan_holds_setup_memory_to_the_occupied_boxes(monkeypatch):
