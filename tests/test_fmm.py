@@ -2,6 +2,7 @@
 
 import os
 import re
+import sys
 import threading
 import time
 import tracemalloc
@@ -833,6 +834,35 @@ def test_near_field_keeps_the_coincident_rule(cache, shared):
     assert np.abs(plan.apply_near(weights) - expect).max() <= 1e-13 * expect.max()
 
 
+@pytest.mark.parametrize("shared", [True, False])
+def test_near_matrix_masks_a_coincident_pair_across_a_leaf_face(shared):
+    # In a domain of side 1e-140 binning resolves x_0 = +-3e-151, so this
+    # coincident pair (r^2 = 3.6e-301) straddles the x_0 = 0 leaf face.  At
+    # this scale every gaussian value is 1: the near field counts the
+    # weights of the pairs that are not coincident.
+    config = ef.TreeConfig(dimension=2, side=1e-140, depth=3)
+    rng = np.random.default_rng(9)
+    points = np.concatenate([[[3e-151, 1e-141], [-3e-151, 1e-141], [5e-142, 0.0],
+                              [5e-142, 0.0]],
+                             rng.uniform(-1e-141, 1e-141, size=(30, 2))])
+    weights = rng.uniform(0.5, 1.5, size=points.shape[0])
+    tree = ef.build_tree(points, config)
+    leaf_of = np.empty(tree.n_points, dtype=np.int64)
+    leaf_of[tree.order] = np.repeat(np.arange(tree.leaf_counts.size), tree.leaf_counts)
+    assert leaf_of[0] != leaf_of[1]
+    source_tree = tree if shared else ef.build_tree(points, config)
+    neighbors = ef.fmm._neighbor_tables(tree, source_tree, shared)[config.depth]
+    near = ef.fmm._near_matrix(KERNEL, tree, source_tree, shared, neighbors)
+    sigma = weights[source_tree.order]
+    got = np.empty(tree.n_points)
+    got[tree.order] = near @ sigma + (near.T @ sigma if shared else 0.0)
+    disp = ef.kernels._displacements(points[:, None, :], points[None, :, :])
+    coincident = np.einsum("...k,...k->...", disp, disp) < 1e-300
+    assert np.count_nonzero(coincident) == points.shape[0] + 2 * 2
+    expect = (~coincident) @ weights
+    assert np.abs(got - expect).max() <= 1e-13 * expect.max()
+
+
 class _NearBuildError(RuntimeError):
     pass
 
@@ -840,8 +870,8 @@ class _NearBuildError(RuntimeError):
 def test_near_build_reraises_a_kernel_error_and_leaves_no_thread(cloud, cache,
                                                                  monkeypatch):
     # The kernel fails in the first pool thread to evaluate, while the
-    # calling thread waits for that; with no pool thread (one core), in the
-    # calling thread's third run.
+    # calling thread waits for that; with no pool thread (a single CPU), in
+    # the calling thread's third run.
     points, _ = cloud
     pooled = ef.fmm._process_cores() > 1
     pool_failed, calls = threading.Event(), []
@@ -872,17 +902,29 @@ def test_near_build_reraises_a_kernel_error_and_leaves_no_thread(cloud, cache,
     assert plan._near.nnz > 20 * 500
 
 
-def test_near_build_is_bitwise_repeatable(cloud, cache, monkeypatch):
+def test_near_build_is_bitwise_the_same_on_any_thread_count(cloud, cache,
+                                                            monkeypatch):
+    # Two builds on eight threads switching every microsecond, and one on
+    # the calling thread alone: a run lost or torn between threads would
+    # leave the matrices different.
     points, _ = cloud
     monkeypatch.setattr(ef.kernels, "_EVAL_CHUNK", 500)
+    interval = sys.getswitchinterval()
     for source_tree in (None, ef.build_tree(points, CONFIG)):
-        first, second = (ef.SummationPlan(KERNEL, points, points, CONFIG, cache,
-                                          source_tree=source_tree)._near
-                         for _ in range(2))
-        assert first.nnz > 20 * 500
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(first, name), getattr(second, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        builds = []
+        for cores in (1, 8, 8):
+            monkeypatch.setattr(ef.fmm, "_process_cores", lambda n=cores: n)
+            sys.setswitchinterval(1e-6)
+            try:
+                builds.append(ef.SummationPlan(KERNEL, points, points, CONFIG, cache,
+                                               source_tree=source_tree)._near)
+            finally:
+                sys.setswitchinterval(interval)
+        assert builds[0].nnz > 20 * 500
+        for near in builds[1:]:
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(builds[0], name), getattr(near, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_depth_11_plan_holds_setup_memory_to_the_occupied_boxes(monkeypatch):
