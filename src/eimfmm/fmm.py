@@ -11,6 +11,12 @@ the near product.  That includes the near-field matrix and, per level, the
 radiating model's coefficient solve composed with the transfer row basis:
 the upward pass carries moments only and runs no triangular solve; the one
 solve left in a sweep is the leaf receiving model's, after the downward sum.
+A sweep holds a level's arrays only until the step that reads them: each
+level's moments until the M2M into its parent (their transfer projection is
+taken at once), each level's transfer pass runs just before the L2L into
+that level, which adds into its sums in place, and the leaf solve
+overwrites the deepest locals in runs of rows.  The per-level vectors
+(FieldData) are recorded only when read, by a second far pass.
 Every solve runs in numpy's LAPACK (see eim.py), so a plan and its sweeps
 call no scipy.linalg routine, and scipy's BLAS threads, spinning after a
 call, take no core from the passes that follow.
@@ -46,7 +52,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, get_index_dtype
@@ -91,19 +97,32 @@ class ParticleSystem:
             raise ValueError("need exactly one potential per source point")
 
 
-@dataclass
 class FieldData:
-    """Per-level, per-box vectors produced by the multilevel pass.
+    """Per-level, per-box vectors of one sweep's multilevel pass.
 
-    Every dict maps level -> the pass's own box-major array, of shape
-    (occupied boxes at that level, terms at that level), box rows ordered
-    like the tree's occupied flat-index arrays.
+    Its four dicts, source_moments, transfer_sums, local_moments and
+    local_coeffs (the deepest level only), map level -> a box-major array
+    of shape (occupied boxes at that level, terms at that level), box rows
+    ordered like the tree's occupied flat-index arrays.  The sweep keeps
+    none of them: the first read of any runs its far pass again, recording
+    all four, and every later read returns the same arrays.
     """
 
-    source_moments: dict = field(default_factory=dict)
-    transfer_sums: dict = field(default_factory=dict)
-    local_moments: dict = field(default_factory=dict)
-    local_coeffs: dict = field(default_factory=dict)
+    _NAMES = ("source_moments", "transfer_sums", "local_moments", "local_coeffs")
+
+    def __init__(self, record):
+        # record(dicts) fills four dicts in the order of _NAMES
+        self._record = record
+
+    def __getattr__(self, name):
+        # reached only while the four dicts are unset
+        if name not in FieldData._NAMES:
+            raise AttributeError(name)
+        dicts = ({}, {}, {}, {})
+        self._record(dicts)
+        self.__dict__.update(zip(FieldData._NAMES, dicts))
+        del self._record
+        return self.__dict__[name]
 
 
 @dataclass
@@ -383,70 +402,95 @@ class SummationPlan:
     # -- far field ---------------------------------------------------------
 
     def apply_far(self, potentials):
-        """Far-field values at the targets, with per-phase timings."""
-        kernel = self.kernel
-        cache = self.cache
-        depth = self.config.depth
-        src = self.src_tree
-        tgt = self.tgt_tree
-        timings = dict.fromkeys(FAR_PHASES, 0.0)
+        """Far-field values at the targets, a FieldData of the pass's
+        per-level vectors, and the time of each phase in FAR_PHASES.
 
+        The pass keeps only what a later step reads (see the module
+        docstring), so a sweep holds at most two levels of locals.  The
+        FieldData holds the sorted weights; its first read runs the pass
+        again, recording."""
         sigma = self._sorted_weights(potentials)
+        timings = dict.fromkeys(FAR_PHASES, 0.0)
+        far = self._far_pass(sigma, timings)
+        fields = FieldData(lambda dicts: self._far_pass(
+            sigma, dict.fromkeys(FAR_PHASES, 0.0), dicts))
+        return far, fields, timings
+
+    def _far_pass(self, sigma, timings, record=None):
+        """The far field of leaf-sorted weights sigma, adding each phase's
+        time to timings; record, if given, is FieldData's four dicts in its
+        order, filled with every level's arrays (copies of those the pass
+        changes in place)."""
+        kernel, cache, depth = self.kernel, self.cache, self.config.depth
+        src, tgt = self.src_tree, self.tgt_tree
+        mark = [time.perf_counter()]
+
+        def lap(phase):
+            now = time.perf_counter()
+            timings[phase] += now - mark[0]
+            mark[0] = now
 
         # Leaf moments: kernel between the leaf model's far nodes and each
-        # source, recentered to its leaf, summed per leaf.
-        t0 = time.perf_counter()
-        moments = {depth: _leaf_moments(
-            kernel, src, cache.eims[depth].radiating.x_points, sigma)}
-        timings["P2M"] += time.perf_counter() - t0
+        # source, recentered to its leaf, summed per leaf.  Upward, each
+        # level's moments are projected in the transfer coordinates, its
+        # coefficient solve folded in, and feed the M2M into their parents.
+        moments = _leaf_moments(kernel, src, cache.eims[depth].radiating.x_points, sigma)
+        lap("P2M")
+        projected = {}
+        for level in range(depth, 1, -1):
+            if level < depth:
+                up, child = cache.m2m[level].matrices, moments
+                moments = np.zeros((src.level_flat[level].size, up[0].shape[0]))
+                for mat, kids in zip(up, src.children[level + 1].T):
+                    parent = np.flatnonzero(kids >= 0)
+                    _add_rows(moments, parent, child.take(kids[parent], axis=0) @ mat.T)
+                del child
+                lap("M2M")
+            if record:
+                record[0][level] = moments
+            projected[level] = moments @ self._folded[level]
+            lap("M2L")
 
-        # Upward sweep on the moments; their coefficient solves are folded
-        # into the transfer projection.
-        t0 = time.perf_counter()
-        for level in range(depth - 1, 1, -1):
-            up, child = cache.m2m[level].matrices, moments[level + 1]
-            moments[level] = acc = np.zeros((src.level_flat[level].size, up[0].shape[0]))
-            for mat, kids in zip(up, src.children[level + 1].T):
-                parent = np.flatnonzero(kids >= 0)
-                _add_rows(acc, parent, child.take(kids[parent], axis=0) @ mat.T)
-        timings["M2M"] += time.perf_counter() - t0
-
-        # Transfer pass in the projected coordinates, grouped by offset; a
-        # target appears once per offset.  The pairs under two complete
-        # parents go through the sibling blocks instead.
-        t0 = time.perf_counter()
-        transfer = {}
+        # Downward, level by level: the transfer pass in the projected
+        # coordinates, grouped by offset (a target appears once per offset),
+        # with the pairs under two complete parents through the sibling
+        # blocks; then the L2L from the level above adds into its sums.
         for level in range(2, depth + 1):
             ops = cache.transfer(level)
-            projected = moments[level] @ self._folded[level]
+            source = projected.pop(level)
             gathered = np.zeros((tgt.level_flat[level].size, ops.rank))
             for t, (tpos, spos) in self._transfer_groups[level].items():
-                _add_rows(gathered, tpos, projected.take(spos, axis=0) @ ops.blocks[t].T)
-            _sibling_transfer(gathered, projected, ops, tgt.children[level],
+                _add_rows(gathered, tpos, source.take(spos, axis=0) @ ops.blocks[t].T)
+            _sibling_transfer(gathered, source, ops, tgt.children[level],
                               src.children[level], self._siblings[level], self._half)
-            transfer[level] = gathered @ ops.projector.T
-        timings["M2L"] += time.perf_counter() - t0
+            sums = gathered @ ops.projector.T
+            del source, gathered
+            lap("M2L")
+            if record:
+                record[1][level] = sums.copy()
+            if level > 2:
+                for mat, kids in zip(cache.l2l[level - 1].matrices, tgt.children[level].T):
+                    ppos = np.flatnonzero(kids >= 0)
+                    _add_rows(sums, kids[ppos], local.take(ppos, axis=0) @ mat.T)
+                lap("L2L")
+            local = sums
+            if record:
+                record[2][level] = local.copy() if level == depth else local
 
-        # Downward sweep; locals start as the transfer sums at level 2.
-        t0 = time.perf_counter()
-        local_moments = {2: transfer[2]}
-        for level in range(2, depth):
-            down, parent = cache.l2l[level].matrices, local_moments[level]
-            local_moments[level + 1] = arr = transfer[level + 1].copy()
-            for mat, kids in zip(down, tgt.children[level + 1].T):
-                ppos = np.flatnonzero(kids >= 0)
-                _add_rows(arr, kids[ppos], parent.take(ppos, axis=0) @ mat.T)
+        # The leaf receiving solve, in place, over runs of rows.
         receiving = cache.eims[depth].receiving
-        local_coeffs = receiving.coefficients(local_moments[depth].T).T
-        timings["L2L"] += time.perf_counter() - t0
+        step = kernels._EVAL_CHUNK // receiving.d
+        for r0 in range(0, local.shape[0], step):
+            rows = local[r0 : r0 + step]
+            rows[...] = receiving.coefficients(rows.T).T
+        lap("L2L")
+        if record:
+            record[3][depth] = local
 
         # Evaluate the leaf interpolants at the targets.
-        t0 = time.perf_counter()
-        far = _leaf_values(kernel, tgt, receiving.y_points, local_coeffs)
-        timings["L2P"] += time.perf_counter() - t0
-
-        fields = FieldData(moments, transfer, local_moments, {depth: local_coeffs})
-        return far, fields, timings
+        far = _leaf_values(kernel, tgt, receiving.y_points, local)
+        lap("L2P")
+        return far
 
     # -- near field --------------------------------------------------------
 

@@ -205,13 +205,14 @@ def assemble_l2l(kernel, config, level, eims, child_eims):
 def _translation(kernel, config, level, eims, child_eims, points, model, sign):
     """Per child parity: kernel between points shifted by sign times the
     child's center offset and the model's y nodes, through the model's
-    coefficient map."""
+    coefficient map.  Stored C-ordered, as load_cache returns them, so a
+    built and a loaded cache run the same BLAS paths."""
     require_level(level, config.depth - 1, eims, child_eims)
     half_child = config.half_width(level + 1)
     mats = []
     for bits in 2 * child_offsets(config.dimension) - 1:
         geom = kernel.pairwise(points + sign * bits * half_child, model.y_points)
-        mats.append(model.coefficients_t(geom.T).T)
+        mats.append(np.ascontiguousarray(model.coefficients_t(geom.T).T))
     return TranslationOperators(level=level, matrices=mats)
 
 

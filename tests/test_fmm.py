@@ -656,6 +656,74 @@ def test_far_pass_independent_of_chunk_size(cache, monkeypatch):
             assert np.abs(small[level] - big[level]).max() <= 1e-13 * scale
 
 
+def test_field_data_is_recorded_on_first_read(cloud, cache):
+    # the sweep keeps no per-level vectors; the first read of its FieldData
+    # runs the same pass again on the weights of that sweep
+    points, weights = cloud
+    plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache)
+    unread, _, _ = plan.apply_far(weights)
+    mutable = weights.copy()
+    far, fields, _ = plan.apply_far(mutable)
+    assert vars(fields).keys() == {"_record"}
+    mutable *= 2.0  # the recording pass does not read the caller's array
+    names = ("source_moments", "transfer_sums", "local_moments", "local_coeffs")
+    first = {name: getattr(fields, name) for name in names}
+    assert vars(fields).keys() == set(names)
+    assert all(getattr(fields, name) is first[name] for name in names)
+    assert far.tobytes() == unread.tobytes()
+    depth = CONFIG.depth
+    recv = cache.eims[depth].receiving
+    assert ef.fmm._leaf_values(KERNEL, plan.tgt_tree, recv.y_points,
+                               first["local_coeffs"][depth]).tobytes() == far.tobytes()
+    with pytest.raises(AttributeError):
+        fields.far_field
+
+
+def test_far_pass_holds_its_levels_only_until_read(cube_cloud, cache_store):
+    # Laplace keeps 92 terms at every level at 1e-4, so each level's array
+    # is as wide as the deepest.  A pass that kept moments, transfer sums
+    # and locals of every level (and the leaf coefficients) peaked at 9.5
+    # deepest arrays here; holding each only until the step that reads it,
+    # with the leaf solve in place, peaks under 3.
+    points, weights = cube_cloud[0][:3000], cube_cloud[1][:3000]
+    kernel = ef.make_builtin_kernel("laplace")
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=5)
+    cache = cache_store("laplace", 5, 1e-4)
+    plan = ef.SummationPlan(kernel, points, points, config, cache)
+    depth = config.depth
+    deepest = 8 * plan.tgt_tree.level_flat[depth].size * cache.eims[depth].receiving.d
+    plan.apply_far(weights)
+    tracemalloc.start()
+    try:
+        far, fields, _ = plan.apply_far(weights)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * deepest
+    assert held <= far.nbytes + 8 * points.shape[0] + 2**16
+
+
+@pytest.mark.parametrize("name", ["gaussian", "laplace"])
+def test_built_and_loaded_caches_sum_bitwise_alike(name, cube_cloud, cache_store,
+                                                   tmp_path):
+    # every operator array of a built cache is laid out as load_cache
+    # returns it, so both run the same BLAS paths
+    points, weights = cube_cloud
+    kernel = ef.make_builtin_kernel(name)
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=4)
+    built = cache_store(name, 4, 1e-4)
+    ef.save_cache(built, tmp_path / "ops.bin")
+    loaded = ef.load_cache(tmp_path / "ops.bin")
+    for level, ops in built.m2m.items():
+        for mat in ops.matrices + built.l2l[level].matrices:
+            assert mat.flags.c_contiguous
+    far_built, _, _ = ef.SummationPlan(kernel, points, points, config,
+                                       built).apply_far(weights)
+    far_loaded, _, _ = ef.SummationPlan(kernel, points, points, config,
+                                        loaded).apply_far(weights)
+    assert far_built.tobytes() == far_loaded.tobytes()
+
+
 @pytest.mark.parametrize("case", ["gaussian-2d", "laplace-3d", "drift-3d"])
 def test_folded_projection_matches_solve_then_project(case, cloud, cache,
                                                       cube_cloud, cache_store,
