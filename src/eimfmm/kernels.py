@@ -43,11 +43,6 @@ class Kernel:
         self.is_symmetric = is_symmetric
         self.scaling = None if scaling is None else int(scaling)
 
-    def evaluate(self, point_x, point_y):
-        """Scalar kernel value for one argument pair."""
-        disp = np.asarray(point_x, dtype=float) - np.asarray(point_y, dtype=float)
-        return float(self._profile(disp))
-
     def from_displacements(self, disp):
         """Vectorized evaluation on an (..., D) array of x - y displacements."""
         return self._profile(np.asarray(disp, dtype=float))

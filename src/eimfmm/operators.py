@@ -31,7 +31,7 @@ from .eim import EimModel, eim_build, require_tolerance
 from .tree import child_offsets, require_level, training_grids, transfer_offsets
 
 CACHE_MAGIC = b"EIMFMM01"
-CACHE_VERSION = 7
+CACHE_VERSION = 8
 
 
 class CacheError(Exception):
@@ -55,23 +55,21 @@ class LevelEims:
     """Both directional interpolation models of one level.
 
     ``radiating`` approximates the kernel for far evaluation points against
-    source-box points; ``receiving`` swaps the roles.  For symmetric kernels
-    the receiving model is transpose-derived, so the node sets coincide.
+    source-box points; ``receiving`` swaps the roles.  A level given no
+    receiving model (a symmetric kernel's) takes the radiating model's
+    transpose, which solves through the same cross matrix, transposed;
+    ``derived`` records that.  A receiving model that is given is kept.
     """
 
     level: int
     radiating: EimModel
-    receiving: EimModel
+    receiving: EimModel | None = None
+    derived: bool = field(init=False)
 
     def __post_init__(self):
-        # A receiving model with the arrays of the radiating model's
-        # transpose is that transpose, whether built, loaded or rescaled, so
-        # every copy of a level solves bitwise alike.
-        twin = self.radiating.transposed()
-        if twin.degenerate == self.receiving.degenerate and all(
-                np.array_equal(getattr(twin, name), getattr(self.receiving, name))
-                for name in _EIM_RANKS):
-            self.receiving = twin
+        self.derived = self.receiving is None
+        if self.derived:
+            self.receiving = self.radiating.transposed()
 
     @property
     def terms(self):
@@ -88,7 +86,6 @@ class TranslationOperators:
     field at the child's nodes (d_{k+1} by d_k).
     """
 
-    level: int
     matrices: list
 
 
@@ -124,7 +121,8 @@ def build_level_eims(kernel, config, level, tolerance, max_terms,
 
     For a kernel that declares a scaling, a level above the deepest gets
     the deepest level's models, rescaled: bitwise what build_operator_cache
-    stores for it.
+    stores for it.  A symmetric kernel's level gets no receiving model of
+    its own: LevelEims derives it from the radiating model.
     """
     require_level(level, config.depth)
     require_tolerance("tolerance", tolerance)
@@ -137,11 +135,9 @@ def build_level_eims(kernel, config, level, tolerance, max_terms,
     factors = 2.0 ** np.arange(1, level - 1) if kernel.scaling is not None else ()
     _check_promises(kernel, px, py, tolerance, factors)
     radiating = eim_build(kernel, px, py, tolerance, max_terms)
-    if kernel.is_symmetric:
-        receiving = radiating.transposed()
-    else:
-        receiving = eim_build(kernel, py, px, tolerance, max_terms)
-    return LevelEims(level=level, radiating=radiating, receiving=receiving)
+    receiving = None if kernel.is_symmetric else eim_build(
+        kernel, py, px, tolerance, max_terms)
+    return LevelEims(level, radiating, receiving)
 
 
 def _check_promises(kernel, points_x, points_y, tolerance, factors):
@@ -176,16 +172,16 @@ def _rescaled(kernel, eims, coarser):
     Every node scales by a and every kernel value by a^p, both exact powers
     of two, so a rescaled greedy model is bitwise the greedy run on the
     rescaled training grid: pivots and residuals scale by a^p, the unit
-    triangular basis is unchanged.  The transfer operators need no rescaled
-    copy: each level runs the deepest level's, folded with the deepest
-    radiating model, whose pivots lack the a^p that the blocks lack.
+    triangular basis is unchanged, and a derived receiving model is derived
+    again.  The transfer operators need no rescaled copy: each level runs
+    the deepest level's, folded with the deepest radiating model, whose
+    pivots lack the a^p that the blocks lack.
     """
     a, gain = 2.0 ** coarser, 2.0 ** (coarser * kernel.scaling)
-    radiating, receiving = (
+    return LevelEims(eims.level - coarser, *(
         EimModel(m.x_points * a, m.y_points * a, m.basis_matrix,
                  m.pivot_matrix * gain, m.residual_history * gain, m.degenerate)
-        for m in (eims.radiating, eims.receiving))
-    return LevelEims(eims.level - coarser, radiating, receiving)
+        for m in (eims.radiating, eims.receiving)[:1 if eims.derived else 2]))
 
 
 def assemble_m2m(kernel, config, level, eims, child_eims):
@@ -213,7 +209,7 @@ def _translation(kernel, config, level, eims, child_eims, points, model, sign):
     for bits in 2 * child_offsets(config.dimension) - 1:
         geom = kernel.pairwise(points + sign * bits * half_child, model.y_points)
         mats.append(np.ascontiguousarray(model.coefficients_t(geom.T).T))
-    return TranslationOperators(level=level, matrices=mats)
+    return TranslationOperators(mats)
 
 
 def _tail_rank(svals, rel_tol):
@@ -388,10 +384,11 @@ def build_operator_cache(kernel, config, tolerance, compress_tol=None,
 # all the bytes before it.  The key names the kernel, the levels (2..depth)
 # and the 2^D children and transfer offsets per level, so none of these is
 # stored; the layout also fixes each array's rank, so an array is its
-# shape, then its values.  A flag says whether a level's transfer record
-# (projector, row basis, the 3-D block array) follows: only operators built
-# at that level are stored.  Counts and flags are little-endian u64, reals
-# f64; round trips are bitwise.
+# shape, then its values.  A level opens with a flag that says whether its
+# receiving model is derived, and then not stored.  A flag says whether a
+# level's transfer record (projector, row basis, the 3-D block array)
+# follows: only operators built at that level are stored.  Counts and flags
+# are little-endian u64, reals f64; round trips are bitwise.
 
 _U64 = struct.Struct("<Q")
 # every key field after the kernel name, each one 8-byte word
@@ -435,7 +432,8 @@ def save_cache(cache, path):
             put(CACHE_MAGIC + _U64.pack(CACHE_VERSION) + _key_bytes(cache.key))
             for level in range(2, depth + 1):
                 pair = cache.eims[level]
-                for model in (pair.radiating, pair.receiving):
+                put(_U64.pack(pair.derived))
+                for model in (pair.radiating, pair.receiving)[:1 if pair.derived else 2]:
                     put(_U64.pack(model.degenerate))
                     for name in _EIM_RANKS:
                         put_array(getattr(model, name))
@@ -524,11 +522,12 @@ def load_cache(path, expected_key=None):
     cache = OperatorCache(key=key)
     dim, depth = key.dimension, key.depth
     for level in range(2, depth + 1):
-        cache.eims[level] = LevelEims(level, body.model(dim), body.model(dim))
+        stored = 1 if body.flag("receiving flag") else 2
+        cache.eims[level] = LevelEims(level, *(body.model(dim) for _ in range(stored)))
         if level < depth:
             for ops in (cache.m2m, cache.l2l):
                 matrices = [body.array(2) for _ in range(2**dim)]
-                ops[level] = TranslationOperators(level, matrices)
+                ops[level] = TranslationOperators(matrices)
         if body.flag("transfer flag"):
             cache.m2l[level] = M2lOperators(level, body.array(2), body.array(2),
                                             body.array(3))

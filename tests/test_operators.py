@@ -16,7 +16,7 @@ import pytest
 
 import eimfmm as ef
 from eimfmm import operators
-from eimfmm.eim import eim_build
+from eimfmm.eim import EimModel, eim_build
 from eimfmm.operators import LevelEims, _tail_rank
 from eimfmm.tree import child_offsets, training_grids, transfer_offsets
 
@@ -422,7 +422,7 @@ def _assert_blocks_reconstructed(kernel, level, eims, ops, eps):
 
 def test_nonsymmetric_kernel_builds_both_directions(drift_kernel, drift_cache):
     drift = drift_kernel
-    assert drift.evaluate([0.1, 0.0], [0.0, 0.0]) != drift.evaluate(
+    assert drift.pairwise([0.1, 0.0], [0.0, 0.0]) != drift.pairwise(
         [0.0, 0.0], [0.1, 0.0]
     )
     for level in (2, 3):
@@ -516,9 +516,9 @@ def test_cache_round_trip_bitwise(small_cache, tmp_path):
 
 
 def test_transposed_receiving_models_share_the_cross_matrix(tmp_path):
-    # A symmetric kernel's receiving model solves through the radiating
-    # model's cross matrix, transposed: built, rescaled and loaded alike, so
-    # a loaded cache sums bitwise as the built one.
+    # A symmetric kernel's receiving model is derived from the radiating
+    # model and solves through its cross matrix, transposed: built, rescaled
+    # and loaded alike, so a loaded cache sums bitwise as the built one.
     kernel = ef.make_builtin_kernel("laplace")
     config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
     built = ef.build_operator_cache(kernel, config, 1e-6, resolution=6, x_budget=512)
@@ -528,9 +528,73 @@ def test_transposed_receiving_models_share_the_cross_matrix(tmp_path):
     for cache in (built, loaded):
         for level in cache.levels:
             pair = cache.eims[level]
+            assert pair.derived
             assert np.array_equal(pair.receiving.cross_matrix,
                                   pair.radiating.cross_matrix.T)
             _assert_models_equal(pair.receiving, built.eims[level].receiving)
+
+
+def test_level_keeps_a_given_receiving_model(small_cache, drift_cache):
+    # nothing is matched: a receiving model that is given is kept, even one
+    # with the arrays of the radiating model's transpose
+    rad = small_cache.eims[2].radiating
+    twin = rad.transposed()
+    copy = EimModel(twin.x_points, twin.y_points, twin.basis_matrix,
+                    twin.pivot_matrix, twin.residual_history, twin.degenerate)
+    for given in (twin, copy):
+        pair = LevelEims(2, rad, given)
+        assert pair.receiving is given and not pair.derived
+    derived = LevelEims(2, rad)
+    assert derived.derived
+    _assert_models_equal(derived.receiving, twin)
+    assert all(small_cache.eims[k].derived for k in small_cache.levels)
+    assert not any(drift_cache.eims[k].derived for k in drift_cache.levels)
+    # a rescaled level of a scaling kernel is derived too
+    config = ef.TreeConfig(dimension=2, side=1.0, depth=3)
+    assert ef.build_level_eims(LAPLACE, config, 2, 1e-3, 300, 6, 256).derived
+
+
+def _arrays_bytes(*arrays):
+    """Bytes of arrays as save_cache writes them: shape words, then values."""
+    return sum(8 * (a.ndim + a.size) for a in arrays)
+
+
+def _model_bytes(model):
+    """A model's record: its degenerate flag, then its five arrays."""
+    return 8 + _arrays_bytes(model.x_points, model.y_points, model.basis_matrix,
+                             model.pivot_matrix, model.residual_history)
+
+
+def _two_model_bytes(cache):
+    """Size of the file that would store both models of every level: the
+    header, per level the receiving and transfer flags and the records,
+    and the checksum."""
+    size = len(operators.CACHE_MAGIC) + 8 + len(operators._key_bytes(cache.key)) + 32
+    for level in cache.levels:
+        pair = cache.eims[level]
+        size += 16 + _model_bytes(pair.radiating) + _model_bytes(pair.receiving)
+        if level in cache.m2m:
+            size += _arrays_bytes(*cache.m2m[level].matrices, *cache.l2l[level].matrices)
+        if level in cache.m2l:
+            ops = cache.m2l[level]
+            size += _arrays_bytes(ops.projector, ops.row_basis, ops.blocks)
+    return size
+
+
+def test_symmetric_cache_stores_one_model_per_level(small_cache, drift_cache,
+                                                    tmp_path):
+    # a symmetric level's file record leaves out its derived receiving
+    # model; a non-symmetric cache keeps both models of every level
+    config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
+    rescaled = ef.build_operator_cache(LAPLACE, config, 1e-3, resolution=6,
+                                       x_budget=256)
+    for cache in (small_cache, rescaled, drift_cache):
+        path = tmp_path / f"{cache.key.kernel_id}.bin"
+        ef.save_cache(cache, path)
+        left_out = sum(_model_bytes(cache.eims[k].receiving)
+                       for k in cache.levels if cache.eims[k].derived)
+        assert (left_out > 0) == (cache is not drift_cache)
+        assert path.stat().st_size == _two_model_bytes(cache) - left_out
 
 
 def test_nonsymmetric_cache_round_trip_bitwise(drift_cache, tmp_path):
@@ -651,12 +715,12 @@ def test_cache_save_interrupted_keeps_old_file(small_cache, tmp_path, monkeypatc
 
 # Byte offsets from the layout save_cache writes: the magic, the u64
 # version, the u64-prefixed kernel name, one 8-byte word per other key field
-# (dimension, side, ...), then per model a u64 flag and its arrays, each a
-# u64 per dimension of its shape followed by its values; last, the 32-byte
-# checksum.
+# (dimension, side, ...), then per level a u64 receiving flag, and per
+# stored model a u64 flag and its arrays, each a u64 per dimension of its
+# shape followed by its values; last, the 32-byte checksum.
 _NAME_AT = len(operators.CACHE_MAGIC) + 16
 _FIELDS_AT = _NAME_AT + len(KERNEL.name)
-_FIRST_ARRAY_AT = _FIELDS_AT + 8 * (len(dataclasses.fields(ef.CacheKey)) - 1) + 8
+_FIRST_ARRAY_AT = _FIELDS_AT + 8 * (len(dataclasses.fields(ef.CacheKey)) - 1) + 16
 _CORRUPTION_CASES = [
     (3, ef.CacheVersionError),                                # magic
     (len(operators.CACHE_MAGIC) + 4, ef.CacheVersionError),   # version word
@@ -725,9 +789,11 @@ def test_cache_checks_layout_under_valid_checksum(small_cache, tmp_path):
     assert body[_NAME_AT:_FIELDS_AT] == KERNEL.name.encode()
     shape = small_cache.eims[2].radiating.x_points.shape
     assert struct.unpack_from("<2Q", body, _FIRST_ARRAY_AT) == shape
-    flag_at, shape_at = _FIRST_ARRAY_AT - 8, _FIRST_ARRAY_AT
+    recv_at, flag_at, shape_at = _FIRST_ARRAY_AT - 16, _FIRST_ARRAY_AT - 8, _FIRST_ARRAY_AT
+    assert struct.unpack_from("<2Q", body, recv_at) == (1, 0)
     extra = np.ones((2, 2))
     cases = [
+        (body[:recv_at] + struct.pack("<Q", 2) + body[recv_at + 8:], "receiving flag"),
         (body[:flag_at] + struct.pack("<Q", 2) + body[flag_at + 8:], "model flag"),
         (body[:shape_at] + struct.pack("<2Q", *shape[::-1]) + body[shape_at + 16:],
          "model shapes"),
