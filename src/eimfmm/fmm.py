@@ -695,12 +695,16 @@ def load_or_build_cache(kernel, config, tolerance, compress_tol=None,
                         cache_path=None):
     """Load a matching cache from cache_path, or build (and save) one.
 
-    A present-but-mismatched file is refused, not overwritten.
+    A present-but-mismatched file is refused, not overwritten, and a path
+    into a missing directory before anything is built.
     """
     key = make_cache_key(kernel, config, tolerance, compress_tol, max_terms,
                          resolution, x_budget)
     if cache_path is not None and os.path.exists(cache_path):
         return load_cache(cache_path, expected_key=key), True
+    folder = os.path.dirname(os.path.abspath(cache_path or "."))
+    if cache_path is not None and not os.path.isdir(folder):
+        raise FileNotFoundError(f"cache directory {folder!r} does not exist")
     cache = build_operator_cache(
         kernel, config, tolerance, compress_tol=compress_tol,
         max_terms=max_terms, resolution=resolution, x_budget=x_budget,

@@ -31,7 +31,7 @@ from .eim import EimModel, eim_build, require_tolerance
 from .tree import child_offsets, require_level, training_grids, transfer_offsets
 
 CACHE_MAGIC = b"EIMFMM01"
-CACHE_VERSION = 8
+CACHE_VERSION = 9
 
 
 class CacheError(Exception):
@@ -379,24 +379,27 @@ def build_operator_cache(kernel, config, tolerance, compress_tol=None,
 
 
 # ---------------------------------------------------------------------------
-# Binary serialization.  A file is the magic, the version and the key
-# fields, then every array in the order the key fixes, then one SHA-256 of
-# all the bytes before it.  The key names the kernel, the levels (2..depth)
-# and the 2^D children and transfer offsets per level, so none of these is
-# stored; the layout also fixes each array's rank, so an array is its
-# shape, then its values.  A level opens with a flag that says whether its
-# receiving model is derived, and then not stored.  A flag says whether a
-# level's transfer record (projector, row basis, the 3-D block array)
-# follows: only operators built at that level are stored.  Counts and flags
-# are little-endian u64, reals f64; round trips are bitwise.
+# Binary serialization.  A file is the magic, the version, the key fields,
+# the levels 2..depth and one SHA-256 of all the bytes before it.  The key
+# names the levels, their 2^D children and transfer offsets, and counts give
+# every array's shape, so no shape is stored.  A level opens with a flag
+# that says whether its receiving model is derived, and then not stored; a
+# model is its degenerate flag and term count d, then _model_shapes' arrays.
+# Past level 2 the M2M, then L2L matrices from the level above follow, then
+# a flag for the level's own transfer record: rank, r_v and its 3 arrays.
+# Counts and flags are little-endian u64, reals f64; round trips are bitwise.
 
 _U64 = struct.Struct("<Q")
+_TWO_U64 = struct.Struct("<2Q")
 # every key field after the kernel name, each one 8-byte word
 _KEY_REST = struct.Struct("<" + "".join(
     {int: "Q", float: "d"}[f.type] for f in fields(CacheKey)[1:]))
-_EIM_RANKS = {"x_points": 2, "y_points": 2, "basis_matrix": 2,
-              "pivot_matrix": 2, "residual_history": 1}
-_SHAPES = {ndim: struct.Struct(f"<{ndim}Q") for ndim in (1, 2, 3)}
+
+
+def _model_shapes(d, dimension):
+    """Shapes of a d-term model's stored arrays, in EimModel's argument order."""
+    return {"x_points": (d, dimension), "y_points": (d, dimension),
+            "basis_matrix": (d, d), "pivot_matrix": (d, d), "residual_history": (d + 1,)}
 
 
 def _key_bytes(key):
@@ -425,24 +428,23 @@ def save_cache(cache, path):
                 fh.write(data)
 
             def put_array(arr):
-                arr = np.ascontiguousarray(arr, dtype="<f8")
-                put(_SHAPES[arr.ndim].pack(*arr.shape))
-                put(memoryview(arr).cast("B"))
+                put(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
 
             put(CACHE_MAGIC + _U64.pack(CACHE_VERSION) + _key_bytes(cache.key))
             for level in range(2, depth + 1):
                 pair = cache.eims[level]
                 put(_U64.pack(pair.derived))
                 for model in (pair.radiating, pair.receiving)[:1 if pair.derived else 2]:
-                    put(_U64.pack(model.degenerate))
-                    for name in _EIM_RANKS:
+                    put(_TWO_U64.pack(model.degenerate, model.d))
+                    for name in _model_shapes(model.d, cache.key.dimension):
                         put_array(getattr(model, name))
-                if level < depth:
-                    for mat in cache.m2m[level].matrices + cache.l2l[level].matrices:
+                if level > 2:
+                    for mat in cache.m2m[level - 1].matrices + cache.l2l[level - 1].matrices:
                         put_array(mat)
                 trans = cache.transfer(level)
                 put(_U64.pack(trans.level == level))
                 if trans.level == level:
+                    put(_TWO_U64.pack(trans.rank, trans.row_basis.shape[1]))
                     for arr in (trans.projector, trans.row_basis, trans.blocks):
                         put_array(arr)
             fh.write(check.digest())
@@ -455,8 +457,9 @@ def save_cache(cache, path):
 
 
 class _Reader:
-    """Cursor over the checksummed bytes of a cache file.  Every length is
-    checked against the bytes that remain before anything is allocated."""
+    """Cursor over the checksummed bytes of a cache file.  An array takes the
+    shape its caller derives from the counts read before it, and every length
+    is checked against the bytes that remain before anything is allocated."""
 
     def __init__(self, view):
         self.view = view
@@ -477,24 +480,20 @@ class _Reader:
             raise CacheCorruptError(f"bad {what} {value} in cache file")
         return bool(value)
 
-    def array(self, ndim):
-        shape = self.unpack(_SHAPES[ndim])
+    def array(self, *shape):
         data = self.take(8 * math.prod(shape))
         return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
     def model(self, dimension):
         degenerate = self.flag("model flag")
-        x, y, basis, pivots, history = (self.array(n) for n in _EIM_RANKS.values())
-        d = x.shape[0]
-        if not (x.shape == y.shape == (d, dimension)
-                and basis.shape == pivots.shape == (d, d)):
-            raise CacheCorruptError("inconsistent model shapes in cache file")
-        return EimModel(x, y, basis, pivots, history, degenerate)
+        shapes = _model_shapes(self.unpack(_U64)[0], dimension).values()
+        return EimModel(*(self.array(*shape) for shape in shapes), degenerate)
 
 
 def load_cache(path, expected_key=None):
     """Read a cache file, validating version, checksum, and (when given) the
-    requested configuration."""
+    requested configuration.  A loaded operator fits its models: every
+    array takes the shape its level's counts give."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:len(CACHE_MAGIC)] != CACHE_MAGIC:
@@ -522,36 +521,21 @@ def load_cache(path, expected_key=None):
     cache = OperatorCache(key=key)
     dim, depth = key.dimension, key.depth
     for level in range(2, depth + 1):
-        stored = 1 if body.flag("receiving flag") else 2
-        cache.eims[level] = LevelEims(level, *(body.model(dim) for _ in range(stored)))
-        if level < depth:
-            for ops in (cache.m2m, cache.l2l):
-                matrices = [body.array(2) for _ in range(2**dim)]
-                ops[level] = TranslationOperators(matrices)
+        stored = range(1 if body.flag("receiving flag") else 2)
+        pair = cache.eims[level] = LevelEims(level, *(body.model(dim) for _ in stored))
+        rad, recv = pair.radiating.d, pair.receiving.d
+        if level > 2:
+            above = cache.eims[level - 1]
+            cache.m2m[level - 1], cache.l2l[level - 1] = (
+                TranslationOperators([body.array(*shape) for _ in range(2**dim)])
+                for shape in ((above.radiating.d, rad), (recv, above.receiving.d)))
         if body.flag("transfer flag"):
-            cache.m2l[level] = M2lOperators(level, body.array(2), body.array(2),
-                                            body.array(3))
+            rank, r_v = body.unpack(_TWO_U64)
+            cache.m2l[level] = M2lOperators(
+                level, body.array(recv, rank), body.array(rad, r_v),
+                body.array(len(transfer_offsets(dim)), rank, r_v))
     if depth not in cache.m2l:
         raise CacheCorruptError("cache file has no deepest-level transfer operators")
     if body.pos != len(body.view):
         raise CacheCorruptError("trailing bytes in cache file")
-    _check_operator_shapes(cache)
     return cache
-
-
-def _check_operator_shapes(cache):
-    """Refuse an operator array that does not fit the models (d radiating,
-    d receiving) of its level: a sweep would broadcast it, not fail."""
-    d = {k: (pair.radiating.d, pair.receiving.d) for k, pair in cache.eims.items()}
-    expected = []
-    for k in cache.m2m:
-        expected += [(m, (d[k][0], d[k + 1][0])) for m in cache.m2m[k].matrices]
-        expected += [(m, (d[k + 1][1], d[k][1])) for m in cache.l2l[k].matrices]
-    for k, ops in cache.m2l.items():
-        rank, r_v = ops.rank, ops.row_basis.shape[1]
-        expected += [(ops.projector, (d[k][1], rank)), (ops.row_basis, (d[k][0], r_v)),
-                     (ops.blocks, (len(transfer_offsets(cache.key.dimension)), rank, r_v))]
-    for arr, shape in expected:
-        if arr.shape != shape:
-            raise CacheCorruptError(f"operator of shape {arr.shape} in cache file, "
-                                    f"where its level's models need {shape}")

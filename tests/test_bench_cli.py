@@ -114,6 +114,12 @@ def test_cli_reports_runtime_failures(tmp_path, capsys):
     assert bench.main(argv) == 1
     assert "error:" in capsys.readouterr().err
 
+    # a cache path into a missing directory: the error names the directory,
+    # not a temporary file that never existed
+    missing = tmp_path / "missing"
+    assert bench.main(COMMON + ["--ranks-only", "--cache", str(missing / "ops.bin")]) == 1
+    assert capsys.readouterr().err == f"error: cache directory {str(missing)!r} does not exist\n"
+
 
 # -- report content ----------------------------------------------------------
 

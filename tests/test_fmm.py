@@ -1194,6 +1194,27 @@ def test_load_or_build_cache_flags(tmp_path):
     assert again.key == cache.key
 
 
+def test_cache_path_in_a_missing_directory_is_refused_before_the_build(
+        tmp_path, monkeypatch):
+    # the save could not land, so nothing is built, and the error names the
+    # directory, not a temporary file that never existed
+    def no_build(*args, **kwargs):
+        raise AssertionError("built operators that could not be saved")
+
+    monkeypatch.setattr(ef.fmm, "build_operator_cache", no_build)
+    missing = tmp_path / "missing"
+    one_point = ef.ParticleSystem(np.zeros((1, 2)), np.zeros((1, 2)), np.ones(1))
+    for call in (lambda: load_or_build_cache(KERNEL, CONFIG, 1e-3,
+                                             cache_path=str(missing / "ops.bin")),
+                 lambda: ef.evaluate(KERNEL, one_point, CONFIG, 1e-3,
+                                     cache_path=missing / "ops.bin")):
+        with pytest.raises(FileNotFoundError,
+                           match=f"cache directory {re.escape(repr(str(missing)))} "
+                                 "does not exist"):
+            call()
+    assert not missing.exists()
+
+
 def test_plans_and_sweeps_call_no_scipy_linalg(cloud, cache, drift_cache,
                                                cube_cloud, monkeypatch):
     # The coefficient solves run in numpy's LAPACK: scipy's BLAS pool would

@@ -477,6 +477,7 @@ def _assert_models_equal(a, b):
 
 
 def _assert_round_trip_bitwise(small_cache, tmp_path):
+    """Save and load small_cache; returns the loaded cache."""
     path = tmp_path / "ops.bin"
     ef.save_cache(small_cache, path)
     loaded = ef.load_cache(path, expected_key=small_cache.key)
@@ -487,14 +488,17 @@ def _assert_round_trip_bitwise(small_cache, tmp_path):
                              small_cache.eims[level].radiating)
         _assert_models_equal(loaded.eims[level].receiving,
                              small_cache.eims[level].receiving)
-    assert sorted(loaded.m2m) == sorted(small_cache.m2m)
+    assert sorted(loaded.m2m) == sorted(small_cache.m2m) == sorted(loaded.l2l)
     for level in small_cache.m2m:
+        assert len(loaded.m2m[level].matrices) == len(small_cache.m2m[level].matrices)
+        assert len(loaded.l2l[level].matrices) == len(small_cache.l2l[level].matrices)
         for got, expect in zip(loaded.m2m[level].matrices,
                                small_cache.m2m[level].matrices):
             assert np.array_equal(got, expect)
         for got, expect in zip(loaded.l2l[level].matrices,
                                small_cache.l2l[level].matrices):
             assert np.array_equal(got, expect)
+    assert sorted(loaded.m2l) == sorted(small_cache.m2l)
     for level in small_cache.m2l:
         got_ops = loaded.m2l[level]
         expect_ops = small_cache.m2l[level]
@@ -506,6 +510,7 @@ def _assert_round_trip_bitwise(small_cache, tmp_path):
     again = tmp_path / "ops2.bin"
     ef.save_cache(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+    return loaded
 
 
 def test_cache_round_trip_bitwise(small_cache, tmp_path):
@@ -554,15 +559,25 @@ def test_level_keeps_a_given_receiving_model(small_cache, drift_cache):
     assert ef.build_level_eims(LAPLACE, config, 2, 1e-3, 300, 6, 256).derived
 
 
-def _arrays_bytes(*arrays):
-    """Bytes of arrays as save_cache writes them: shape words, then values."""
-    return sum(8 * (a.ndim + a.size) for a in arrays)
+def _record(*words, arrays=()):
+    """Bytes as save_cache writes them: u64 count and flag words, then the
+    arrays' values, with no shape words."""
+    return struct.pack(f"<{len(words)}Q", *words) + b"".join(
+        np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
 
 
-def _model_bytes(model):
-    """A model's record: its degenerate flag, then its five arrays."""
-    return 8 + _arrays_bytes(model.x_points, model.y_points, model.basis_matrix,
-                             model.pivot_matrix, model.residual_history)
+def _model_record(model):
+    """A model's record: its degenerate flag and term count, then its five
+    arrays."""
+    return _record(model.degenerate, model.d, arrays=(
+        model.x_points, model.y_points, model.basis_matrix, model.pivot_matrix,
+        model.residual_history))
+
+
+def _transfer_record(ops):
+    """A transfer record: its rank and r_v, then its three arrays."""
+    return _record(ops.rank, ops.row_basis.shape[1],
+                   arrays=(ops.projector, ops.row_basis, ops.blocks))
 
 
 def _two_model_bytes(cache):
@@ -572,12 +587,12 @@ def _two_model_bytes(cache):
     size = len(operators.CACHE_MAGIC) + 8 + len(operators._key_bytes(cache.key)) + 32
     for level in cache.levels:
         pair = cache.eims[level]
-        size += 16 + _model_bytes(pair.radiating) + _model_bytes(pair.receiving)
-        if level in cache.m2m:
-            size += _arrays_bytes(*cache.m2m[level].matrices, *cache.l2l[level].matrices)
+        size += 16 + len(_model_record(pair.radiating) + _model_record(pair.receiving))
+        if level - 1 in cache.m2m:
+            size += len(_record(arrays=cache.m2m[level - 1].matrices
+                                + cache.l2l[level - 1].matrices))
         if level in cache.m2l:
-            ops = cache.m2l[level]
-            size += _arrays_bytes(ops.projector, ops.row_basis, ops.blocks)
+            size += len(_transfer_record(cache.m2l[level]))
     return size
 
 
@@ -591,7 +606,7 @@ def test_symmetric_cache_stores_one_model_per_level(small_cache, drift_cache,
     for cache in (small_cache, rescaled, drift_cache):
         path = tmp_path / f"{cache.key.kernel_id}.bin"
         ef.save_cache(cache, path)
-        left_out = sum(_model_bytes(cache.eims[k].receiving)
+        left_out = sum(len(_model_record(cache.eims[k].receiving))
                        for k in cache.levels if cache.eims[k].derived)
         assert (left_out > 0) == (cache is not drift_cache)
         assert path.stat().st_size == _two_model_bytes(cache) - left_out
@@ -716,17 +731,18 @@ def test_cache_save_interrupted_keeps_old_file(small_cache, tmp_path, monkeypatc
 # Byte offsets from the layout save_cache writes: the magic, the u64
 # version, the u64-prefixed kernel name, one 8-byte word per other key field
 # (dimension, side, ...), then per level a u64 receiving flag, and per
-# stored model a u64 flag and its arrays, each a u64 per dimension of its
-# shape followed by its values; last, the 32-byte checksum.
+# stored model a u64 flag, its u64 term count d and its arrays, values only:
+# no shape is stored; last, the 32-byte checksum.
 _NAME_AT = len(operators.CACHE_MAGIC) + 16
 _FIELDS_AT = _NAME_AT + len(KERNEL.name)
-_FIRST_ARRAY_AT = _FIELDS_AT + 8 * (len(dataclasses.fields(ef.CacheKey)) - 1) + 16
+_FIRST_COUNT_AT = _FIELDS_AT + 8 * (len(dataclasses.fields(ef.CacheKey)) - 1) + 16
+_FIRST_ARRAY_AT = _FIRST_COUNT_AT + 8
 _CORRUPTION_CASES = [
     (3, ef.CacheVersionError),                                # magic
     (len(operators.CACHE_MAGIC) + 4, ef.CacheVersionError),   # version word
     (_NAME_AT + 1, ef.CacheCorruptError),                     # kernel name
     (_FIELDS_AT + 8, ef.CacheCorruptError),                   # side field
-    (_FIRST_ARRAY_AT, ef.CacheCorruptError),                       # first array header
+    (_FIRST_COUNT_AT, ef.CacheCorruptError),                  # first term count
     (-33, ef.CacheCorruptError),                              # last array body
     (-3, ef.CacheCorruptError),                               # checksum
 ]
@@ -759,14 +775,15 @@ def _resigned(path, body):
 
 
 def test_cache_refuses_read_past_end_under_valid_checksum(small_cache, tmp_path):
-    # a cut body, and a first array whose shape claims 2^62 values: each
-    # length is checked against the bytes left before anything is allocated
+    # a cut body, and a first term count of 2^31, whose cross factors would
+    # claim 2^62 values: each length is checked against the bytes left
+    # before anything is allocated
     path = tmp_path / "ops.bin"
     ef.save_cache(small_cache, path)
     body = path.read_bytes()[:-32]
-    huge = struct.pack("<2Q", 2**31, 2**31)
+    huge = struct.pack("<Q", 2**31)
     for mangled in (body[:_FIRST_ARRAY_AT + 8],
-                    body[:_FIRST_ARRAY_AT] + huge + body[_FIRST_ARRAY_AT + 16:]):
+                    body[:_FIRST_COUNT_AT] + huge + body[_FIRST_ARRAY_AT:]):
         _resigned(path, mangled)
         with pytest.raises(ef.CacheCorruptError, match="cache file is truncated"):
             ef.load_cache(path)
@@ -787,17 +804,15 @@ def test_cache_checks_layout_under_valid_checksum(small_cache, tmp_path):
     ef.save_cache(small_cache, path)
     body = path.read_bytes()[:-32]
     assert body[_NAME_AT:_FIELDS_AT] == KERNEL.name.encode()
-    shape = small_cache.eims[2].radiating.x_points.shape
-    assert struct.unpack_from("<2Q", body, _FIRST_ARRAY_AT) == shape
-    recv_at, flag_at, shape_at = _FIRST_ARRAY_AT - 16, _FIRST_ARRAY_AT - 8, _FIRST_ARRAY_AT
-    assert struct.unpack_from("<2Q", body, recv_at) == (1, 0)
-    extra = np.ones((2, 2))
+    first = small_cache.eims[2].radiating
+    recv_at, flag_at = _FIRST_COUNT_AT - 16, _FIRST_COUNT_AT - 8
+    # the receiving flag, then the first model's record: no shape word
+    assert body[recv_at:].startswith(_record(1) + _model_record(first))
+    assert body[_FIRST_ARRAY_AT:].startswith(first.x_points.tobytes())
     cases = [
         (body[:recv_at] + struct.pack("<Q", 2) + body[recv_at + 8:], "receiving flag"),
         (body[:flag_at] + struct.pack("<Q", 2) + body[flag_at + 8:], "model flag"),
-        (body[:shape_at] + struct.pack("<2Q", *shape[::-1]) + body[shape_at + 16:],
-         "model shapes"),
-        (body + struct.pack("<2Q", *extra.shape) + extra.tobytes(), "trailing"),
+        (body + np.ones(4).tobytes(), "trailing"),
     ]
     for mangled, reason in cases:
         _resigned(path, mangled)
@@ -814,9 +829,9 @@ def test_cache_refuses_missing_deepest_transfer_under_valid_checksum(tmp_path):
     path = tmp_path / "ops.bin"
     ef.save_cache(cache, path)
     body = path.read_bytes()[:-32]
-    ops = cache.m2l[config.depth]
-    record = sum(8 * (a.ndim + a.size) for a in (ops.projector, ops.row_basis, ops.blocks))
-    flag_at = len(body) - record - 8
+    record = _transfer_record(cache.m2l[config.depth])
+    assert body.endswith(record)
+    flag_at = len(body) - len(record) - 8
     assert body[flag_at:flag_at + 8] == struct.pack("<Q", 1)
     cases = [
         (body[:flag_at] + struct.pack("<Q", 0), "no deepest-level transfer"),
@@ -828,26 +843,80 @@ def test_cache_refuses_missing_deepest_transfer_under_valid_checksum(tmp_path):
             ef.load_cache(path)
 
 
-def _record(arr):
-    """An array as save_cache writes it: its shape words, then its values."""
-    return struct.pack(f"<{arr.ndim}Q", *arr.shape) + arr.astype("<f8").tobytes()
+def _drift_kernel(dimension):
+    """A Gaussian centred off the origin in any dimension: K(x, y) != K(y, x)."""
+    bias = np.array([0.35, -0.2, 0.1][:dimension])
+
+    def profile(disp):
+        d = np.asarray(disp, dtype=float) + bias
+        return np.exp(-np.sum(d * d, axis=-1))
+
+    return ef.Kernel("drift-gauss", profile, is_symmetric=False)
 
 
-def test_cache_refuses_misshaped_operators_under_valid_checksum(drift_cache, tmp_path):
-    # a re-signed file whose operator array no longer fits its level's
-    # models: a sweep would broadcast it into a wrong far field
+@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("name", ["gaussian", "drift-gauss", "laplace"])
+def test_loaded_arrays_take_the_shapes_their_counts_give(name, dimension, tmp_path):
+    # No shape is stored: a symmetric, a non-symmetric and a scaling
+    # kernel's operators come back bitwise, each array in the shape its
+    # level's term counts and transfer ranks give, so a loaded operator
+    # always fits its models.
+    kernel = (_drift_kernel(dimension) if name == "drift-gauss"
+              else ef.make_builtin_kernel(name))
+    config = ef.TreeConfig(dimension=dimension, side=1.0, depth={2: 4, 3: 3}[dimension])
+    built = ef.build_operator_cache(kernel, config, 1e-3, resolution=6, x_budget=256)
+    loaded = _assert_round_trip_bitwise(built, tmp_path)
+    assert loaded.levels == list(range(2, config.depth + 1))
+    assert sorted(loaded.m2m) == list(range(2, config.depth))
+    d = {k: (pair.radiating.d, pair.receiving.d) for k, pair in loaded.eims.items()}
+    for level, pair in loaded.eims.items():
+        for model, terms in zip((pair.radiating, pair.receiving), d[level]):
+            shapes = [(terms, dimension)] * 2 + [(terms, terms)] * 2 + [(terms + 1,)]
+            assert [a.shape for a in (model.x_points, model.y_points, model.basis_matrix,
+                                      model.pivot_matrix, model.residual_history)] == shapes
+    for k in loaded.m2m:
+        assert len(loaded.m2m[k].matrices) == len(loaded.l2l[k].matrices) == 2**dimension
+        assert all(m.shape == (d[k][0], d[k + 1][0]) for m in loaded.m2m[k].matrices)
+        assert all(m.shape == (d[k + 1][1], d[k][1]) for m in loaded.l2l[k].matrices)
+    for k, ops in loaded.m2l.items():
+        rank, r_v = ops.rank, ops.row_basis.shape[1]
+        assert ops.projector.shape == (d[k][1], rank)
+        assert ops.row_basis.shape == (d[k][0], r_v)
+        assert ops.blocks.shape == (len(transfer_offsets(dimension)), rank, r_v)
+    assert sorted(loaded.m2l) == ([config.depth] if kernel.scaling is not None
+                                  else loaded.levels)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "drift-gauss", "laplace"])
+def test_cache_refuses_altered_count_words_under_valid_checksum(name, tmp_path):
+    # Each file below is re-signed, so only the counts' fit to the bytes can
+    # refuse it: a count that asks for more values than remain leaves the
+    # file truncated, one that asks for fewer leaves bytes behind.
+    kernel = _drift_kernel(2) if name == "drift-gauss" else ef.make_builtin_kernel(name)
+    cache = ef.build_operator_cache(kernel, CONFIG, 1e-3, resolution=6, x_budget=256)
     path = tmp_path / "ops.bin"
-    ef.save_cache(drift_cache, path)
+    ef.save_cache(cache, path)
     body = path.read_bytes()[:-32]
-    blocks = drift_cache.m2l[CONFIG.depth].blocks
-    m2m = drift_cache.m2m[2].matrices[0]
-    assert m2m.shape[0] != m2m.shape[1] and blocks.shape[1] > 1
-    # the deepest block array is the last record of the body
-    assert body.endswith(_record(blocks))
-    assert body.count(_record(m2m)) == 1
-    cases = [body[:-len(_record(blocks))] + _record(blocks[:, :1]),
-             body.replace(_record(m2m), _record(m2m.T))]
-    for mangled in cases:
+    ops = cache.m2l[CONFIG.depth]
+    rank, r_v = ops.rank, ops.row_basis.shape[1]
+    assert rank > 1 and r_v > 1
+    # the deepest transfer record ends the body, and opens with its counts
+    assert body.endswith(_record(1) + _transfer_record(ops))
+    rank_at = len(body) - len(_transfer_record(ops))
+    first_at = _FIRST_COUNT_AT + len(name) - len(KERNEL.name)
+    assert struct.unpack_from("<Q", body, first_at) == (cache.eims[2].radiating.d,)
+
+    def with_word(at, value):
+        return body[:at] + struct.pack("<Q", value) + body[at + 8:]
+
+    cases = [
+        (with_word(rank_at, rank + 1), "cache file is truncated"),
+        (with_word(rank_at, rank - 1), "trailing bytes in cache file"),
+        (with_word(rank_at + 8, r_v - 1), "trailing bytes in cache file"),
+        (with_word(rank_at, 2**40), "cache file is truncated"),
+        (with_word(first_at, 2**40), "cache file is truncated"),
+    ]
+    for mangled, reason in cases:
         _resigned(path, mangled)
-        with pytest.raises(ef.CacheCorruptError, match="operator of shape"):
+        with pytest.raises(ef.CacheCorruptError, match=reason):
             ef.load_cache(path)
