@@ -59,8 +59,8 @@ from scipy.sparse import csr_matrix, get_index_dtype
 
 from . import kernels
 from .kernels import _displacements
-from .operators import (CacheMismatchError, build_operator_cache, load_cache,
-                        make_cache_key, save_cache)
+from .operators import (CacheMismatchError, _own_or_deepest, build_operator_cache,
+                        load_cache, make_cache_key, save_cache)
 from .tree import (_transfer_index_table, build_tree, child_offsets, finite_floats,
                    parity_rank)
 
@@ -439,7 +439,7 @@ class SummationPlan:
         projected = {}
         for level in range(depth, 1, -1):
             if level < depth:
-                up, child = cache.m2m[level].matrices, moments
+                up, child = _own_or_deepest(cache.m2m, level).matrices, moments
                 moments = np.zeros((src.level_flat[level].size, up[0].shape[0]))
                 for mat, kids in zip(up, src.children[level + 1].T):
                     parent = np.flatnonzero(kids >= 0)
@@ -469,7 +469,8 @@ class SummationPlan:
             if record:
                 record[1][level] = sums.copy()
             if level > 2:
-                for mat, kids in zip(cache.l2l[level - 1].matrices, tgt.children[level].T):
+                down = _own_or_deepest(cache.l2l, level - 1).matrices
+                for mat, kids in zip(down, tgt.children[level].T):
                     ppos = np.flatnonzero(kids >= 0)
                     _add_rows(sums, kids[ppos], local.take(ppos, axis=0) @ mat.T)
                 lap("L2L")

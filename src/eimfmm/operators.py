@@ -12,9 +12,9 @@ dense.  The QR operand, the largest array of the build, is filled straight
 from the kernel and factored in place; the projection evaluates each block
 again.  A kernel that declares a degree p, K(a d) = a^p K(d), is built at
 the deepest level only: coarser models are its own rescaled by exact powers
-of two (see _rescaled), and its transfer operators serve every level.  All
-of it serializes to a versioned little-endian binary cache: the key, the
-arrays in the key's order, one SHA-256 checksum (laid out above save_cache).
+of two (see _rescaled), and its transfer and deepest M2M/L2L operators serve
+every level.  All of it serializes to a versioned little-endian binary cache:
+the key, the arrays in the key's order, one SHA-256 (laid out above save_cache).
 """
 
 import hashlib
@@ -31,7 +31,7 @@ from .eim import EimModel, eim_build, require_tolerance
 from .tree import child_offsets, require_level, training_grids, transfer_offsets
 
 CACHE_MAGIC = b"EIMFMM01"
-CACHE_VERSION = 9
+CACHE_VERSION = 10
 
 
 class CacheError(Exception):
@@ -326,7 +326,8 @@ def make_cache_key(kernel, config, tolerance, compress_tol=None,
 
 @dataclass
 class OperatorCache:
-    """All per-level operators for one (kernel, tree shape, tolerance)."""
+    """All per-level operators for one (kernel, tree shape, tolerance); a
+    level without its own m2l, m2m or l2l runs the deepest level's held."""
 
     key: CacheKey
     eims: dict = field(default_factory=dict)      # level -> LevelEims
@@ -346,35 +347,37 @@ class OperatorCache:
 
     def transfer(self, level):
         """The level's transfer operators, else the deepest level's."""
-        return self.m2l[level] if level in self.m2l else self.m2l[self.key.depth]
+        return _own_or_deepest(self.m2l, level)
+
+
+def _own_or_deepest(ops, level):
+    """A level's m2l, m2m or l2l operators, else the deepest level's."""
+    return ops[level] if level in ops else ops[max(ops)]
 
 
 def build_operator_cache(kernel, config, tolerance, compress_tol=None,
                          max_terms=300, resolution=7, x_budget=8192):
     """Precompute every level's operators for a tree configuration.
 
-    Levels go from the deepest up.  Each gets its greedy models and
-    transfer operators, built there; for a kernel that declares a scaling,
-    a coarser level gets the deepest level's models rescaled, and no
-    transfer operators of its own.  Then its M2M/L2L to the level below.
+    Levels go from the deepest up, each with its greedy models, transfer
+    operators and M2M/L2L to the level below.  For a kernel that declares a
+    scaling a coarser level gets only the deepest level's models, rescaled.
     """
-    key = make_cache_key(kernel, config, tolerance, compress_tol, max_terms,
-                         resolution, x_budget)
-    cache = OperatorCache(key=key)
+    cache = OperatorCache(make_cache_key(kernel, config, tolerance, compress_tol,
+                                         max_terms, resolution, x_budget))
     depth = config.depth
     for level in range(depth, 1, -1):
         if kernel.scaling is None or level == depth:
             cache.eims[level] = build_level_eims(
                 kernel, config, level, tolerance, max_terms, resolution, x_budget)
             cache.m2l[level] = assemble_m2l(kernel, config, level,
-                                            cache.eims[level], key.compress_tol)
+                                            cache.eims[level], cache.key.compress_tol)
         else:
             cache.eims[level] = _rescaled(kernel, cache.eims[depth], depth - level)
-        if level < depth:
-            cache.m2m[level] = assemble_m2m(
+        if level + 1 in cache.m2l:
+            cache.m2m[level], cache.l2l[level] = (assemble(
                 kernel, config, level, cache.eims[level], cache.eims[level + 1])
-            cache.l2l[level] = assemble_l2l(
-                kernel, config, level, cache.eims[level], cache.eims[level + 1])
+                for assemble in (assemble_m2m, assemble_l2l))
     return cache
 
 
@@ -382,11 +385,11 @@ def build_operator_cache(kernel, config, tolerance, compress_tol=None,
 # Binary serialization.  A file is the magic, the version, the key fields,
 # the levels 2..depth and one SHA-256 of all the bytes before it.  The key
 # names the levels, their 2^D children and transfer offsets, and counts give
-# every array's shape, so no shape is stored.  A level opens with a flag
-# that says whether its receiving model is derived, and then not stored; a
-# model is its degenerate flag and term count d, then _model_shapes' arrays.
-# Past level 2 the M2M, then L2L matrices from the level above follow, then
-# a flag for the level's own transfer record: rank, r_v and its 3 arrays.
+# every array's shape, so no shape is stored.  A level opens with two flags:
+# its receiving model is derived (and not stored); it has operators of its
+# own.  A model is its degenerate flag and term count d, then _model_shapes'
+# arrays.  A level with operators of its own then holds the M2M, then L2L
+# matrices from the level above (past level 2), its rank, r_v and 3 arrays.
 # Counts and flags are little-endian u64, reals f64; round trips are bitwise.
 
 _U64 = struct.Struct("<Q")
@@ -408,17 +411,15 @@ def _key_bytes(key):
 
 
 def save_cache(cache, path):
-    """Write the cache; the round trip through load_cache is bitwise.
-
-    Each array goes to the file as it is reached, through one running
-    checksum, so the file is never held whole in memory.
+    """Write the cache; the round trip through load_cache is bitwise.  Each
+    array is checked against the counts written, and goes to the file as it
+    is reached, through one running checksum (the file is never held whole).
     """
-    depth = cache.key.depth
+    dim = cache.key.dimension
     # Written beside the target and moved into place, so an interrupted
     # save leaves any earlier file at path intact.
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp"
-    )
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
     try:
         with open(fd, "wb") as fh:
             check = hashlib.sha256()
@@ -427,26 +428,34 @@ def save_cache(cache, path):
                 check.update(data)
                 fh.write(data)
 
-            def put_array(arr):
+            def put_array(arr, *shape):
+                if arr.shape != shape:  # load_cache reads what the counts give
+                    raise ValueError(f"level {level}: shape {arr.shape}, not {shape}")
                 put(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
 
             put(CACHE_MAGIC + _U64.pack(CACHE_VERSION) + _key_bytes(cache.key))
-            for level in range(2, depth + 1):
-                pair = cache.eims[level]
-                put(_U64.pack(pair.derived))
+            for level in range(2, cache.key.depth + 1):
+                pair, trans = cache.eims[level], cache.transfer(level)
+                own = trans.level == level
+                put(_TWO_U64.pack(pair.derived, own))
                 for model in (pair.radiating, pair.receiving)[:1 if pair.derived else 2]:
                     put(_TWO_U64.pack(model.degenerate, model.d))
-                    for name in _model_shapes(model.d, cache.key.dimension):
-                        put_array(getattr(model, name))
-                if level > 2:
-                    for mat in cache.m2m[level - 1].matrices + cache.l2l[level - 1].matrices:
-                        put_array(mat)
-                trans = cache.transfer(level)
-                put(_U64.pack(trans.level == level))
-                if trans.level == level:
-                    put(_TWO_U64.pack(trans.rank, trans.row_basis.shape[1]))
-                    for arr in (trans.projector, trans.row_basis, trans.blocks):
-                        put_array(arr)
+                    for name, shape in _model_shapes(model.d, dim).items():
+                        put_array(getattr(model, name), *shape)
+                for ops, *shape in () if level == 2 else (
+                        (cache.m2m, cache.eims[level - 1].radiating.d, pair.radiating.d),
+                        (cache.l2l, pair.receiving.d, cache.eims[level - 1].receiving.d)):
+                    held, deepest = ops.get(level - 1), ops[max(ops)]
+                    if held and not (own or np.array_equal(held.matrices, deepest.matrices)):
+                        raise ValueError(f"level {level - 1}: M2M/L2L unlike the deepest")
+                    for mat in held.matrices if own else ():
+                        put_array(mat, *shape)
+                if own:
+                    rank, r_v = trans.rank, trans.row_basis.shape[1]
+                    put(_TWO_U64.pack(rank, r_v))
+                    put_array(trans.projector, pair.receiving.d, rank)
+                    put_array(trans.row_basis, pair.radiating.d, r_v)
+                    put_array(trans.blocks, len(transfer_offsets(dim)), rank, r_v)
             fh.write(check.digest())
             fh.flush()
             os.fsync(fh.fileno())
@@ -521,15 +530,15 @@ def load_cache(path, expected_key=None):
     cache = OperatorCache(key=key)
     dim, depth = key.dimension, key.depth
     for level in range(2, depth + 1):
-        stored = range(1 if body.flag("receiving flag") else 2)
-        pair = cache.eims[level] = LevelEims(level, *(body.model(dim) for _ in stored))
+        derived, own = body.flag("receiving flag"), body.flag("operators flag")
+        pair = cache.eims[level] = LevelEims(level, *map(body.model, [dim] * (2 - derived)))
         rad, recv = pair.radiating.d, pair.receiving.d
-        if level > 2:
+        if own and level > 2:
             above = cache.eims[level - 1]
             cache.m2m[level - 1], cache.l2l[level - 1] = (
                 TranslationOperators([body.array(*shape) for _ in range(2**dim)])
                 for shape in ((above.radiating.d, rad), (recv, above.receiving.d)))
-        if body.flag("transfer flag"):
+        if own:
             rank, r_v = body.unpack(_TWO_U64)
             cache.m2l[level] = M2lOperators(
                 level, body.array(recv, rank), body.array(rad, r_v),

@@ -77,26 +77,35 @@ def test_kernel_declared_scaling_is_checked():
         ef.Kernel("half-degree", LAPLACE.from_displacements, True, scaling=-0.5)
 
 
+def _stepped_cache(kernel, config, tol, resolution, x_budget):
+    """The cache of build_operator_cache's arguments, assembled one public
+    step per level and layer, as a traced build makes it: every level holds
+    models, M2M/L2L and transfer operators."""
+    key = operators.make_cache_key(kernel, config, tol, max_terms=300,
+                                   resolution=resolution, x_budget=x_budget)
+    stepped = ef.OperatorCache(key=key)
+    levels = range(2, config.depth + 1)
+    for level in levels:
+        stepped.eims[level] = ef.build_level_eims(kernel, config, level, tol,
+                                                  300, resolution, x_budget)
+    for level in levels[:-1]:
+        eims, child = stepped.eims[level], stepped.eims[level + 1]
+        stepped.m2m[level] = ef.assemble_m2m(kernel, config, level, eims, child)
+        stepped.l2l[level] = ef.assemble_l2l(kernel, config, level, eims, child)
+    for level in levels:
+        stepped.m2l[level] = ef.assemble_m2l(kernel, config, level,
+                                             stepped.eims[level], tol)
+    return stepped
+
+
 def test_scaling_kernel_per_level_steps_match_build(tmp_path):
     # the coarser levels are derived from the deepest one either way, so a
     # cache assembled one public step per level and layer, as a traced
     # build makes it, has the build's bytes
     config = ef.TreeConfig(dimension=3, side=1.0, depth=4)
-    tol, resolution, x_budget = 1e-3, 5, 512
-    built = ef.build_operator_cache(LAPLACE, config, tol, resolution=resolution,
-                                    x_budget=x_budget)
-    stepped = ef.OperatorCache(key=built.key)
-    levels = range(2, config.depth + 1)
-    for level in levels:
-        stepped.eims[level] = ef.build_level_eims(LAPLACE, config, level, tol,
-                                                  300, resolution, x_budget)
-    for level in levels[:-1]:
-        eims, child = stepped.eims[level], stepped.eims[level + 1]
-        stepped.m2m[level] = ef.assemble_m2m(LAPLACE, config, level, eims, child)
-        stepped.l2l[level] = ef.assemble_l2l(LAPLACE, config, level, eims, child)
-    for level in levels:
-        stepped.m2l[level] = ef.assemble_m2l(LAPLACE, config, level,
-                                             stepped.eims[level], tol)
+    built = ef.build_operator_cache(LAPLACE, config, 1e-3, resolution=5, x_budget=512)
+    stepped = _stepped_cache(LAPLACE, config, 1e-3, 5, 512)
+    assert stepped.key == built.key
     ef.save_cache(built, tmp_path / "built.bin")
     ef.save_cache(stepped, tmp_path / "stepped.bin")
     assert (tmp_path / "built.bin").read_bytes() == (tmp_path / "stepped.bin").read_bytes()
@@ -136,7 +145,8 @@ def test_scaling_kernel_derived_levels_match_fresh_build():
 
 def test_scaling_kernel_stores_transfer_once(tmp_path):
     # a kernel that declares a scaling builds, holds and writes its transfer
-    # operators at the deepest level only; one without stores every level
+    # operators at the deepest level only, and its M2M/L2L between the two
+    # deepest levels only; one without stores every level
     config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
     built = ef.build_operator_cache(LAPLACE, config, 1e-3, resolution=6,
                                     x_budget=256)
@@ -144,6 +154,7 @@ def test_scaling_kernel_stores_transfer_once(tmp_path):
                           is_symmetric=True)
     every = ef.build_operator_cache(per_level, config, 1e-3, resolution=6,
                                     x_budget=256)
+    assert built.terms_per_level() == every.terms_per_level()
     for cache, stored in ((built, [4]), (every, [2, 3, 4])):
         path = tmp_path / f"{cache.key.kernel_id}.bin"
         ef.save_cache(cache, path)
@@ -153,9 +164,44 @@ def test_scaling_kernel_stores_transfer_once(tmp_path):
             assert all(c.m2l[level].level == level for level in stored)
             assert [c.transfer(level).level for level in c.levels] == (
                 [4, 4, 4] if stored == [4] else [2, 3, 4])
-    # the scaling file leaves out the coarser levels' transfer records
-    assert (tmp_path / "laplace.bin").stat().st_size < (
+            assert sorted(c.m2m) == sorted(c.l2l) == [s - 1 for s in stored if s > 2]
+    # the scaling file leaves out exactly the coarser levels' transfer
+    # records and their M2M/L2L from the level above; the same term counts
+    # give the translations their shapes
+    dropped = len(per_level.name) - len(LAPLACE.name) + sum(
+        len(_transfer_record(every.m2l[k])) for k in (2, 3)) + sum(
+        len(_record(arrays=every.m2m[k].matrices + every.l2l[k].matrices)) for k in (2,))
+    assert (tmp_path / "laplace.bin").stat().st_size + dropped == (
         tmp_path / "laplace-per-level.bin").stat().st_size
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_stepped_scaling_cache_holds_copies_of_the_deepest_translations(dimension,
+                                                                        tmp_path):
+    # A cache assembled one public step per level holds M2M/L2L at every
+    # level, each bitwise the deepest pair: it saves as the build does, and
+    # its far field is bitwise the built cache's, which holds that pair once.
+    config = ef.TreeConfig(dimension=dimension, side=1.0, depth={2: 5, 3: 4}[dimension])
+    built = ef.build_operator_cache(LAPLACE, config, 1e-3, resolution=5, x_budget=256)
+    stepped = _stepped_cache(LAPLACE, config, 1e-3, 5, 256)
+    deepest = config.depth - 1
+    assert sorted(built.m2m) == [deepest]
+    assert sorted(stepped.m2m) == sorted(stepped.l2l) == list(range(2, config.depth))
+    for ops in (stepped.m2m, stepped.l2l):
+        for k in range(2, deepest):
+            assert ops[k] is not ops[deepest]
+            assert len(ops[k].matrices) == len(ops[deepest].matrices) == 2**dimension
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(ops[k].matrices, ops[deepest].matrices))
+    ef.save_cache(built, tmp_path / "built.bin")
+    ef.save_cache(stepped, tmp_path / "stepped.bin")
+    assert (tmp_path / "built.bin").read_bytes() == (tmp_path / "stepped.bin").read_bytes()
+    rng = np.random.default_rng(3)
+    points = rng.uniform(-0.5, 0.5, size=(2000, dimension))
+    weights = rng.uniform(-1.0, 1.0, size=2000)
+    far = [ef.SummationPlan(LAPLACE, points, points, config, c).apply_far(weights)[0]
+           for c in (built, stepped, ef.load_cache(tmp_path / "built.bin"))]
+    assert far[0].tobytes() == far[1].tobytes() == far[2].tobytes()
 
 
 def test_symmetric_receiving_shares_nodes(small_cache):
@@ -582,7 +628,7 @@ def _transfer_record(ops):
 
 def _two_model_bytes(cache):
     """Size of the file that would store both models of every level: the
-    header, per level the receiving and transfer flags and the records,
+    header, per level the receiving and operators flags and the records,
     and the checksum."""
     size = len(operators.CACHE_MAGIC) + 8 + len(operators._key_bytes(cache.key)) + 32
     for level in cache.levels:
@@ -730,12 +776,12 @@ def test_cache_save_interrupted_keeps_old_file(small_cache, tmp_path, monkeypatc
 
 # Byte offsets from the layout save_cache writes: the magic, the u64
 # version, the u64-prefixed kernel name, one 8-byte word per other key field
-# (dimension, side, ...), then per level a u64 receiving flag, and per
-# stored model a u64 flag, its u64 term count d and its arrays, values only:
-# no shape is stored; last, the 32-byte checksum.
+# (dimension, side, ...), then per level a u64 receiving flag and a u64
+# operators flag, and per stored model a u64 flag, its u64 term count d and
+# its arrays, values only: no shape is stored; last, the 32-byte checksum.
 _NAME_AT = len(operators.CACHE_MAGIC) + 16
 _FIELDS_AT = _NAME_AT + len(KERNEL.name)
-_FIRST_COUNT_AT = _FIELDS_AT + 8 * (len(dataclasses.fields(ef.CacheKey)) - 1) + 16
+_FIRST_COUNT_AT = _FIELDS_AT + 8 * (len(dataclasses.fields(ef.CacheKey)) - 1) + 24
 _FIRST_ARRAY_AT = _FIRST_COUNT_AT + 8
 _CORRUPTION_CASES = [
     (3, ef.CacheVersionError),                                # magic
@@ -805,12 +851,14 @@ def test_cache_checks_layout_under_valid_checksum(small_cache, tmp_path):
     body = path.read_bytes()[:-32]
     assert body[_NAME_AT:_FIELDS_AT] == KERNEL.name.encode()
     first = small_cache.eims[2].radiating
-    recv_at, flag_at = _FIRST_COUNT_AT - 16, _FIRST_COUNT_AT - 8
-    # the receiving flag, then the first model's record: no shape word
-    assert body[recv_at:].startswith(_record(1) + _model_record(first))
+    recv_at, own_at, flag_at = (_FIRST_COUNT_AT - k for k in (24, 16, 8))
+    # the receiving and operators flags, then the first model's record: no
+    # shape word
+    assert body[recv_at:].startswith(_record(1, 1) + _model_record(first))
     assert body[_FIRST_ARRAY_AT:].startswith(first.x_points.tobytes())
     cases = [
         (body[:recv_at] + struct.pack("<Q", 2) + body[recv_at + 8:], "receiving flag"),
+        (body[:own_at] + struct.pack("<Q", 2) + body[own_at + 8:], "operators flag"),
         (body[:flag_at] + struct.pack("<Q", 2) + body[flag_at + 8:], "model flag"),
         (body + np.ones(4).tobytes(), "trailing"),
     ]
@@ -821,26 +869,80 @@ def test_cache_checks_layout_under_valid_checksum(small_cache, tmp_path):
 
 
 def test_cache_refuses_missing_deepest_transfer_under_valid_checksum(tmp_path):
-    # the deepest level's transfer record is the last thing before the
-    # checksum, behind its flag; every level runs it when it has none of
-    # its own, so a file without it is refused
+    # the deepest level's record ends the body: its flags, its model, the
+    # M2M/L2L from the level above and its transfer record.  Every level
+    # runs those when it has no operators of its own (level 2 here), so a
+    # file whose deepest level has none is refused
     config = ef.TreeConfig(dimension=2, side=1.0, depth=3)
     cache = ef.build_operator_cache(LAPLACE, config, 1e-3, resolution=6, x_budget=256)
     path = tmp_path / "ops.bin"
     ef.save_cache(cache, path)
     body = path.read_bytes()[:-32]
-    record = _transfer_record(cache.m2l[config.depth])
-    assert body.endswith(record)
-    flag_at = len(body) - len(record) - 8
-    assert body[flag_at:flag_at + 8] == struct.pack("<Q", 1)
+    model = _model_record(cache.eims[config.depth].radiating)
+    own = _record(arrays=cache.m2m[2].matrices + cache.l2l[2].matrices) + _transfer_record(
+        cache.m2l[config.depth])
+    assert body.endswith(_record(1, 1) + model + own)
+    flags_at = len(body) - len(model + own) - 16
+    # level 2 has no operators of its own, and no M2M/L2L above it
+    level2 = _record(1, 0) + _model_record(cache.eims[2].radiating)
+    assert body[:flags_at].endswith(level2)
     cases = [
-        (body[:flag_at] + struct.pack("<Q", 0), "no deepest-level transfer"),
-        (body[:flag_at] + struct.pack("<Q", 2) + body[flag_at + 8:], "transfer flag"),
+        (body[:flags_at] + _record(1, 0) + model, "no deepest-level transfer"),
+        (body[:flags_at] + _record(1, 2) + body[flags_at + 16:], "operators flag"),
     ]
     for mangled, reason in cases:
         _resigned(path, mangled)
         with pytest.raises(ef.CacheCorruptError, match=reason):
             ef.load_cache(path)
+
+
+def test_save_refuses_arrays_their_counts_do_not_give(drift_cache, tmp_path):
+    # A file stores counts, not shapes: an array that does not fit them
+    # would load in another shape, its values scrambled.  save_cache refuses
+    # it, naming the level whose record holds it (the M2M/L2L from the level
+    # above sit in the deeper level's record), and leaves an earlier file.
+    path = tmp_path / "ops.bin"
+    ef.save_cache(drift_cache, path)
+    before = path.read_bytes()
+    mats = list(drift_cache.m2m[2].matrices)
+    mats[1] = mats[1].T
+    assert mats[1].shape[0] != mats[1].shape[1]
+    ops = drift_cache.m2l[3]
+    cut = dataclasses.replace(ops, projector=ops.projector[1:])
+    model = drift_cache.eims[3].receiving
+    short = EimModel(model.x_points, model.y_points, model.basis_matrix,
+                     model.pivot_matrix, model.residual_history[:-1], model.degenerate)
+    cases = [
+        ({"m2m": {2: operators.TranslationOperators(mats)}}, mats[1]),
+        ({"m2l": {**drift_cache.m2l, 3: cut}}, cut.projector),
+        ({"eims": {**drift_cache.eims, 3: LevelEims(3, drift_cache.eims[3].radiating, short)}},
+         short.residual_history),
+    ]
+    for changed, wrong in cases:
+        with pytest.raises(ValueError, match=re.escape(f"level 3: shape {wrong.shape}, not")):
+            ef.save_cache(dataclasses.replace(drift_cache, **changed), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+
+def test_save_refuses_borrowed_translations_unlike_the_deepest(tmp_path):
+    # A laplace level without operators of its own loads the M2M/L2L
+    # between the two deepest levels: a stepped cache's copy held there
+    # must be that pair, bitwise, or the file would sum otherwise than the
+    # cache it was saved from.
+    config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
+    stepped = _stepped_cache(LAPLACE, config, 1e-3, 5, 256)
+    path = tmp_path / "ops.bin"
+    ef.save_cache(stepped, path)
+    before = path.read_bytes()
+    mats = list(stepped.l2l[2].matrices)
+    mats[1] = 2.0 * mats[1]
+    doubled = dataclasses.replace(
+        stepped, l2l={**stepped.l2l, 2: operators.TranslationOperators(mats)})
+    with pytest.raises(ValueError, match="level 2: M2M/L2L unlike the deepest"):
+        ef.save_cache(doubled, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def _drift_kernel(dimension):
@@ -867,7 +969,9 @@ def test_loaded_arrays_take_the_shapes_their_counts_give(name, dimension, tmp_pa
     built = ef.build_operator_cache(kernel, config, 1e-3, resolution=6, x_budget=256)
     loaded = _assert_round_trip_bitwise(built, tmp_path)
     assert loaded.levels == list(range(2, config.depth + 1))
-    assert sorted(loaded.m2m) == list(range(2, config.depth))
+    # a scaling kernel's M2M/L2L sit between the two deepest levels only
+    assert sorted(loaded.m2m) == ([config.depth - 1] if kernel.scaling is not None
+                                  else list(range(2, config.depth)))
     d = {k: (pair.radiating.d, pair.receiving.d) for k, pair in loaded.eims.items()}
     for level, pair in loaded.eims.items():
         for model, terms in zip((pair.radiating, pair.receiving), d[level]):
@@ -900,8 +1004,10 @@ def test_cache_refuses_altered_count_words_under_valid_checksum(name, tmp_path):
     ops = cache.m2l[CONFIG.depth]
     rank, r_v = ops.rank, ops.row_basis.shape[1]
     assert rank > 1 and r_v > 1
-    # the deepest transfer record ends the body, and opens with its counts
-    assert body.endswith(_record(1) + _transfer_record(ops))
+    # the deepest transfer record ends the body, behind the M2M/L2L from the
+    # level above, and opens with its counts
+    assert body.endswith(_record(arrays=cache.m2m[2].matrices + cache.l2l[2].matrices)
+                         + _transfer_record(ops))
     rank_at = len(body) - len(_transfer_record(ops))
     first_at = _FIRST_COUNT_AT + len(name) - len(KERNEL.name)
     assert struct.unpack_from("<Q", body, first_at) == (cache.eims[2].radiating.d,)
