@@ -1,13 +1,10 @@
 """Benchmark harness: generate points, run the summation, report accuracy.
 
-Reports come in three formats.  Text is a small human-readable table, json is
-the full nested report, csv is one row per metric so error-vs-time curves can
-be plotted externally.
+A report goes to stdout in one of two formats: text, a small
+human-readable table, or json, the full nested report.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
@@ -158,40 +155,8 @@ def _text_report(report):
     return "\n".join(lines) + "\n"
 
 
-def _csv_report(report):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["section", "name", "level", "value"])
-    for key, value in report["config"].items():
-        writer.writerow(["config", key, "", value])
-    for level, terms in sorted(report["terms_per_level"].items()):
-        writer.writerow(["terms", "d", level, terms])
-    for level, rank in sorted(report["ranks_per_level"].items()):
-        writer.writerow(["rank", "r", level, rank])
-    for phase, seconds in report["timings"].items():
-        writer.writerow(["timing", phase, "", seconds])
-    writer.writerow(["cache", "hit", "", int(report["cache"]["hit"])])
-    writer.writerow(["cache", "build_seconds", "", report["cache"]["build_seconds"]])
-    for name, value in (report["errors"] or {}).items():
-        writer.writerow(["error", name, "", value])
-    return buf.getvalue()
-
-
-_RENDERERS = {"text": _text_report, "csv": _csv_report,
+_RENDERERS = {"text": _text_report,
               "json": lambda report: json.dumps(report, indent=2) + "\n"}
-
-
-def emit_report(report, fmt="text", path=None):
-    """Render the report and write it to path or stdout; returns the text."""
-    if fmt not in _RENDERERS:
-        raise ValueError(f"unknown report format {fmt!r}")
-    rendered = _RENDERERS[fmt](report)
-    if path is None:
-        sys.stdout.write(rendered)
-    else:
-        with open(path, "w") as handle:
-            handle.write(rendered)
-    return rendered
 
 
 def build_parser():
@@ -220,7 +185,6 @@ def build_parser():
     parser.add_argument("--ranks-only", action="store_true",
                         help="build the operators and report per-level sizes only")
     parser.add_argument("--cache", default=None, help="operator cache file")
-    parser.add_argument("--out", default=None, help="report destination (default stdout)")
     parser.add_argument("--format", default="text", choices=sorted(_RENDERERS))
     return parser
 
@@ -244,16 +208,12 @@ def main(argv=None):
             parser.error(message)
     try:
         report = run_benchmark(args)
-        emit_report(report, fmt=args.format, path=args.out)
+        sys.stdout.write(_RENDERERS[args.format](report))
     except (CacheError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
-def cli():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    cli()
+    sys.exit(main())

@@ -59,7 +59,7 @@ from scipy.sparse import csr_matrix, get_index_dtype
 
 from . import kernels
 from .kernels import _displacements
-from .operators import (CacheMismatchError, _own_or_deepest, build_operator_cache,
+from .operators import (CacheMismatchError, _cache_folder, build_operator_cache,
                         load_cache, make_cache_key, save_cache)
 from .tree import (_transfer_index_table, build_tree, child_offsets, finite_floats,
                    parity_rank)
@@ -335,6 +335,11 @@ class SummationPlan:
         self._folded = {}
         for level in range(config.depth, 1, -1):
             ops = cache.transfer(level)
+            held = (cache.m2l, cache.m2m, cache.l2l)[:1 if level == config.depth else 3]
+            if kernel.scaling is None and not all(level in h for h in held):
+                raise CacheMismatchError(
+                    f"cache {key} holds no level {level} M2L, M2M or L2L of its own, "
+                    f"and kernel {kernel.name!r} declares no scaling to run the deepest's")
             if kernel.is_symmetric and not np.array_equal(ops.row_basis, ops.projector):
                 raise CacheMismatchError(
                     f"cache {key} was built for a non-symmetric kernel: its "
@@ -439,7 +444,7 @@ class SummationPlan:
         projected = {}
         for level in range(depth, 1, -1):
             if level < depth:
-                up, child = _own_or_deepest(cache.m2m, level).matrices, moments
+                up, child = cache.translations(level)[0].matrices, moments
                 moments = np.zeros((src.level_flat[level].size, up[0].shape[0]))
                 for mat, kids in zip(up, src.children[level + 1].T):
                     parent = np.flatnonzero(kids >= 0)
@@ -469,7 +474,7 @@ class SummationPlan:
             if record:
                 record[1][level] = sums.copy()
             if level > 2:
-                down = _own_or_deepest(cache.l2l, level - 1).matrices
+                down = cache.translations(level - 1)[1].matrices
                 for mat, kids in zip(down, tgt.children[level].T):
                     ppos = np.flatnonzero(kids >= 0)
                     _add_rows(sums, kids[ppos], local.take(ppos, axis=0) @ mat.T)
@@ -701,11 +706,10 @@ def load_or_build_cache(kernel, config, tolerance, compress_tol=None,
     """
     key = make_cache_key(kernel, config, tolerance, compress_tol, max_terms,
                          resolution, x_budget)
-    if cache_path is not None and os.path.exists(cache_path):
-        return load_cache(cache_path, expected_key=key), True
-    folder = os.path.dirname(os.path.abspath(cache_path or "."))
-    if cache_path is not None and not os.path.isdir(folder):
-        raise FileNotFoundError(f"cache directory {folder!r} does not exist")
+    if cache_path is not None:
+        if os.path.exists(cache_path):
+            return load_cache(cache_path, expected_key=key), True
+        _cache_folder(cache_path)
     cache = build_operator_cache(
         kernel, config, tolerance, compress_tol=compress_tol,
         max_terms=max_terms, resolution=resolution, x_budget=x_budget,

@@ -187,23 +187,28 @@ def _rescaled(kernel, eims, coarser):
 def assemble_m2m(kernel, config, level, eims, child_eims):
     """Child-to-parent moment operators between two consecutive levels:
     the parent's far nodes seen from each child center."""
-    return _translation(kernel, config, level, eims, child_eims,
-                        eims.radiating.x_points, child_eims.radiating, -1)
+    return _translation(kernel, config, level, eims, child_eims, -1)
 
 
 def assemble_l2l(kernel, config, level, eims, child_eims):
     """Parent-to-child local operators between two consecutive levels:
     the child's nodes seen from the parent center."""
-    return _translation(kernel, config, level, eims, child_eims,
-                        child_eims.receiving.x_points, eims.receiving, 1)
+    return _translation(kernel, config, level, eims, child_eims, 1)
 
 
-def _translation(kernel, config, level, eims, child_eims, points, model, sign):
+def _translation(kernel, config, level, eims, child_eims, sign):
     """Per child parity: kernel between points shifted by sign times the
-    child's center offset and the model's y nodes, through the model's
-    coefficient map.  Stored C-ordered, as load_cache returns them, so a
-    built and a loaded cache run the same BLAS paths."""
+    child's center offset (M2M's parent far nodes, L2L's child nodes) and
+    the y nodes of the model whose coefficient map it goes through, stored
+    C-ordered as load_cache returns them: a built and a loaded cache run the
+    same BLAS paths.  For a scaling kernel, a level above depth - 1 gets the
+    pair assembled there on its rescaled models (OperatorCache.translations)."""
     require_level(level, config.depth - 1, eims, child_eims)
+    if kernel.scaling is not None and level < config.depth - 1:
+        return _translation(kernel, config, config.depth - 1, *(_rescaled(
+            kernel, e, level - config.depth + 1) for e in (eims, child_eims)), sign)
+    points, model = ((eims.radiating.x_points, child_eims.radiating) if sign < 0
+                     else (child_eims.receiving.x_points, eims.receiving))
     half_child = config.half_width(level + 1)
     mats = []
     for bits in 2 * child_offsets(config.dimension) - 1:
@@ -327,7 +332,7 @@ def make_cache_key(kernel, config, tolerance, compress_tol=None,
 @dataclass
 class OperatorCache:
     """All per-level operators for one (kernel, tree shape, tolerance); a
-    level without its own m2l, m2m or l2l runs the deepest level's held."""
+    level runs its own m2l, m2m and l2l, else the deepest level's held."""
 
     key: CacheKey
     eims: dict = field(default_factory=dict)      # level -> LevelEims
@@ -348,6 +353,10 @@ class OperatorCache:
     def transfer(self, level):
         """The level's transfer operators, else the deepest level's."""
         return _own_or_deepest(self.m2l, level)
+
+    def translations(self, level):
+        """The level's M2M and L2L to level + 1, else the deepest pair."""
+        return _own_or_deepest(self.m2m, level), _own_or_deepest(self.l2l, level)
 
 
 def _own_or_deepest(ops, level):
@@ -410,6 +419,14 @@ def _key_bytes(key):
     return _U64.pack(len(name)) + name + _KEY_REST.pack(*astuple(key)[1:])
 
 
+def _cache_folder(path):
+    """The directory of a cache path, refused by name when it is missing."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"cache directory {folder!r} does not exist")
+    return folder
+
+
 def save_cache(cache, path):
     """Write the cache; the round trip through load_cache is bitwise.  Each
     array is checked against the counts written, and goes to the file as it
@@ -418,8 +435,7 @@ def save_cache(cache, path):
     dim = cache.key.dimension
     # Written beside the target and moved into place, so an interrupted
     # save leaves any earlier file at path intact.
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=_cache_folder(path), suffix=".tmp")
     try:
         with open(fd, "wb") as fh:
             check = hashlib.sha256()
@@ -448,6 +464,8 @@ def save_cache(cache, path):
                     held, deepest = ops.get(level - 1), ops[max(ops)]
                     if held and not (own or np.array_equal(held.matrices, deepest.matrices)):
                         raise ValueError(f"level {level - 1}: M2M/L2L unlike the deepest")
+                    if own and len(held.matrices) != 2**dim:
+                        raise ValueError(f"level {level - 1}: not {2**dim} M2M/L2L matrices")
                     for mat in held.matrices if own else ():
                         put_array(mat, *shape)
                 if own:
@@ -494,9 +512,10 @@ class _Reader:
         return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
     def model(self, dimension):
+        """A model's EimModel arguments; load_cache builds none until all parsed."""
         degenerate = self.flag("model flag")
         shapes = _model_shapes(self.unpack(_U64)[0], dimension).values()
-        return EimModel(*(self.array(*shape) for shape in shapes), degenerate)
+        return [self.array(*shape) for shape in shapes] + [degenerate]
 
 
 def load_cache(path, expected_key=None):
@@ -529,15 +548,16 @@ def load_cache(path, expected_key=None):
         )
     cache = OperatorCache(key=key)
     dim, depth = key.dimension, key.depth
+    models, terms = {}, {}  # level -> EimModel arguments, (d_rad, d_recv)
     for level in range(2, depth + 1):
         derived, own = body.flag("receiving flag"), body.flag("operators flag")
-        pair = cache.eims[level] = LevelEims(level, *map(body.model, [dim] * (2 - derived)))
-        rad, recv = pair.radiating.d, pair.receiving.d
+        models[level] = [body.model(dim) for _ in range(2 - derived)]
+        rad, recv = terms[level] = (len(models[level][0][0]), len(models[level][-1][0]))
         if own and level > 2:
-            above = cache.eims[level - 1]
+            above = terms[level - 1]
             cache.m2m[level - 1], cache.l2l[level - 1] = (
                 TranslationOperators([body.array(*shape) for _ in range(2**dim)])
-                for shape in ((above.radiating.d, rad), (recv, above.receiving.d)))
+                for shape in ((above[0], rad), (recv, above[1])))
         if own:
             rank, r_v = body.unpack(_TWO_U64)
             cache.m2l[level] = M2lOperators(
@@ -547,4 +567,6 @@ def load_cache(path, expected_key=None):
         raise CacheCorruptError("cache file has no deepest-level transfer operators")
     if body.pos != len(body.view):
         raise CacheCorruptError("trailing bytes in cache file")
+    for level, stored in models.items():
+        cache.eims[level] = LevelEims(level, *(EimModel(*args) for args in stored))
     return cache

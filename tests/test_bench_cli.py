@@ -1,11 +1,10 @@
 """Point generators, report formats, and CLI behavior end to end.
 
 Engine-running tests share one small depth-2 cache file so each CLI call
-pays only for the sweep, not the operator build.
+pays only for the sweep, not the operator build.  Every report goes to
+stdout, which the tests read through capsys.
 """
 
-import csv
-import io
 import json
 
 import numpy as np
@@ -22,8 +21,7 @@ COMMON = ["--kernel", "gaussian", "--depth", "2", "--tol", "1e-3",
 @pytest.fixture(scope="module")
 def cache_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("bench") / "ops.bin"
-    assert bench.main(COMMON + ["--ranks-only", "--cache", str(path),
-                                "--out", str(path) + ".txt"]) == 0
+    assert bench.main(COMMON + ["--ranks-only", "--cache", str(path)]) == 0
     return str(path)
 
 
@@ -91,6 +89,9 @@ def test_generate_points_validation():
     ["--kernel", "gaussian", "--tol", "nan"],
     ["--kernel", "gaussian", "--compress-tol", "inf"],
     ["--kernel", "gaussian", "--compress-tol", "nan"],
+    # one report format per job, always on stdout
+    ["--kernel", "gaussian", "--format", "csv"],
+    ["--kernel", "gaussian", "--out", "report.txt"],
 ])
 def test_cli_rejects_bad_arguments(argv):
     with pytest.raises(SystemExit) as err:
@@ -136,15 +137,6 @@ def test_cli_text_report(cache_file, capsys):
     assert "cache: hit" in out
 
 
-def test_cli_out_file_instead_of_stdout(cache_file, tmp_path, capsys):
-    dest = tmp_path / "report.txt"
-    code = bench.main(COMMON + ["--n", "300", "--cache", cache_file,
-                                "--out", str(dest)])
-    assert code == 0
-    assert capsys.readouterr().out == ""
-    assert "kernel=gaussian" in dest.read_text()
-
-
 def _without_timings(doc):
     doc = json.loads(json.dumps(doc))
     doc.pop("timings")
@@ -153,40 +145,23 @@ def _without_timings(doc):
     return doc
 
 
-def test_cli_json_deterministic_apart_from_timings(cache_file, tmp_path):
+def test_cli_json_deterministic_apart_from_timings(cache_file, capsys):
     outs = []
     for run in range(2):
-        dest = tmp_path / f"r{run}.json"
         code = bench.main(COMMON + ["--n", "400", "--seed", "11", "--oracle",
-                                    "--cache", cache_file,
-                                    "--format", "json", "--out", str(dest)])
+                                    "--cache", cache_file, "--format", "json"])
         assert code == 0
-        outs.append(json.loads(dest.read_text()))
+        outs.append(json.loads(capsys.readouterr().out))
     assert _without_timings(outs[0]) == _without_timings(outs[1])
     assert outs[0]["errors"]["rel_l2"] <= 100.0 * 1e-3
     assert outs[0]["oracle"]["targets"] == 400
 
 
-def test_cli_csv_report(cache_file, tmp_path):
-    dest = tmp_path / "report.csv"
-    code = bench.main(COMMON + ["--n", "300", "--oracle", "--cache", cache_file,
-                                "--format", "csv", "--out", str(dest)])
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(dest.read_text())))
-    assert rows[0] == ["section", "name", "level", "value"]
-    sections = [row[0] for row in rows[1:]]
-    assert "section" not in sections  # header appears exactly once
-    for expected in ("config", "terms", "rank", "timing", "cache", "error"):
-        assert expected in sections
-    assert all(len(row) == 4 for row in rows)
-
-
-def test_cli_ranks_only(cache_file, tmp_path):
-    dest = tmp_path / "ranks.json"
+def test_cli_ranks_only(cache_file, capsys):
     code = bench.main(COMMON + ["--ranks-only", "--cache", cache_file,
-                                "--format", "json", "--out", str(dest)])
+                                "--format", "json"])
     assert code == 0
-    doc = json.loads(dest.read_text())
+    doc = json.loads(capsys.readouterr().out)
     assert doc["cache"]["hit"] is True
     assert doc["terms_per_level"]
     assert doc["ranks_per_level"]
@@ -225,16 +200,14 @@ def test_oracle_sums_every_target_up_to_the_limit(cache_file, evaluated):
     assert report["errors"] == _errors(evaluated["result"].total, full)
 
 
-def test_oracle_samples_seeded_targets(cache_file, evaluated, monkeypatch, tmp_path):
+def test_oracle_samples_seeded_targets(cache_file, evaluated, monkeypatch, capsys):
     monkeypatch.setattr(bench, "ORACLE_TARGETS", 100)
     docs = []
     for run in range(2):
-        dest = tmp_path / f"sampled{run}.json"
         code = bench.main(COMMON + ["--n", "200", "--seed", "5", "--oracle",
-                                    "--cache", cache_file,
-                                    "--format", "json", "--out", str(dest)])
+                                    "--cache", cache_file, "--format", "json"])
         assert code == 0
-        docs.append(json.loads(dest.read_text()))
+        docs.append(json.loads(capsys.readouterr().out))
     assert _without_timings(docs[0]) == _without_timings(docs[1])
     doc = docs[0]
     assert doc["oracle"]["targets"] == 100
@@ -248,23 +221,17 @@ def test_oracle_samples_seeded_targets(cache_file, evaluated, monkeypatch, tmp_p
     assert doc["errors"]["rel_max"] <= 100.0 * 1e-3
 
 
-def test_cache_reuse_reproduces_errors(tmp_path):
+def test_cache_reuse_reproduces_errors(tmp_path, capsys):
     path = tmp_path / "ops.bin"
     docs = []
     for run in range(2):
-        dest = tmp_path / f"run{run}.json"
         code = bench.main(COMMON + ["--n", "400", "--oracle", "--cache", str(path),
-                                    "--format", "json", "--out", str(dest)])
+                                    "--format", "json"])
         assert code == 0
-        docs.append(json.loads(dest.read_text()))
+        docs.append(json.loads(capsys.readouterr().out))
     assert docs[0]["cache"]["hit"] is False
     assert docs[1]["cache"]["hit"] is True
     assert docs[0]["errors"] == docs[1]["errors"]
-
-
-def test_emit_report_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        bench.emit_report({}, fmt="xml")
 
 
 def test_parser_defaults():

@@ -1,5 +1,6 @@
 """Summation engine against quadratic-cost oracles on small 2D clouds."""
 
+import dataclasses
 import os
 import re
 import sys
@@ -1047,6 +1048,35 @@ def test_symmetric_kernel_refuses_a_non_symmetric_cache():
                             built_both_ways).apply_far(weights)[0]
            for kernel in (both_ways, one_way)]
     assert np.allclose(far[1], far[0], rtol=0, atol=1e-12 * np.abs(far[0]).max())
+
+
+def test_kernel_without_scaling_runs_no_borrowed_operators(cloud):
+    # A kernel that declares no scaling has operators of its own at every
+    # level; another level's would sum quietly wrong (or fail on a shape),
+    # so a plan refuses a cache with a hole, naming the level.  laplace
+    # declares its scaling, and every level runs its deepest operators.
+    points, weights = cloud
+    config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
+    laplace = ef.make_builtin_kernel("laplace")
+    per_level = ef.Kernel("laplace-per-level", laplace.from_displacements,
+                          is_symmetric=True)
+    fars = {}
+    for kernel in (KERNEL, per_level, laplace):
+        full = ef.build_operator_cache(kernel, config, 1e-3, resolution=5, x_budget=256)
+        fars[kernel.name] = ef.SummationPlan(kernel, points, points, config,
+                                             full).apply_far(weights)[0]
+        if kernel is laplace:
+            assert sorted(full.m2l) == [4] and sorted(full.m2m) == sorted(full.l2l) == [3]
+            continue
+        for held, level in (("m2l", 3), ("m2m", 2), ("l2l", 3)):
+            ops = dict(getattr(full, held))
+            del ops[level]
+            holed = dataclasses.replace(full, **{held: ops})
+            with pytest.raises(ef.CacheMismatchError,
+                               match=f"holds no level {level} M2L, M2M or L2L of its own"):
+                ef.SummationPlan(kernel, points, points, config, holed)
+    scale = np.abs(fars["laplace-per-level"]).max()
+    assert np.abs(fars["laplace"] - fars["laplace-per-level"]).max() <= 1e-10 * scale
 
 
 def test_add_rows_matches_fancy_add():

@@ -10,6 +10,7 @@ import hashlib
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,41 @@ def test_stepped_scaling_cache_holds_copies_of_the_deepest_translations(dimensio
     far = [ef.SummationPlan(LAPLACE, points, points, config, c).apply_far(weights)[0]
            for c in (built, stepped, ef.load_cache(tmp_path / "built.bin"))]
     assert far[0].tobytes() == far[1].tobytes() == far[2].tobytes()
+
+
+def _exp_log_inverse_distance(disp):
+    """1/r as exp(-0.5 log r^2): homogeneous of degree -1 only up to rounding."""
+    r2 = np.einsum("...k,...k->...", disp, disp)
+    with np.errstate(divide="ignore"):
+        return np.exp(-0.5 * np.log(r2))
+
+
+def test_stepped_cache_of_a_kernel_scaling_up_to_rounding_saves_as_built(tmp_path):
+    # Its values scale by powers of two only up to rounding, so a coarser
+    # level's own pair, from its rescaled models, would differ from the
+    # deepest pair in the last bits, and save_cache would refuse the stepped
+    # cache.  assemble_m2m and assemble_l2l return the deepest pair at every
+    # level, as assemble_m2l returns the deepest transfer operators.
+    kernel = ef.Kernel("exp-log-inverse-distance", _exp_log_inverse_distance,
+                       is_symmetric=True, scaling=-1)
+    config = ef.TreeConfig(dimension=2, side=1.0, depth=5)
+    built = ef.build_operator_cache(kernel, config, 1e-3, resolution=5, x_budget=256)
+    stepped = _stepped_cache(kernel, config, 1e-3, 5, 256)
+    deepest = config.depth - 1
+    for ops in (stepped.m2m, stepped.l2l):
+        assert sorted(ops) == [2, 3, deepest]
+        for k in (2, 3):
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(ops[k].matrices, ops[deepest].matrices, strict=True))
+    ef.save_cache(built, tmp_path / "built.bin")
+    ef.save_cache(stepped, tmp_path / "stepped.bin")
+    assert (tmp_path / "built.bin").read_bytes() == (tmp_path / "stepped.bin").read_bytes()
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-0.5, 0.5, size=(1500, 2))
+    weights = rng.uniform(-1.0, 1.0, size=1500)
+    far = [ef.SummationPlan(kernel, points, points, config, c).apply_far(weights)[0]
+           for c in (built, stepped)]
+    assert far[0].tobytes() == far[1].tobytes()
 
 
 def test_symmetric_receiving_shares_nodes(small_cache):
@@ -943,6 +979,58 @@ def test_save_refuses_borrowed_translations_unlike_the_deepest(tmp_path):
         ef.save_cache(doubled, path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_save_refuses_translations_of_another_count(tmp_path):
+    # A level's M2M and L2L hold one matrix per child parity, 2^D: the file
+    # stores no count for them, so another number would load as a truncated
+    # or misread file.  save_cache refuses it, naming the level, and leaves
+    # no file behind.
+    config = ef.TreeConfig(dimension=2, side=1.0, depth=4)
+    built = ef.build_operator_cache(LAPLACE, config, 1e-3, resolution=5, x_budget=256)
+    path = tmp_path / "ops.bin"
+    for held in ("m2m", "l2l"):
+        mats = getattr(built, held)[3].matrices
+        assert len(mats) == 4
+        for count in (5, 3):
+            changed = {3: operators.TranslationOperators((mats + mats)[:count])}
+            with pytest.raises(ValueError,
+                               match="level 3: not 4 M2M/L2L matrices"):
+                ef.save_cache(dataclasses.replace(built, **{held: changed}), path)
+            assert list(tmp_path.iterdir()) == []
+
+
+def test_save_into_a_missing_directory_names_it(small_cache, tmp_path):
+    # the error names the directory, as load_or_build_cache's does, not a
+    # temporary file that never existed
+    missing = tmp_path / "nodir"
+    with pytest.raises(FileNotFoundError,
+                       match=f"^cache directory {re.escape(repr(str(missing)))} "
+                             "does not exist$"):
+        ef.save_cache(small_cache, missing / "ops.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["gaussian", "laplace"])
+def test_cache_refuses_a_first_count_off_by_one_before_any_arithmetic(name, tmp_path):
+    # Each file below is re-signed: its first model's term count is one off,
+    # so every array after it is misread.  load_cache builds no model until
+    # the whole file has parsed, so the file is refused as corrupt, with no
+    # numpy warning from arithmetic on the misread values.
+    kernel = ef.make_builtin_kernel(name)
+    cache = ef.build_operator_cache(kernel, CONFIG, 1e-3, resolution=6, x_budget=256)
+    path = tmp_path / "ops.bin"
+    ef.save_cache(cache, path)
+    body = path.read_bytes()[:-32]
+    first_at = _FIRST_COUNT_AT + len(name) - len(KERNEL.name)
+    d = cache.eims[2].radiating.d
+    assert struct.unpack_from("<Q", body, first_at) == (d,)
+    for count in (d - 1, d + 1):
+        _resigned(path, body[:first_at] + struct.pack("<Q", count) + body[first_at + 8:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ef.CacheCorruptError):
+                ef.load_cache(path)
 
 
 def _drift_kernel(dimension):
