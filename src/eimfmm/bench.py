@@ -14,7 +14,7 @@ import numpy as np
 from .fmm import (ALL_PHASES, ParticleSystem, direct_sum, evaluate,
                   load_or_build_cache)
 from .kernels import builtin_kernel_names, make_builtin_kernel
-from .operators import CacheError
+from .operators import CacheError, make_cache_key
 from .tree import TreeConfig
 
 # Targets the oracle sums exactly; every target when n is at most this.
@@ -22,18 +22,19 @@ ORACLE_TARGETS = 10_000
 _BOUNDARY_INSET = 1.0 - 1e-9
 
 DEFAULT_DEPTHS = {"cube": 4, "sphere": 5, "ellipsoid": 6}
-DEFAULT_SEMI_AXES = (0.5, 0.25, 0.125)
+ELLIPSOID_AXES = (0.5, 0.25, 0.125)
 # The run settings a report records, in report order.
 _CONFIG_KEYS = ("kernel", "dist", "n", "depth", "tol", "compress_tol", "train_res",
-                "x_budget", "seed", "semi_axes", "ranks_only")
+                "x_budget", "seed", "ranks_only")
 
 
-def generate_points(kind, count, seed, semi_axes=DEFAULT_SEMI_AXES):
+def generate_points(kind, count, seed):
     """Random 3D point clouds, strictly inside the unit box around 0.
 
     cube: coordinate-wise uniform.  sphere: uniform on the radius-0.5 sphere
     (normalized Gaussian directions), pulled inside the closed box by a
-    relative 1e-9 inset.  ellipsoid: the same directions scaled per axis.
+    relative 1e-9 inset.  ellipsoid: the same directions scaled to the
+    semi-axes ELLIPSOID_AXES, none longer than the sphere's radius.
     """
     if count < 1:
         raise ValueError("need at least one point")
@@ -42,15 +43,7 @@ def generate_points(kind, count, seed, semi_axes=DEFAULT_SEMI_AXES):
         return rng.uniform(-0.5, 0.5, size=(count, 3))
     if kind not in ("sphere", "ellipsoid"):
         raise ValueError(f"unknown distribution {kind!r}")
-    axes = np.asarray(semi_axes, dtype=float)
-    if axes.shape != (3,) or np.any(axes <= 0):
-        raise ValueError("semi-axes must be three positive numbers")
-    if kind == "sphere":
-        axes = np.full(3, 0.5)
-    elif np.sum((0.5 / axes) ** 2) <= 1.0:
-        # the box corners lie inside the ellipsoid, so no surface point
-        # falls in the box and the redraw loop below would never end
-        raise ValueError("semi-axes put the whole box inside the ellipsoid")
+    axes = np.array((0.5,) * 3 if kind == "sphere" else ELLIPSOID_AXES)
     out = np.empty((count, 3))
     have = 0
     while have < count:
@@ -58,9 +51,6 @@ def generate_points(kind, count, seed, semi_axes=DEFAULT_SEMI_AXES):
         norm = np.linalg.norm(draw, axis=1, keepdims=True)
         good = norm[:, 0] > 0
         pts = draw[good] / norm[good] * axes * _BOUNDARY_INSET
-        # custom semi-axes may poke outside the box; drop those samples
-        inside = np.all(np.abs(pts) < 0.5, axis=1)
-        pts = pts[inside]
         out[have : have + pts.shape[0]] = pts
         have += pts.shape[0]
     return out
@@ -80,14 +70,12 @@ def run_benchmark(args):
 
     if args.ranks_only:
         t0 = time.perf_counter()
-        cache, hit = load_or_build_cache(
-            kernel, config, args.tol, args.compress_tol,
-            resolution=args.train_res, x_budget=args.x_budget,
-            cache_path=args.cache,
-        )
+        key = make_cache_key(kernel, config, args.tol, args.compress_tol,
+                             resolution=args.train_res, x_budget=args.x_budget)
+        cache, hit = load_or_build_cache(kernel, config, key, args.cache)
         build_seconds = time.perf_counter() - t0
     else:
-        points = generate_points(args.dist, args.n, args.seed, args.semi_axes)
+        points = generate_points(args.dist, args.n, args.seed)
         rng = np.random.default_rng(args.seed + 1)
         potentials = rng.uniform(-1.0, 1.0, size=args.n)
         system = ParticleSystem(targets=points, sources=points, potentials=potentials)
@@ -115,8 +103,7 @@ def run_benchmark(args):
             "rel_max": float(np.max(np.abs(diff)) / peak) if peak > 0 else 0.0,
         }
 
-    resolved = dict(vars(args), depth=depth, compress_tol=cache.key.compress_tol,
-                    semi_axes=list(args.semi_axes))
+    resolved = dict(vars(args), depth=depth, compress_tol=cache.key.compress_tol)
     return {
         "config": {key: resolved[key] for key in _CONFIG_KEYS},
         # int level keys; json writes them as strings
@@ -177,8 +164,6 @@ def build_parser():
     parser.add_argument("--x-budget", type=int, default=8192,
                         help="max far-region training points per level")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--semi-axes", type=float, nargs=3,
-                        default=list(DEFAULT_SEMI_AXES), metavar=("A", "B", "C"))
     parser.add_argument("--oracle", action="store_true",
                         help="compare against the exact direct sum at up to "
                              f"{ORACLE_TARGETS} seeded targets")

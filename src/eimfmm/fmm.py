@@ -15,8 +15,8 @@ A sweep holds a level's arrays only until the step that reads them: each
 level's moments until the M2M into its parent (their transfer projection is
 taken at once), each level's transfer pass runs just before the L2L into
 that level, which adds into its sums in place, and the leaf solve
-overwrites the deepest locals in runs of rows.  The per-level vectors
-(FieldData) are recorded only when read, by a second far pass.
+overwrites the deepest locals in runs of rows.  A sweep returns only the
+far field; _far_pass records the per-level vectors when given dicts.
 Every solve runs in numpy's LAPACK (see eim.py), so a plan and its sweeps
 call no scipy.linalg routine, and scipy's BLAS threads, spinning after a
 call, take no core from the passes that follow.
@@ -59,8 +59,8 @@ from scipy.sparse import csr_matrix, get_index_dtype
 
 from . import kernels
 from .kernels import _displacements
-from .operators import (CacheMismatchError, _cache_folder, build_operator_cache,
-                        load_cache, make_cache_key, save_cache)
+from .operators import (CacheMismatchError, _build, _cache_folder, load_cache,
+                        make_cache_key, save_cache)
 from .tree import (_transfer_index_table, build_tree, child_offsets, finite_floats,
                    parity_rank)
 
@@ -95,34 +95,6 @@ class ParticleSystem:
         self.potentials = finite_floats("potential", self.potentials)
         if self.potentials.shape != (self.sources.shape[0],):
             raise ValueError("need exactly one potential per source point")
-
-
-class FieldData:
-    """Per-level, per-box vectors of one sweep's multilevel pass.
-
-    Its four dicts, source_moments, transfer_sums, local_moments and
-    local_coeffs (the deepest level only), map level -> a box-major array
-    of shape (occupied boxes at that level, terms at that level), box rows
-    ordered like the tree's occupied flat-index arrays.  The sweep keeps
-    none of them: the first read of any runs its far pass again, recording
-    all four, and every later read returns the same arrays.
-    """
-
-    _NAMES = ("source_moments", "transfer_sums", "local_moments", "local_coeffs")
-
-    def __init__(self, record):
-        # record(dicts) fills four dicts in the order of _NAMES
-        self._record = record
-
-    def __getattr__(self, name):
-        # reached only while the four dicts are unset
-        if name not in FieldData._NAMES:
-            raise AttributeError(name)
-        dicts = ({}, {}, {}, {})
-        self._record(dicts)
-        self.__dict__.update(zip(FieldData._NAMES, dicts))
-        del self._record
-        return self.__dict__[name]
 
 
 @dataclass
@@ -407,25 +379,22 @@ class SummationPlan:
     # -- far field ---------------------------------------------------------
 
     def apply_far(self, potentials):
-        """Far-field values at the targets, a FieldData of the pass's
-        per-level vectors, and the time of each phase in FAR_PHASES.
+        """Far-field values at the targets, None, and the time of each phase
+        in FAR_PHASES.  The None only keeps the three-value shape that
+        perfbench/worker.py unpacks, until the benchmark's next change
+        drops it (ROADMAP item 19).
 
         The pass keeps only what a later step reads (see the module
-        docstring), so a sweep holds at most two levels of locals.  The
-        FieldData holds the sorted weights; its first read runs the pass
-        again, recording."""
-        sigma = self._sorted_weights(potentials)
+        docstring), so a sweep holds at most two levels of locals."""
         timings = dict.fromkeys(FAR_PHASES, 0.0)
-        far = self._far_pass(sigma, timings)
-        fields = FieldData(lambda dicts: self._far_pass(
-            sigma, dict.fromkeys(FAR_PHASES, 0.0), dicts))
-        return far, fields, timings
+        return self._far_pass(self._sorted_weights(potentials), timings), None, timings
 
     def _far_pass(self, sigma, timings, record=None):
         """The far field of leaf-sorted weights sigma, adding each phase's
-        time to timings; record, if given, is FieldData's four dicts in its
-        order, filled with every level's arrays (copies of those the pass
-        changes in place)."""
+        time to timings.  record, if given, is four dicts that get level ->
+        (boxes, terms) arrays, boxes in the tree's occupied order: source
+        moments, transfer sums, local moments and leaf coefficients (the
+        deepest level only), copied where the pass changes them in place."""
         kernel, cache, depth = self.kernel, self.cache, self.config.depth
         src, tgt = self.src_tree, self.tgt_tree
         mark = [time.perf_counter()]
@@ -671,10 +640,9 @@ def evaluate(kernel, system, config, tolerance, compress_tol=None,
     """One-call orchestration: cache load-or-build, the plan, far and near
     passes."""
     t0 = time.perf_counter()
-    cache, hit = load_or_build_cache(
-        kernel, config, tolerance, compress_tol, max_terms, resolution,
-        x_budget, cache_path,
-    )
+    key = make_cache_key(kernel, config, tolerance, compress_tol, max_terms,
+                         resolution, x_budget)
+    cache, hit = load_or_build_cache(kernel, config, key, cache_path)
     cache_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -696,24 +664,17 @@ def evaluate(kernel, system, config, tolerance, compress_tol=None,
     )
 
 
-def load_or_build_cache(kernel, config, tolerance, compress_tol=None,
-                        max_terms=300, resolution=7, x_budget=8192,
-                        cache_path=None):
-    """Load a matching cache from cache_path, or build (and save) one.
+def load_or_build_cache(kernel, config, key, cache_path=None):
+    """Load the cache of key from cache_path, or build (and save) one.
 
     A present-but-mismatched file is refused, not overwritten, and a path
     into a missing directory before anything is built.
     """
-    key = make_cache_key(kernel, config, tolerance, compress_tol, max_terms,
-                         resolution, x_budget)
     if cache_path is not None:
         if os.path.exists(cache_path):
             return load_cache(cache_path, expected_key=key), True
         _cache_folder(cache_path)
-    cache = build_operator_cache(
-        kernel, config, tolerance, compress_tol=compress_tol,
-        max_terms=max_terms, resolution=resolution, x_budget=x_budget,
-    )
+    cache = _build(kernel, config, key)
     if cache_path is not None:
         save_cache(cache, cache_path)
     return cache, False

@@ -306,13 +306,16 @@ class CacheKey:
     max_terms: int
 
     def __post_init__(self):
-        # a value its field type would change (3.5 -> 3, NaN != NaN) is
-        # refused: the key would name operators other than those built
+        # refused: a value its field type would change (3.5 -> 3, NaN != NaN),
+        # which would name other operators, and a side or tolerance no build takes
         for f in fields(self):
             value = getattr(self, f.name)
             typed = f.type(value)
             if typed != value:
                 raise ValueError(f"CacheKey {f.name} must be a {f.type.__name__}, "
+                                 f"got {value!r}")
+            if f.type is float and not 0.0 < typed < np.inf:
+                raise ValueError(f"CacheKey {f.name} must be positive and finite, "
                                  f"got {value!r}")
             object.__setattr__(self, f.name, typed)
 
@@ -372,15 +375,19 @@ def build_operator_cache(kernel, config, tolerance, compress_tol=None,
     operators and M2M/L2L to the level below.  For a kernel that declares a
     scaling a coarser level gets only the deepest level's models, rescaled.
     """
-    cache = OperatorCache(make_cache_key(kernel, config, tolerance, compress_tol,
-                                         max_terms, resolution, x_budget))
-    depth = config.depth
+    return _build(kernel, config, make_cache_key(
+        kernel, config, tolerance, compress_tol, max_terms, resolution, x_budget))
+
+
+def _build(kernel, config, key):
+    """build_operator_cache with the settings of key, made for kernel and config."""
+    cache, depth = OperatorCache(key), config.depth
     for level in range(depth, 1, -1):
         if kernel.scaling is None or level == depth:
-            cache.eims[level] = build_level_eims(
-                kernel, config, level, tolerance, max_terms, resolution, x_budget)
+            cache.eims[level] = build_level_eims(kernel, config, level, key.tolerance,
+                                                 key.max_terms, key.resolution, key.x_budget)
             cache.m2l[level] = assemble_m2l(kernel, config, level,
-                                            cache.eims[level], cache.key.compress_tol)
+                                            cache.eims[level], key.compress_tol)
         else:
             cache.eims[level] = _rescaled(kernel, cache.eims[depth], depth - level)
         if level + 1 in cache.m2l:
@@ -541,7 +548,10 @@ def load_cache(path, expected_key=None):
         name = str(body.take(body.unpack(_U64)[0]), "utf-8")
     except UnicodeDecodeError as exc:
         raise CacheCorruptError("undecodable kernel name in cache file") from exc
-    key = CacheKey(name, *body.unpack(_KEY_REST))
+    try:
+        key = CacheKey(name, *body.unpack(_KEY_REST))
+    except ValueError as exc:
+        raise CacheCorruptError(f"cache file key: {exc}") from exc
     if expected_key is not None and key != expected_key:
         raise CacheMismatchError(
             f"cache was built for {key}, requested {expected_key}"

@@ -39,17 +39,21 @@ def test_readme_api_section_lists_all():
 
 
 def test_readme_usage_blocks_run():
-    # the examples as a reader pastes them, in one session: a removed or
-    # renamed name fails here even when the API list above is in step
+    # every python block of the README, as a reader pastes them, in order
+    # and in one session: a removed or renamed name, or a changed return
+    # shape, fails here even when the API list above is in step
     text = (ROOT / "README.md").read_text()
-    section = text.split("\n## Library usage\n", 1)[1].split("\n## ", 1)[0]
-    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
     assert len(blocks) == 3
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     result = namespace["result"]
     assert np.array_equal(result.total, result.far_field + result.near_field)
+    # the repeated sweeps: the last weight set's far field, timed per phase
+    w, plan = namespace["weight_sets"][-1], namespace["plan"]
+    assert np.array_equal(namespace["far"], plan.apply_far(w)[0])
+    assert list(namespace["timings"]) == list(ef.fmm.FAR_PHASES)
     assert np.isfinite(namespace["total"]).all()
 
 

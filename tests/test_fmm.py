@@ -17,7 +17,7 @@ import scipy.linalg
 import eimfmm as ef
 from eimfmm.eim import EimModel
 from eimfmm.fmm import load_or_build_cache
-from eimfmm.operators import M2lOperators, OperatorCache
+from eimfmm.operators import M2lOperators, OperatorCache, make_cache_key
 from eimfmm.tree import child_offsets
 
 KERNEL = ef.make_builtin_kernel("gaussian")
@@ -55,6 +55,16 @@ def cloud():
     points = rng.uniform(-0.5, 0.5, size=(800, 2))
     weights = rng.uniform(-1.0, 1.0, size=800)
     return points, weights
+
+
+def _fields(plan, weights):
+    """One far pass of plan on weights that records every level: its far
+    field, and its four per-level dicts by name."""
+    dicts = {name: {} for name in ("source_moments", "transfer_sums",
+                                   "local_moments", "local_coeffs")}
+    far = plan._far_pass(plan._sorted_weights(weights),
+                         dict.fromkeys(ef.fmm.FAR_PHASES, 0.0), list(dicts.values()))
+    return far, types.SimpleNamespace(**dicts)
 
 
 def _naive_sum(kernel, targets, sources, weights):
@@ -238,8 +248,8 @@ def test_shared_tree_stores_half_the_transfer_pairs(cube_cloud, cache_store,
                             source_tree=ef.build_tree(points, config))
     assert shared.src_tree is shared.tgt_tree
     assert full.src_tree is not full.tgt_tree
-    far_shared, fields_shared, _ = shared.apply_far(weights)
-    far_full, fields_full, _ = full.apply_far(weights)
+    far_shared, fields_shared = _fields(shared, weights)
+    far_full, fields_full = _fields(full, weights)
     assert np.abs(far_shared - far_full).max() <= 1e-13 * np.abs(far_full).max()
     for level, sums in fields_full.transfer_sums.items():
         got = fields_shared.transfer_sums[level]
@@ -441,7 +451,7 @@ def test_field_data_shapes(cloud, cache):
     points, weights = cloud
     plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache)
     tree = plan.tgt_tree
-    _, fields, _ = plan.apply_far(weights)
+    _, fields = _fields(plan, weights)
     terms = cache.terms_per_level()
     for level in (2, 3):
         boxes = tree.level_flat[level].size
@@ -581,7 +591,7 @@ def test_transfer_sums_match_pairwise_reference(case, cube_cloud, cache_store, c
     assert any(plan._siblings[level]
                and any(tpos.size for tpos, _ in plan._transfer_groups[level].values())
                for level in plan._siblings)
-    _, fields, _ = plan.apply_far(weights[: sources.shape[0]])
+    _, fields = _fields(plan, weights[: sources.shape[0]])
     for level, expect in _pairwise_transfer_sums(plan, fields).items():
         got = fields.transfer_sums[level]
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
@@ -592,7 +602,7 @@ def test_vertical_passes_match_indexed_add_reference(cloud, cache):
     # per parity, in the same order, rounds every sum the same way
     points, weights = cloud
     plan = ef.SummationPlan(KERNEL, points[:500], points[500:], CONFIG, cache)
-    _, fields, _ = plan.apply_far(weights[500:])
+    _, fields = _fields(plan, weights[500:])
     for level in range(2, CONFIG.depth):
         up = np.zeros_like(fields.source_moments[level])
         down = fields.transfer_sums[level + 1].copy()
@@ -616,7 +626,7 @@ def test_far_pass_independent_of_chunk_size(cache, monkeypatch):
     points = np.vstack([blob, rng.uniform(-0.5, 0.5, size=(100, 2))])
     weights = rng.uniform(-1.0, 1.0, size=600)
     plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache)
-    far, fields, _ = plan.apply_far(weights)
+    far, fields = _fields(plan, weights)
 
     # dense per-point references for the two leaf passes
     tree, depth = plan.tgt_tree, CONFIG.depth
@@ -645,7 +655,7 @@ def test_far_pass_independent_of_chunk_size(cache, monkeypatch):
     assert any(l1 - l0 > 1 for l0, l1, _, _ in chunks)
     assert any(l1 - l0 == 1 and counts[l0] > 5 for l0, l1, _, _ in chunks)
     assert all(p1 - p0 <= 5 or l1 - l0 == 1 for l0, l1, p0, p1 in chunks)
-    small_far, small_fields, _ = plan.apply_far(weights)
+    small_far, small_fields = _fields(plan, weights)
     assert np.abs(small_far - far).max() <= 1e-13 * np.abs(far).max()
     for name in ("source_moments", "transfer_sums", "local_moments",
                  "local_coeffs"):
@@ -657,27 +667,19 @@ def test_far_pass_independent_of_chunk_size(cache, monkeypatch):
             assert np.abs(small[level] - big[level]).max() <= 1e-13 * scale
 
 
-def test_field_data_is_recorded_on_first_read(cloud, cache):
-    # the sweep keeps no per-level vectors; the first read of its FieldData
-    # runs the same pass again on the weights of that sweep
+def test_recording_far_pass_matches_the_sweep(cloud, cache):
+    # the sweep keeps no per-level vectors; a pass that records them sums
+    # the same far field, and its leaf coefficients give that field
     points, weights = cloud
     plan = ef.SummationPlan(KERNEL, points, points, CONFIG, cache)
-    unread, _, _ = plan.apply_far(weights)
-    mutable = weights.copy()
-    far, fields, _ = plan.apply_far(mutable)
-    assert vars(fields).keys() == {"_record"}
-    mutable *= 2.0  # the recording pass does not read the caller's array
-    names = ("source_moments", "transfer_sums", "local_moments", "local_coeffs")
-    first = {name: getattr(fields, name) for name in names}
-    assert vars(fields).keys() == set(names)
-    assert all(getattr(fields, name) is first[name] for name in names)
+    unread, none, _ = plan.apply_far(weights)
+    assert none is None
+    far, fields = _fields(plan, weights)
     assert far.tobytes() == unread.tobytes()
     depth = CONFIG.depth
     recv = cache.eims[depth].receiving
     assert ef.fmm._leaf_values(KERNEL, plan.tgt_tree, recv.y_points,
-                               first["local_coeffs"][depth]).tobytes() == far.tobytes()
-    with pytest.raises(AttributeError):
-        fields.far_field
+                               fields.local_coeffs[depth]).tobytes() == far.tobytes()
 
 
 def test_far_pass_holds_its_levels_only_until_read(cube_cloud, cache_store):
@@ -696,7 +698,7 @@ def test_far_pass_holds_its_levels_only_until_read(cube_cloud, cache_store):
     plan.apply_far(weights)
     tracemalloc.start()
     try:
-        far, fields, _ = plan.apply_far(weights)
+        far, _, _ = plan.apply_far(weights)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -745,7 +747,7 @@ def test_folded_projection_matches_solve_then_project(case, cloud, cache,
         points, weights = cube_cloud[0][:3000], cube_cloud[1][:3000]
         kernel, config, ops = DRIFT_3D, DRIFT_CONFIG, drift_cache
     plan = ef.SummationPlan(kernel, points, points, config, ops)
-    _, fields, _ = plan.apply_far(weights)
+    _, fields = _fields(plan, weights)
     assert sorted(fields.source_moments) == list(range(2, config.depth + 1))
     for level, moments in fields.source_moments.items():
         # the solve of the level the transfer operators were built at
@@ -775,9 +777,9 @@ def test_scaling_kernel_shared_transfer_matches_rescaled_copies(cube_cloud):
         copies[level] = M2lOperators(level, deepest.projector, deepest.row_basis,
                                      deepest.blocks * gain)
     rescaled = OperatorCache(shared.key, shared.eims, shared.m2m, shared.l2l, copies)
-    results = [ef.SummationPlan(kernel, points, points, config, c).apply_far(weights)
+    results = [_fields(ef.SummationPlan(kernel, points, points, config, c), weights)
                for c in (shared, rescaled)]
-    (far, fields, _), (ref_far, ref_fields, _) = results
+    (far, fields), (ref_far, ref_fields) = results
     assert far.tobytes() == ref_far.tobytes()
     assert sorted(fields.transfer_sums) == [2, 3, 4]
     for level, sums in fields.transfer_sums.items():
@@ -1215,11 +1217,11 @@ def test_evaluate_cache_path_round_trip(cloud, tmp_path):
 
 def test_load_or_build_cache_flags(tmp_path):
     path = tmp_path / "ops.bin"
-    cache, hit = load_or_build_cache(KERNEL, CONFIG, 1e-3, resolution=6,
-                                     x_budget=256, cache_path=str(path))
+    key = make_cache_key(KERNEL, CONFIG, 1e-3, resolution=6, x_budget=256)
+    cache, hit = load_or_build_cache(KERNEL, CONFIG, key, cache_path=str(path))
     assert not hit
-    again, hit = load_or_build_cache(KERNEL, CONFIG, 1e-3, resolution=6,
-                                     x_budget=256, cache_path=str(path))
+    assert cache.key == key
+    again, hit = load_or_build_cache(KERNEL, CONFIG, key, cache_path=str(path))
     assert hit
     assert again.key == cache.key
 
@@ -1231,10 +1233,11 @@ def test_cache_path_in_a_missing_directory_is_refused_before_the_build(
     def no_build(*args, **kwargs):
         raise AssertionError("built operators that could not be saved")
 
-    monkeypatch.setattr(ef.fmm, "build_operator_cache", no_build)
+    monkeypatch.setattr(ef.fmm, "_build", no_build)
     missing = tmp_path / "missing"
     one_point = ef.ParticleSystem(np.zeros((1, 2)), np.zeros((1, 2)), np.ones(1))
-    for call in (lambda: load_or_build_cache(KERNEL, CONFIG, 1e-3,
+    key = make_cache_key(KERNEL, CONFIG, 1e-3)
+    for call in (lambda: load_or_build_cache(KERNEL, CONFIG, key,
                                              cache_path=str(missing / "ops.bin")),
                  lambda: ef.evaluate(KERNEL, one_point, CONFIG, 1e-3,
                                      cache_path=missing / "ops.bin")):

@@ -880,6 +880,24 @@ def test_cache_refuses_undecodable_kernel_name(small_cache, tmp_path):
         ef.load_cache(path)
 
 
+def test_cache_refuses_key_values_no_build_writes(small_cache, tmp_path):
+    # each file is re-signed, so only the key's own rules can refuse it: a
+    # NaN side or tolerance, and a tolerance or compress_tol that
+    # make_cache_key refuses, are corrupt files, named by field
+    path = tmp_path / "ops.bin"
+    ef.save_cache(small_cache, path)
+    body = path.read_bytes()[:-32]
+    names = [f.name for f in dataclasses.fields(ef.CacheKey)]
+    for name, value in (("side", np.nan), ("tolerance", np.nan), ("compress_tol", np.nan),
+                        ("tolerance", 0.0), ("tolerance", np.inf), ("compress_tol", -1.0),
+                        ("side", np.inf)):
+        at = _FIELDS_AT + 8 * (names.index(name) - 1)
+        assert body[at:at + 8] == struct.pack("<d", getattr(small_cache.key, name))
+        _resigned(path, body[:at] + struct.pack("<d", value) + body[at + 8:])
+        with pytest.raises(ef.CacheCorruptError, match=f"CacheKey {name} must be"):
+            ef.load_cache(path)
+
+
 def test_cache_checks_layout_under_valid_checksum(small_cache, tmp_path):
     # each file below is re-signed, so only the structure checks can refuse it
     path = tmp_path / "ops.bin"
