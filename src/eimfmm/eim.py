@@ -9,9 +9,20 @@ at a time, then updated in place a block of whole columns at a time, each
 chunk and block at most _EVAL_CHUNK values (or one row or column).  The
 update rounds like a plain ``np.outer`` update; the row maxima of each
 block are taken while it is still in cache, and they give both the
-recorded max residual and the next step's row.  A built model keeps the
-selected nodes plus two triangular factors; every linear action goes
-through forward/back substitution, the inverses are never formed.
+recorded max residual and the next step's row.
+
+The update zeroes its own pivot column exactly (pivot / pivot is 1), and
+the column stays +0.0 in every later update, so it is retired: the last
+active column moves into its slot, and the updates and the pivot searches
+run over the active columns at the front only.  The pivot row is not
+zeroed exactly; it keeps ulp-level dust, which shows above the pivot
+factor's diagonal.  Each step's update is split into contiguous stripes of
+whole blocks, one per CPU of the process, the calling thread taking one;
+each stripe keeps its own row maxima, and their elementwise maximum is
+exact in any order, so a model is bitwise the same on any thread count.
+A built model keeps the selected nodes plus two triangular factors; every
+linear action goes through forward/back substitution, the inverses are
+never formed.
 
 The solves run in numpy's LAPACK (``np.linalg.solve``), not in scipy's:
 scipy ships its own OpenBLAS, whose worker threads keep spinning after a
@@ -28,6 +39,8 @@ substitutions.  One np.linalg.solve per factor would run four: its
 LU of a triangular factor has an identity or a diagonal for the other
 triangle, which LAPACK substitutes through at full cost.
 """
+
+import functools
 
 import numpy as np
 
@@ -144,57 +157,93 @@ def eim_build(kernel, points_x, points_y, tolerance, max_terms=300):
         values = kernel.pairwise(px[start:start + step], py)
         resid[start:start + step] = values
         np.abs(values).max(axis=1, out=row_max[start:start + step])
-    # Residual columns updated together: the block and its cross stay in
-    # cache between the subtraction and the row maxima.
-    width = max(1, kernels._EVAL_CHUNK // n_rows)
-    cross = np.empty((n_rows, width), order="F")
-    block_max = np.empty(n_rows)
     # finite exactly when every kernel value is: NaN propagates through max
     scale = float(row_max.max())
     if not np.isfinite(scale):
         raise ValueError("kernel must be finite on the training product")
     if scale == 0.0:
         raise ValueError("kernel vanishes on the entire training product")
+    # Residual columns updated together: the block and its cross stay in
+    # cache between the subtraction and the row maxima.  The active columns
+    # are split into contiguous stripes of whole blocks, at most one per CPU
+    # of the process, each with its own row maxima (the calling thread's
+    # are row_max itself), block maxima and cross block.
+    width = max(1, kernels._EVAL_CHUNK // n_rows)
+    threads = min(kernels._process_cores(), -(-n_cols // width))
+    buffers = [(row_max if s == 0 else np.empty(n_rows), np.empty(n_rows),
+                np.empty((n_rows, width), order="F")) for s in range(threads)]
+    # The active columns lead the residual, active[k] their training index.
+    active = np.arange(n_cols)
+    n_active = n_cols
+
+    def update(stripe, first, stop, col, row):
+        peak, block_max, cross = buffers[stripe]
+        peak.fill(0.0)
+        for start in range(first, stop, width):
+            block = resid[:, start:min(start + width, stop)]
+            part = cross[:, :block.shape[1]]
+            # np.outer's own multiply, without its per-call argument
+            # handling: each product rounds before the subtraction.  A fused
+            # multiply-add (BLAS dger) rounds once and can flip exact ties
+            # on symmetric training grids, and with them the selected nodes.
+            np.multiply(col[:, np.newaxis], row[start:start + block.shape[1]], out=part)
+            np.subtract(block, part, out=block)
+            np.abs(block, out=part).max(axis=1, out=block_max)
+            np.maximum(peak, block_max, out=peak)
 
     history = [scale]
     rows_sel, cols_sel = [], []
     basis_rows = []   # full residual row / pivot, one per term
     pivot_cols = []   # full residual column at the pivot, one per term
     degenerate = False
-    while True:
-        # Worst row in max-norm, then the worst column inside it; ties break
-        # to the lowest index so rebuilt caches are reproducible.
-        i = int(np.argmax(row_max))
-        j = int(np.argmax(np.abs(resid[i])))
-        pivot = resid[i, j]
-        if abs(pivot) <= _PIVOT_FLOOR * scale:
-            degenerate = True
-            break
-        col = resid[:, j].copy()
-        row = resid[i] / pivot
-        rows_sel.append(i)
-        cols_sel.append(j)
-        basis_rows.append(row)
-        pivot_cols.append(col)
-        # np.outer rounds each product before the subtraction; a fused
-        # multiply-add (BLAS dger) rounds once and can flip exact ties on
-        # symmetric training grids, and with them the selected nodes.
-        row_max.fill(0.0)
-        for start in range(0, n_cols, width):
-            block = resid[:, start:start + width]
-            part = cross[:, :block.shape[1]]
-            np.outer(col, row[start:start + width], out=part)
-            np.subtract(block, part, out=block)
-            np.abs(block, out=part).max(axis=1, out=block_max)
-            np.maximum(row_max, block_max, out=row_max)
-        history.append(float(row_max.max()))
-        if history[-1] <= tolerance * scale or len(rows_sel) == max_terms:
-            break
+    with kernels._helper_pool(threads) as pool:
+        while True:
+            # Worst row in max-norm, then the worst column inside it; ties
+            # break to the lowest training index so rebuilt caches are
+            # reproducible.
+            i = int(np.argmax(row_max))
+            magnitudes = np.abs(resid[i, :n_active])
+            ties = np.flatnonzero(magnitudes == magnitudes.max())
+            slot = int(ties[np.argmin(active[ties])])
+            pivot = resid[i, slot]
+            if abs(pivot) <= _PIVOT_FLOOR * scale:
+                degenerate = True
+                break
+            col = resid[:, slot].copy()
+            row = resid[i, :n_active] / pivot
+            rows_sel.append(i)
+            cols_sel.append(int(active[slot]))
+            # in training order; a retired column holds +0.0 (see below),
+            # so its entry is 0.0 / pivot, signed as the pivot is
+            full_row = np.full(n_cols, 0.0 / pivot)
+            full_row[active[:n_active]] = row
+            basis_rows.append(full_row)
+            pivot_cols.append(col)
+            # The pivot column becomes col - col * (pivot / pivot) = +0.0
+            # and stays +0.0 (0 - x * (+-0) is +0): it is retired, the
+            # last active column moved into its place.
+            n_active -= 1
+            for values in (active, row):
+                values[slot] = values[n_active]
+            resid[:, slot] = resid[:, n_active]
+            blocks = -(-n_active // width)
+            stripes = max(1, min(threads, blocks))
+            bounds = [min(n_active, width * (blocks * s // stripes))
+                      for s in range(stripes + 1)]
+            kernels._run_together(pool, [
+                functools.partial(update, s, bounds[s], bounds[s + 1], col, row)
+                for s in range(stripes)])
+            for peak, _, _ in buffers[1:stripes]:
+                np.maximum(row_max, peak, out=row_max)
+            history.append(float(row_max.max()))
+            if history[-1] <= tolerance * scale or len(rows_sel) == max_terms:
+                break
 
     rows_sel = np.asarray(rows_sel, dtype=np.intp)
     cols_sel = np.asarray(cols_sel, dtype=np.intp)
-    # The rank-1 update zeroes its own pivot row and column exactly, so the
-    # gathered matrices come out triangular without any cleanup.
+    # Each pivot column is exactly zero after its step, so the gathered
+    # basis comes out unit lower triangular without any cleanup; the pivot
+    # factor is lower triangular up to the pivot rows' ulp-level dust.
     basis = np.stack([r[cols_sel] for r in basis_rows], axis=1)
     pivots = np.stack([c[rows_sel] for c in pivot_cols], axis=1)
     return EimModel(

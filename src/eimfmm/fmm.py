@@ -51,7 +51,6 @@ import os
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -532,13 +531,6 @@ def _ragged_arange(starts, counts):
     )
 
 
-def _process_cores():
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _near_matrix(kernel, target_tree, source_tree, half, neighbors):
     """Kernel values between each target and the sources in its leaf's
     neighbor boxes (own box included), coincident pairs zeroed, as a CSR
@@ -605,12 +597,11 @@ def _near_matrix(kernel, target_tree, source_tree, half, neighbors):
             values[_ragged_arange(indptr[r0:r1] - p0, tgt.leaf_counts[leaves])] *= 0.5
         indices[p0:p1] = cols
 
-    # numpy releases the interpreter lock in the array steps of a run, so
-    # runs overlap on the process's CPUs.  The calling thread takes runs
-    # too, and runs stay at _EVAL_CHUNK values: each thread's allocator
-    # arena keeps its freed run temporaries after the build.
+    # The calling thread takes runs too, and runs stay at _EVAL_CHUNK
+    # values: each thread's allocator arena keeps its freed run temporaries
+    # after the build.
     runs = list(_runs(ends, kernels._EVAL_CHUNK))
-    helpers = min(_process_cores(), len(runs)) - 1
+    threads = max(1, min(kernels._process_cores(), len(runs)))
     lock, pending = threading.Lock(), (run for run in runs)
 
     def work():
@@ -627,11 +618,8 @@ def _near_matrix(kernel, target_tree, source_tree, half, neighbors):
                 pending.close()
             raise
 
-    with ThreadPoolExecutor(max(1, helpers)) as pool:
-        futures = [pool.submit(work) for _ in range(helpers)]
-        work()
-        for future in futures:
-            future.result()
+    with kernels._helper_pool(threads) as pool:
+        kernels._run_together(pool, [work] * threads)
     return csr_matrix((data, indices, indptr), shape=(tgt.n_points, src.n_points))
 
 

@@ -8,6 +8,8 @@ singular kernels may emit inf at r = 0 without consequence.
 """
 
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -16,6 +18,33 @@ _OSCILLATION_FREQ = 20.0
 # chunk's temporaries stay cache-sized: the greedy residual fill and update,
 # the leaf passes, the near-field build and direct_sum.
 _EVAL_CHUNK = 2**16
+
+
+def _process_cores():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _helper_pool(threads):
+    """A pool for _run_together's tasks beside the calling thread: threads
+    - 1 of them.  No thread starts before a task is submitted, so a pool
+    for one thread starts none; shut it down with a with statement."""
+    return ThreadPoolExecutor(max(1, threads - 1))
+
+
+def _run_together(pool, tasks):
+    """Run tasks[0] on the calling thread and the others on pool, and
+    return once every one has ended; an exception of any leaves this call.
+    numpy releases the interpreter lock in its array steps, so tasks made
+    of such steps overlap on the process's CPUs."""
+    futures = [pool.submit(task) for task in tasks[1:]]
+    try:
+        tasks[0]()
+    finally:
+        for future in futures:
+            future.result()
 
 
 class Kernel:

@@ -287,6 +287,11 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     return M2lOperators(level, projector, row_basis, blocks)
 
 
+# The least value of each build count that a greedy takes; the tree's
+# dimension and depth are TreeConfig's to refuse.
+_LEAST_COUNT = {"resolution": 2, "x_budget": 1, "max_terms": 1}
+
+
 @dataclass(frozen=True)
 class CacheKey:
     """Everything the precomputed operators depend on.
@@ -307,7 +312,8 @@ class CacheKey:
 
     def __post_init__(self):
         # refused: a value its field type would change (3.5 -> 3, NaN != NaN),
-        # which would name other operators, and a side or tolerance no build takes
+        # which would name other operators, and a side, tolerance or build
+        # count no build takes
         for f in fields(self):
             value = getattr(self, f.name)
             typed = f.type(value)
@@ -317,7 +323,11 @@ class CacheKey:
             if f.type is float and not 0.0 < typed < np.inf:
                 raise ValueError(f"CacheKey {f.name} must be positive and finite, "
                                  f"got {value!r}")
+            if typed < _LEAST_COUNT.get(f.name, typed):
+                raise ValueError(f"CacheKey {f.name} must be at least "
+                                 f"{_LEAST_COUNT[f.name]}, got {value!r}")
             object.__setattr__(self, f.name, typed)
+
 
 
 def make_cache_key(kernel, config, tolerance, compress_tol=None,

@@ -236,19 +236,23 @@ class Tree:
 
         self.config = config
         flat = self._ravel(leaf_multi, config.depth)
-        order = np.argsort(flat, kind="stable")
+        # numpy's stable sort of 16-bit keys is a radix sort, several times
+        # faster than its sort of int64 keys; the order is the same
+        keys = flat.astype(np.uint16) if config.dimension * config.depth <= 16 else flat
+        order = np.argsort(keys, kind="stable")
         self.order = order
-        self.sorted_points = points[order]
-        multi = leaf_multi[order]
+        # take gathers whole rows several times faster than fancy indexing
+        self.sorted_points = points.take(order, axis=0)
+        multi = leaf_multi.take(order, axis=0)
         # Exact dyadic leaf centers, so recentering commutes with a dyadic
         # translation of the domain.
         half = config.half_width(config.depth)
-        local = shifted[order] - ((2.0 * multi + 1) * half - half_side)
+        local = shifted.take(order, axis=0) - ((2.0 * multi + 1) * half - half_side)
         # stored one contiguous plane per coordinate, the layout the leaf
         # passes build their displacements in; leaf_local is its (n, D) view
         self.leaf_local = np.ascontiguousarray(local.T).T
         leaves, starts, counts = np.unique(
-            flat[order], return_index=True, return_counts=True
+            flat.take(order), return_index=True, return_counts=True
         )
         self.leaf_starts = starts
         self.leaf_counts = counts

@@ -8,6 +8,7 @@ the whole file runs in minutes.
 
 import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,48 @@ def test_criterion_1_oracle_accuracy(kernel_name, tol, cube_cloud, cache_store,
     print(f"criterion 1 [{kernel_name}, tol={tol:g}]: rel l2 {rel:.3e} "
           f"(bound {bound:.1e})")
     assert rel <= bound, f"{kernel_name} tol={tol:g}: rel l2 {rel:.3e} > {bound:.1e}"
+
+
+# Criterion 1's relative l2 error / tol per case, as measured on the code
+# these gates guard.  Twice that is a regression gate beside the 100x bound.
+_CRITERION_1_ERROR_OVER_TOL = {
+    ("gaussian", 1e-4): 1.15, ("gaussian", 1e-6): 0.93,
+    ("laplace", 1e-4): 1.00, ("laplace", 1e-6): 1.92,
+    ("multiquadric", 1e-4): 1.14, ("multiquadric", 1e-6): 1.20,
+    ("oscillatory", 1e-4): 1.73, ("oscillatory", 1e-6): 4.08,
+}
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_criterion_1_error_holds_its_measured_level(kernel_name, tol, cube_cloud,
+                                                    cache_store, direct_store):
+    """Criterion 1's summation, bounded at twice its measured error: an
+    accuracy loss that the 100x bound lets through fails here."""
+    points, weights = cube_cloud
+    total, _ = _total(kernel_name, points, weights, CONFIG4,
+                      cache_store(kernel_name, 4, tol))
+    exact = direct_store(kernel_name)
+    rel = np.linalg.norm(total - exact) / np.linalg.norm(exact)
+    bound = 2.0 * _CRITERION_1_ERROR_OVER_TOL[kernel_name, tol] * tol
+    assert rel <= bound, f"{kernel_name} tol={tol:g}: rel l2 {rel:.3e} > {bound:.1e}"
+
+
+def test_far_field_matches_its_committed_reference(cube_cloud, cache_store):
+    """Criterion 7's gaussian depth-3 far field for one seeded weight vector
+    stays within 1e-13 of the largest value of the reference committed in
+    tests/criterion_7_gaussian_far.npy (tight, but not bitwise, so another
+    BLAS build passes).  A change that moves the models or the sweep
+    arithmetic saves this test's far field there again."""
+    points = cube_cloud[0][:1000]
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=3)
+    kernel = ef.make_builtin_kernel("gaussian")
+    plan = ef.SummationPlan(kernel, points, points, config,
+                            cache_store("gaussian", 3, 1e-4))
+    far, _, _ = plan.apply_far(np.random.default_rng(7).uniform(-1.0, 1.0, 1000))
+    reference = np.load(Path(__file__).with_name("criterion_7_gaussian_far.npy"))
+    gap = np.abs(far - reference).max()
+    assert gap <= 1e-13 * np.abs(reference).max(), gap
 
 
 # -- criterion 2: interpolation exactness at the selected nodes ----------------

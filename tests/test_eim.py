@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -301,6 +303,112 @@ def test_greedy_matches_reference_loop(case, drift_kernel):
     assert np.array_equal(model.residual_history, history)
     if case == "gaussian-exhausted":
         assert degenerate
+
+
+def _reference_factors(kernel, training, rows, cols):
+    """The two factors of the plain loop run through the given pivots."""
+    resid = kernel.pairwise(*training)
+    basis, pivots = [], []
+    for i, j in zip(rows, cols):
+        col = resid[:, j].copy()
+        row = resid[i] / resid[i, j]
+        basis.append(row[cols])
+        pivots.append(col[rows])
+        resid -= np.outer(col, row)
+    return np.stack(basis, axis=1), np.stack(pivots, axis=1)
+
+
+@pytest.mark.parametrize("case", ["laplace-3d-level3", "drift-2d"])
+def test_greedy_factors_are_the_reference_loop_bytes(case, drift_kernel):
+    # retired columns leave the update, and their entries of a later basis
+    # row come back as 0.0 / pivot: the factors' bytes, zero signs included,
+    # are those of the plain loop over every column
+    kernel, training, tol = {
+        "laplace-3d-level3": (ef.make_builtin_kernel("laplace"),
+                              small_training(dim=3, level=3, resolution=4), 1e-6),
+        "drift-2d": (drift_kernel, small_training(), 1e-8),
+    }[case]
+    model = eim_build(kernel, *training, tol)
+    rows, cols, _, _ = _reference_greedy(kernel, training, tol)
+    basis, pivots = _reference_factors(kernel, training, rows, cols)
+    assert np.signbit(np.triu(basis, 1)).any()
+    assert model.basis_matrix.tobytes() == basis.tobytes()
+    assert model.pivot_matrix.tobytes() == pivots.tobytes()
+
+
+def test_greedy_breaks_column_ties_to_the_lowest_training_index():
+    # x nodes on the symmetry axes of a cell-centered y grid tie pairs of y
+    # columns exactly, also after a retired column's slot has taken the
+    # last active one, which then sits before a tied column of lower index
+    kernel = ef.make_builtin_kernel("multiquadric")
+    points_y = small_training(resolution=4)[1]
+    t = 1.5
+    points_x = np.array([(t, 0.0), (0.0, t), (t, t), (-t, 0.0), (t, 0.3),
+                         (0.0, -t), (t, -t), (-t, t), (2 * t, 0.0)])
+    model = eim_build(kernel, points_x, points_y, 1e-6)
+    rows, cols, history, _ = _reference_greedy(kernel, (points_x, points_y), 1e-6)
+    assert np.array_equal(model.x_points, points_x[rows])
+    assert np.array_equal(model.y_points, points_y[cols])
+    assert np.array_equal(model.residual_history, history)
+
+
+def test_greedy_stops_when_every_column_retires():
+    # five source nodes, fewer than the terms the tolerance asks for: the
+    # fifth term zeroes the residual exactly and the greedy stops on it
+    kernel = ef.make_builtin_kernel("laplace")
+    points_x, points_y = small_training()
+    training = (points_x, points_y[:5])
+    model = eim_build(kernel, *training, 1e-300)
+    rows, cols, history, degenerate = _reference_greedy(kernel, training, 1e-300)
+    assert model.d == len(cols) == 5 and sorted(cols) == list(range(5))
+    assert not model.degenerate and not degenerate
+    assert model.residual_history[-1] == 0.0
+    assert np.array_equal(model.residual_history, history)
+    assert np.array_equal(model.y_points, points_y[cols])
+    basis, pivots = _reference_factors(kernel, training, rows, cols)
+    assert model.basis_matrix.tobytes() == basis.tobytes()
+    assert model.pivot_matrix.tobytes() == pivots.tobytes()
+
+
+def test_greedy_is_bitwise_the_same_on_any_thread_count(monkeypatch):
+    # blocks of three columns in stripes over 1, 2, 3 and 8 threads that
+    # switch every microsecond: a stripe lost or torn between threads would
+    # change the row maxima, and with them the nodes or the history
+    kernel = ef.make_builtin_kernel("laplace")
+    training = small_training(dim=3, level=3, resolution=5)
+    monkeypatch.setattr(ef.kernels, "_EVAL_CHUNK", 3 * training[0].shape[0])
+    interval = sys.getswitchinterval()
+    models = []
+    for cores in (1, 2, 3, 8):
+        monkeypatch.setattr(ef.kernels, "_process_cores", lambda n=cores: n)
+        sys.setswitchinterval(1e-6)
+        try:
+            models.append(eim_build(kernel, *training, 1e-6))
+        finally:
+            sys.setswitchinterval(interval)
+    assert models[0].d > 30
+    for model in models[1:]:
+        for name in ("x_points", "y_points", "basis_matrix", "pivot_matrix",
+                     "residual_history"):
+            assert getattr(model, name).tobytes() == getattr(models[0], name).tobytes()
+
+
+def test_greedy_on_one_cpu_starts_no_thread(monkeypatch):
+    kernel = ef.make_builtin_kernel("laplace")
+    training = small_training(dim=3, level=3, resolution=5)
+    monkeypatch.setattr(ef.kernels, "_EVAL_CHUNK", 3 * training[0].shape[0])
+    monkeypatch.setattr(ef.kernels, "_process_cores", lambda: 1)
+    before, during = threading.active_count(), []
+    run_together = ef.kernels._run_together
+
+    def counted(pool, tasks):
+        during.append(threading.active_count())
+        return run_together(pool, tasks)
+
+    monkeypatch.setattr(ef.kernels, "_run_together", counted)
+    model = eim_build(kernel, *training, 1e-6)
+    assert len(during) == model.d and set(during) == {before}
+    assert threading.active_count() == before
 
 
 def test_greedy_independent_of_chunk_budget(monkeypatch):

@@ -944,7 +944,7 @@ def test_near_build_reraises_a_kernel_error_and_leaves_no_thread(cloud, cache,
     # calling thread waits for that; with no pool thread (a single CPU), in
     # the calling thread's third run.
     points, _ = cloud
-    pooled = ef.fmm._process_cores() > 1
+    pooled = ef.kernels._process_cores() > 1
     pool_failed, calls = threading.Event(), []
 
     def profile(disp):
@@ -984,7 +984,7 @@ def test_near_build_is_bitwise_the_same_on_any_thread_count(cloud, cache,
     for source_tree in (None, ef.build_tree(points, CONFIG)):
         builds = []
         for cores in (1, 8, 8):
-            monkeypatch.setattr(ef.fmm, "_process_cores", lambda n=cores: n)
+            monkeypatch.setattr(ef.kernels, "_process_cores", lambda n=cores: n)
             sys.setswitchinterval(1e-6)
             try:
                 builds.append(ef.SummationPlan(KERNEL, points, points, CONFIG, cache,

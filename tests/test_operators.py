@@ -898,6 +898,31 @@ def test_cache_refuses_key_values_no_build_writes(small_cache, tmp_path):
             ef.load_cache(path)
 
 
+def test_cache_key_refuses_counts_no_build_takes(small_cache, tmp_path):
+    # a resolution below 2, an x budget below 1 and a max_terms below 1 are
+    # refused by name, when a key is made and when a re-signed file holds
+    # one: loaded, a max_terms of 0 would let its models hold more terms
+    # than the key allows
+    for name, value in (("resolution", 1), ("resolution", 0), ("x_budget", 0),
+                        ("max_terms", 0), ("max_terms", -3)):
+        settings = {"max_terms": 300, "resolution": 6, "x_budget": 256, name: value}
+        with pytest.raises(ValueError, match=f"^CacheKey {name} must be at least"):
+            operators.make_cache_key(KERNEL, CONFIG, 1e-3, **settings)
+        with pytest.raises(ValueError, match=f"^CacheKey {name} must be at least"):
+            dataclasses.replace(small_cache.key, **{name: value})
+    path = tmp_path / "ops.bin"
+    ef.save_cache(small_cache, path)
+    body = path.read_bytes()[:-32]
+    names = [f.name for f in dataclasses.fields(ef.CacheKey)]
+    for name, value in (("resolution", 1), ("x_budget", 0), ("max_terms", 0)):
+        at = _FIELDS_AT + 8 * (names.index(name) - 1)
+        assert body[at:at + 8] == struct.pack("<Q", getattr(small_cache.key, name))
+        _resigned(path, body[:at] + struct.pack("<Q", value) + body[at + 8:])
+        with pytest.raises(ef.CacheCorruptError,
+                           match=f"CacheKey {name} must be at least"):
+            ef.load_cache(path)
+
+
 def test_cache_checks_layout_under_valid_checksum(small_cache, tmp_path):
     # each file below is re-signed, so only the structure checks can refuse it
     path = tmp_path / "ops.bin"
