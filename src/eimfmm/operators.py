@@ -8,12 +8,13 @@ operators, the same way for every kernel: a column basis and a row basis
 from truncated SVDs of the concatenated transfer blocks and of their
 transposes (one basis serves both for a symmetric kernel), each taken
 through the small R factor of a QR, then each block projected on both, kept
-dense.  The QR operand, the largest array of the build, is filled straight
-from the kernel and factored in place; the projection evaluates each block
-again.  A kernel that declares a degree p, K(a d) = a^p K(d), is built at
-the deepest level only: coarser models are its own rescaled by exact powers
-of two (see _rescaled), and its transfer and deepest M2M/L2L operators serve
-every level.  All of it serializes to a versioned little-endian binary cache:
+dense.  The QR is streamed: block transposes fill one small panel at a
+time, folded into a running triangle, so the concatenation is never held;
+the projection evaluates each block again.  On a symmetric level one
+evaluation gives a mirrored pair of blocks, B_{-t} = B_t^T.  A kernel that
+declares a degree p, K(a d) = a^p K(d), is built at the deepest level only:
+coarser models are its own rescaled by exact powers of two (see _rescaled),
+and its transfer and deepest M2M/L2L operators serve every level.  All of it serializes to a versioned little-endian binary cache:
 the key, the arrays in the key's order, one SHA-256 (laid out above save_cache).
 """
 
@@ -25,7 +26,7 @@ import tempfile
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import qr
+from scipy.linalg.lapack import dtpqrt
 
 from .eim import EimModel, eim_build, require_tolerance
 from .tree import child_offsets, require_level, training_grids, transfer_offsets
@@ -225,22 +226,42 @@ def _tail_rank(svals, rel_tol):
     return int(np.count_nonzero(tails > rel_tol * norm))
 
 
-def _column_basis(blocks, count, eps):
+# Block transposes per panel of the streamed QR, and dtpqrt's block size.
+# On laplace tol 1e-6, depth 4 (d = 168; 2-vCPU x86_64, 2 BLAS threads) a
+# basis took 114-127 ms at 32 and 8, 177-196 ms at 32 and 32, and 196-235 ms
+# for one in-place QR of the whole 68 MiB operand.
+_PANEL_BLOCKS, _QR_BLOCK = 32, 8
+
+
+def _column_basis(blocks, eps):
     """Orthonormal basis of the truncated left singular subspace of the wide
-    matrix [B_0 B_1 ...] of count equal-shaped blocks, at the smallest rank
-    whose Frobenius tail is within eps.  The blocks' transposes fill one
-    Fortran-ordered operand, factored in place by a QR: the wide matrix is
-    R^T Q^T, so it and the small R^T share left singular vectors and
-    values, and neither the wide matrix nor Q is ever formed.
+    matrix [B_0 B_1 ...] of equal-shaped blocks, at the smallest rank whose
+    Frobenius tail is within eps.  The wide matrix is R^T Q^T for the QR of
+    its transpose, so it and the small R^T share left singular vectors and
+    values, and neither the wide matrix, its transpose nor Q is ever formed.
+    R is streamed: the block transposes fill one Fortran panel of at most
+    _PANEL_BLOCKS, which LAPACK's triangular-pentagonal QR folds into the
+    running d x d triangle, R = 0 at the start, [R; panel] = Q' R'.
     """
-    operand = None
-    for t, block in enumerate(blocks):
+    r_factor = panel = None
+    rows = 0
+
+    def fold(filled):
+        # overwrites the upper triangle of r_factor and the panel's rows
+        return dtpqrt(0, min(_QR_BLOCK, len(r_factor)), r_factor, panel[:filled],
+                      overwrite_a=1, overwrite_b=1)[0]
+
+    for block in blocks:
         height, width = block.shape
-        if operand is None:
-            operand = np.empty((count * width, height), order="F")
-        operand[t * width:(t + 1) * width] = block.T
-    # raw mode returns the factored operand itself and R, its upper triangle
-    _, r_factor = qr(operand, mode="raw", overwrite_a=True, check_finite=False)
+        if panel is None:
+            r_factor = np.zeros((height, height), order="F")
+            panel = np.empty((_PANEL_BLOCKS * width, height), order="F")
+        panel[rows:rows + width] = block.T
+        rows += width
+        if rows == len(panel):
+            r_factor, rows = fold(rows), 0
+    if rows:
+        r_factor = fold(rows)
     basis, svals, _ = np.linalg.svd(r_factor.T)
     return np.ascontiguousarray(basis[:, :_tail_rank(svals, eps)])
 
@@ -254,10 +275,12 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     that keeps the smallest rank whose Frobenius tail is within the
     tolerance.  Every block is stored as U^T B_t V, dense, in one array.
 
-    No list of blocks is held: each basis evaluates every block straight
-    into its one QR operand, and the projection evaluates them again, one
-    at a time (twice per block in all for a symmetric kernel, three times
-    otherwise).
+    No list of blocks is held: each basis streams the blocks through its
+    QR, and the projection evaluates them again, one at a time.  A
+    symmetric kernel's level, whose receiving x nodes are its radiating y
+    nodes (else it is refused), has B_{-t} = B_t^T: each mirrored pair is
+    evaluated once per pass, twice in all, and gives U = V and C_{-t} =
+    C_t^T exactly.  Otherwise every block is evaluated three times.
 
     For a kernel that declares a scaling, a level above the deepest gets
     the operators assembled at the depth, on its models rescaled there,
@@ -265,25 +288,35 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     """
     require_level(level, config.depth, eims)
     require_tolerance("compression_tolerance", compression_tolerance)
+    px, py = eims.receiving.x_points, eims.radiating.y_points
+    if kernel.is_symmetric and not np.array_equal(px, py):
+        raise ValueError(f"level {level}: the receiving x nodes of a symmetric "
+                         "kernel's level must be its radiating y nodes")
     eps = float(compression_tolerance)
     if kernel.scaling is not None and level < config.depth:
         return assemble_m2l(kernel, config, config.depth,
                             _rescaled(kernel, eims, level - config.depth), eps)
     offsets = transfer_offsets(config.dimension)
     step = 2.0 * config.half_width(level)
-    px, py = eims.receiving.x_points, eims.radiating.y_points
+    # row-major offsets of a cube centred on 0: offset n - 1 - t is -offset t
+    n, mirrored = len(offsets), kernel.is_symmetric
 
     def kernel_blocks():
-        return (kernel.pairwise(px, py + step * off) for off in offsets)
+        return (kernel.pairwise(px, py + step * off)
+                for off in offsets[:n // 2 if mirrored else n])
 
-    projector = _column_basis(kernel_blocks(), len(offsets), eps)
-    # For a symmetric kernel the offset set is closed under negation and
-    # B_t^T = B_{-t}: the transposes are the same columns, so V is U.
-    row_basis = projector if kernel.is_symmetric else _column_basis(
-        (b.T for b in kernel_blocks()), len(offsets), eps)
-    blocks = np.empty((len(offsets), projector.shape[1], row_basis.shape[1]))
+    if mirrored:
+        # the blocks' transposes are the same columns, so V is U
+        projector = row_basis = _column_basis(
+            (m for b in kernel_blocks() for m in (b, b.T)), eps)
+    else:
+        projector = _column_basis(kernel_blocks(), eps)
+        row_basis = _column_basis((b.T for b in kernel_blocks()), eps)
+    blocks = np.empty((n, projector.shape[1], row_basis.shape[1]))
     for t, b in enumerate(kernel_blocks()):
         np.matmul(projector.T @ b, row_basis, out=blocks[t])
+        if mirrored:
+            blocks[n - 1 - t] = blocks[t].T
     return M2lOperators(level, projector, row_basis, blocks)
 
 

@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import eimfmm as ef
 from eimfmm import operators
@@ -395,22 +396,59 @@ def test_m2l_blocks_reconstruct_kernel(small_cache):
             assert np.linalg.norm(approx - exact[t]) <= 5.0 * TOL * fat_norm
 
 
+def _mirror(dimension):
+    """Index of the offset -t, for each transfer offset t."""
+    offsets = ef.transfer_offsets(dimension)
+    index = {tuple(off): i for i, off in enumerate(offsets)}
+    return [index[tuple(-off)] for off in offsets]
+
+
 def test_symmetric_blocks_of_mirrored_offsets_are_transposes(small_cache,
                                                             loose_cache):
     # the sibling blocks of a shared tree apply M_P^T for parent offset -P,
-    # so C_t^T for offset -t: B_{-t} = B_t^T, so the two stored projections
-    # agree to rounding, well within half the tolerance
-    n = len(ef.transfer_offsets(CONFIG.dimension))
-    for cache in (small_cache, loose_cache):
-        eps = cache.key.compress_tol
-        for level in cache.levels:
-            ops = cache.m2l[level]
-            assert ops.row_basis is ops.projector
-            for t in range(n):
-                block, mirrored = (ops.projector @ ops.blocks[s] @ ops.projector.T
-                                   for s in (t, n - 1 - t))
-                assert (np.linalg.norm(mirrored - block.T)
-                        <= 0.5 * eps * np.linalg.norm(block))
+    # so C_t^T for offset -t: B_{-t} = B_t^T, and a symmetric level projects
+    # one block of each mirrored pair and fills the other's as its
+    # transpose, bit for bit
+    laplace = ef.build_level_eims(LAPLACE, CONFIG, 3, 1e-6, 300, 8, 1024)
+    mirror = _mirror(CONFIG.dimension)
+    for ops in [small_cache.m2l[k] for k in small_cache.levels] + [
+            loose_cache.m2l[k] for k in loose_cache.levels] + [
+            ef.assemble_m2l(LAPLACE, CONFIG, 3, laplace, 1e-6)]:
+        assert ops.row_basis is ops.projector
+        for t, s in enumerate(mirror):
+            assert np.array_equal(ops.blocks[s], ops.blocks[t].T)
+
+
+def _counting(kernel):
+    """kernel with a list that grows by one for each block it evaluates."""
+    calls = []
+
+    def profile(disp):
+        calls.append(disp.shape[:-1])
+        return kernel.from_displacements(disp)
+
+    return ef.Kernel(f"counting-{kernel.name}", profile, kernel.is_symmetric), calls
+
+
+def test_m2l_evaluates_a_mirrored_pair_once_per_pass():
+    # two passes (basis, projection) over half the offsets of a symmetric
+    # level; three over all of them (two bases, projection) otherwise
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=3)
+    bias = np.array([0.35, -0.2, 0.1])
+    drift = ef.Kernel("drift-3d", lambda d: np.exp(-np.sum((d + bias) ** 2, axis=-1)),
+                      is_symmetric=False)
+    px, py = training_grids(config, 3, 4, 256)
+    n = len(transfer_offsets(3))
+    for kernel, passes, count in ((LAPLACE, 2, n // 2), (drift, 3, n)):
+        counted, calls = _counting(kernel)
+        radiating = eim_build(kernel, px, py, 1e-12, max_terms=8)
+        receiving = None if kernel.is_symmetric else eim_build(
+            kernel, py, px, 1e-12, max_terms=7)
+        pair = LevelEims(3, radiating, receiving)
+        ops = ef.assemble_m2l(counted, config, 3, pair, 1e-6)
+        assert len(calls) == passes * count
+        assert set(calls) == {(pair.receiving.d, pair.radiating.d)}
+        assert ops.blocks.shape[0] == n
 
 
 def test_m2l_blocks_are_dense_projections(small_cache, drift_kernel, drift_cache):
@@ -465,6 +503,29 @@ def test_m2l_projector_matches_direct_svd(small_cache, drift_kernel):
             assert gap <= 1e-9
         if kernel.is_symmetric:
             assert ops.row_basis is ops.projector
+
+
+def test_streamed_basis_matches_one_qr_of_the_whole_operand(small_cache,
+                                                          drift_cache,
+                                                          drift_kernel):
+    # the panels folded into one triangle give the subspace of one QR of
+    # all block transposes stacked: 40 blocks are a full panel and a part,
+    # 32 a full panel alone
+    for kernel, cache in ((KERNEL, small_cache), (drift_kernel, drift_cache)):
+        for level in cache.levels:
+            exact = _exact_blocks(kernel, level, cache.eims[level])
+            assert len(exact) == operators._PANEL_BLOCKS + 8
+            for blocks in (exact, exact[:operators._PANEL_BLOCKS]):
+                # coarse enough that the bases drop directions
+                got = operators._column_basis(iter(blocks), 1e-3)
+                r_factor = scipy.linalg.qr(np.vstack([b.T for b in blocks]),
+                                           mode="r")[0]
+                basis, svals, _ = np.linalg.svd(r_factor.T)
+                whole = basis[:, :_tail_rank(svals, 1e-3)]
+                assert got.shape == whole.shape
+                assert got.shape[1] < got.shape[0]
+                sines = np.sin(scipy.linalg.subspace_angles(got, whole))
+                assert sines.max() <= 1e-12
 
 
 def test_tail_rank_rule():
@@ -530,22 +591,43 @@ def test_m2l_unequal_term_counts_assemble(drift_kernel):
     _assert_blocks_reconstructed(drift, 2, pair, ops, 1e-6)
 
 
+def test_m2l_refuses_symmetric_level_with_other_receiving_nodes(small_cache):
+    # a symmetric level takes V = U and C_{-t} = C_t^T: both hold only when
+    # its receiving x nodes are its radiating y nodes
+    rad = small_cache.eims[2].radiating
+    px, py = training_grids(CONFIG, 2, 8, 1024)
+    more = eim_build(KERNEL, py, px, 1e-14, max_terms=rad.d + 5)
+    # trained on another resolution, capped to the radiating term count
+    qx, qy = training_grids(CONFIG, 2, 6, 1024)
+    other = eim_build(KERNEL, qy, qx, 1e-14, max_terms=rad.d)
+    assert (more.d, other.d) == (rad.d + 5, rad.d)
+    for given in (more, other):
+        with pytest.raises(ValueError, match="level 2: the receiving x nodes"):
+            ef.assemble_m2l(KERNEL, CONFIG, 2, LevelEims(2, rad, given), TOL)
+    # a given twin of the derived model has the same nodes, and is kept
+    twin = rad.transposed()
+    copy = EimModel(twin.x_points, twin.y_points, twin.basis_matrix,
+                    twin.pivot_matrix, twin.residual_history, twin.degenerate)
+    ops = ef.assemble_m2l(KERNEL, CONFIG, 2, LevelEims(2, rad, copy), TOL)
+    assert np.array_equal(ops.blocks, small_cache.m2l[2].blocks)
+
+
 def test_m2l_holds_one_operand():
-    # the QR operand of all transfer blocks is the only large array: the
-    # blocks are evaluated into it and factored in place, never listed,
-    # stacked or copied
+    # the block array is the only large array: each basis streams the blocks
+    # through one panel of block transposes into its QR's small triangle,
+    # and no block is listed, stacked or copied
     laplace = ef.make_builtin_kernel("laplace")
     config = ef.TreeConfig(dimension=3, side=1.0, depth=3)
     eims = ef.build_level_eims(laplace, config, 3, 1e-4, 300, 6, 1024)
     assert eims.terms == 66
-    operand = 8 * len(transfer_offsets(3)) * eims.radiating.d * eims.receiving.d
+    panel = 8 * operators._PANEL_BLOCKS * eims.radiating.d * eims.receiving.d
     tracemalloc.start()
     try:
-        ef.assemble_m2l(laplace, config, 3, eims, 1e-4)
+        ops = ef.assemble_m2l(laplace, config, 3, eims, 1e-4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * operand
+    assert peak <= 1.25 * (ops.blocks.nbytes + panel)
 
 
 # -- serialization -----------------------------------------------------------
