@@ -25,10 +25,12 @@ One walk down the trees' children tables gives each level's neighbors: the
 near field's at the leaves, and the transfer pairs as the children of
 neighbor parent pairs.  The pairs under two complete parents (all 2^D
 children occupied) go through one dense block M_P per parent offset P, over
-the 2^D children of each parent pair, the others per offset, one way.  For
-a symmetric kernel on a shared tree the blocks are stored half, as the near
-field is, and M_P^T = M_{-P} is applied back.  Positions are int32 whenever
-box counts allow it.
+the 2^D children of each parent pair, the others per offset that has
+pairs, one way.  For a symmetric kernel on a shared tree the blocks are
+stored half, as the near field is, and M_P^T = M_{-P} is applied back.
+Both read each C_t through M2lOperators.block, so a mirrored level's
+second half is a transposed view.  Positions are int32 whenever box
+counts allow it.
 
 The leaf passes (P2M and L2P) read the tree's leaf-local coordinates,
 computed once when the tree is built and stored one contiguous plane per
@@ -225,7 +227,7 @@ def _sibling_transfer(gathered, projected, ops, tgt_kids, src_kids, blocks, half
     panels = block.reshape(n_kids, ops.rank, n_kids, r_v)
     for layout, tpar, spar in blocks:
         for (c_t, c_s), t in np.ndenumerate(layout):
-            panels[c_t, :, c_s] = ops.blocks[t] if t >= 0 else 0.0
+            panels[c_t, :, c_s] = ops.block(t) if t >= 0 else 0.0
         tpos = tgt_kids.take(tpar, axis=0).ravel()
         spos = src_kids.take(spar, axis=0).ravel()
         _add_rows(gathered, tpos, (projected.take(spos, axis=0).reshape(
@@ -302,7 +304,8 @@ class SummationPlan:
         # operators were built (see OperatorCache.transfer), composed with
         # their row basis: the transfer pass projects moments through it.  A
         # symmetric kernel may apply M_P^T = M_{-P}, which needs the one
-        # basis only a symmetric build has; the key does not record symmetry.
+        # basis of a mirrored level, which only a symmetric build has; the
+        # key does not record symmetry.
         self._folded = {}
         for level in range(config.depth, 1, -1):
             ops = cache.transfer(level)
@@ -311,11 +314,11 @@ class SummationPlan:
                 raise CacheMismatchError(
                     f"cache {key} holds no level {level} M2L, M2M or L2L of its own, "
                     f"and kernel {kernel.name!r} declares no scaling to run the deepest's")
-            if kernel.is_symmetric and not np.array_equal(ops.row_basis, ops.projector):
+            if kernel.is_symmetric and not ops._mirrored:
                 raise CacheMismatchError(
                     f"cache {key} was built for a non-symmetric kernel: its "
-                    f"level {ops.level} transfer bases differ, and kernel "
-                    f"{kernel.name!r} is declared symmetric")
+                    f"level {ops.level} transfer bases differ (it is not mirrored), "
+                    f"and kernel {kernel.name!r} is declared symmetric")
             self._folded[level] = cache.eims[ops.level].radiating.coefficients_t(
                 ops.row_basis)
         self.kernel = kernel
@@ -340,7 +343,8 @@ class SummationPlan:
         # [level], per P (layout, target parent rows, source parent rows);
         # _half keeps the positive P, the second half.  Other parent pairs
         # give their pairs of occupied children to _transfer_groups[level],
-        # {offset index: (target positions, source positions)} by target.
+        # {offset index: (target positions, source positions)} by target,
+        # for the offsets that have pairs.
         steps = np.array(list(np.ndindex(*(3,) * dim))) - 1
         named, parities = _transfer_index_table(dim), child_offsets(dim)
         moves = 2 * steps[:, None, None] + parities - parities[:, None]  # [P, c_t, c_s]
@@ -371,7 +375,8 @@ class SummationPlan:
             tpos, spos = tpos.take(order), spos.take(order)
             ends = np.cumsum(np.bincount(t, minlength=len(named))).tolist()
             self._transfer_groups[level] = {
-                k: (tpos[a:b], spos[a:b]) for k, (a, b) in enumerate(zip([0] + ends, ends))}
+                k: (tpos[a:b], spos[a:b])
+                for k, (a, b) in enumerate(zip([0] + ends, ends)) if b > a}
         self._near = _near_matrix(kernel, self.tgt_tree, self.src_tree,
                                   self._half, neighbors[depth])
 
@@ -433,7 +438,7 @@ class SummationPlan:
             source = projected.pop(level)
             gathered = np.zeros((tgt.level_flat[level].size, ops.rank))
             for t, (tpos, spos) in self._transfer_groups[level].items():
-                _add_rows(gathered, tpos, source.take(spos, axis=0) @ ops.blocks[t].T)
+                _add_rows(gathered, tpos, source.take(spos, axis=0) @ ops.block(t).T)
             _sibling_transfer(gathered, source, ops, tgt.children[level],
                               src.children[level], self._siblings[level], self._half)
             sums = gathered @ ops.projector.T

@@ -11,7 +11,9 @@ through the small R factor of a QR, then each block projected on both, kept
 dense.  The QR is streamed: block transposes fill one small panel at a
 time, folded into a running triangle, so the concatenation is never held;
 the projection evaluates each block again.  On a symmetric level one
-evaluation gives a mirrored pair of blocks, B_{-t} = B_t^T.  A kernel that
+evaluation gives a mirrored pair of blocks, B_{-t} = B_t^T, and the level
+is mirrored: one basis, and only the first half of the offsets' blocks,
+built, cached and swept (C_{-t} is the view C_t^T).  A kernel that
 declares a degree p, K(a d) = a^p K(d), is built at the deepest level only:
 coarser models are its own rescaled by exact powers of two (see _rescaled),
 and its transfer and deepest M2M/L2L operators serve every level.  All of it serializes to a versioned little-endian binary cache:
@@ -32,7 +34,7 @@ from .eim import EimModel, eim_build, require_tolerance
 from .tree import child_offsets, require_level, training_grids, transfer_offsets
 
 CACHE_MAGIC = b"EIMFMM01"
-CACHE_VERSION = 10
+CACHE_VERSION = 11
 
 
 class CacheError(Exception):
@@ -95,11 +97,14 @@ class M2lOperators:
     """Compressed same-level transfer operators, built at ``level``.
 
     The transfer block B_t of offset t is approximated by projector @
-    blocks[t] @ row_basis.T.  ``projector`` is the orthonormal column basis
-    on the receiving side (d_recv by rank), ``row_basis`` the orthonormal
-    basis on the radiating side (d_rad by r_v); for a symmetric kernel they
-    are the same array.  ``blocks`` is one (offsets, rank, r_v) array:
-    blocks[t] is C_t = projector.T @ B_t @ row_basis.
+    block(t) @ row_basis.T, with C_t = block(t) = projector.T @ B_t @
+    row_basis.  ``projector`` is the orthonormal column basis on the
+    receiving side (d_recv by rank), ``row_basis`` the orthonormal basis on
+    the radiating side (d_rad by r_v).  A symmetric kernel's level is
+    mirrored, and only then are the two bases one array (row_basis is
+    projector): the row-major offset n - 1 - t is -t, so C_{n-1-t} = C_t^T,
+    and ``blocks``, one (stored offsets, rank, r_v) array, holds C_t for
+    the first n/2 offsets only.  Otherwise it holds all n.
     """
 
     level: int
@@ -110,6 +115,19 @@ class M2lOperators:
     @property
     def rank(self):
         return self.projector.shape[1]
+
+    @property
+    def _mirrored(self):
+        # what the cache file's mirrored flag records
+        return self.row_basis is self.projector
+
+    def block(self, t):
+        """C_t for offset t: blocks[t], else (t in the second half of a
+        mirrored level) the view blocks[n - 1 - t].T."""
+        half = len(self.blocks)
+        if t < half or not self._mirrored:
+            return self.blocks[t]
+        return self.blocks[2 * half - 1 - t].T
 
     def block_rank(self, t):
         """Every block is stored dense, at the rank of the projector."""
@@ -280,7 +298,9 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     symmetric kernel's level, whose receiving x nodes are its radiating y
     nodes (else it is refused), has B_{-t} = B_t^T: each mirrored pair is
     evaluated once per pass, twice in all, and gives U = V and C_{-t} =
-    C_t^T exactly.  Otherwise every block is evaluated three times.
+    C_t^T exactly, so only the first half of the offsets' blocks is stored
+    (M2lOperators.block gives the rest).  Otherwise every block is
+    evaluated three times and stored.
 
     For a kernel that declares a scaling, a level above the deepest gets
     the operators assembled at the depth, on its models rescaled there,
@@ -299,11 +319,11 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     offsets = transfer_offsets(config.dimension)
     step = 2.0 * config.half_width(level)
     # row-major offsets of a cube centred on 0: offset n - 1 - t is -offset t
-    n, mirrored = len(offsets), kernel.is_symmetric
+    mirrored = kernel.is_symmetric
+    stored = _stored_blocks(config.dimension, mirrored)
 
     def kernel_blocks():
-        return (kernel.pairwise(px, py + step * off)
-                for off in offsets[:n // 2 if mirrored else n])
+        return (kernel.pairwise(px, py + step * off) for off in offsets[:stored])
 
     if mirrored:
         # the blocks' transposes are the same columns, so V is U
@@ -312,11 +332,9 @@ def assemble_m2l(kernel, config, level, eims, compression_tolerance):
     else:
         projector = _column_basis(kernel_blocks(), eps)
         row_basis = _column_basis((b.T for b in kernel_blocks()), eps)
-    blocks = np.empty((n, projector.shape[1], row_basis.shape[1]))
+    blocks = np.empty((stored, projector.shape[1], row_basis.shape[1]))
     for t, b in enumerate(kernel_blocks()):
         np.matmul(projector.T @ b, row_basis, out=blocks[t])
-        if mirrored:
-            blocks[n - 1 - t] = blocks[t].T
     return M2lOperators(level, projector, row_basis, blocks)
 
 
@@ -448,7 +466,10 @@ def _build(kernel, config, key):
 # its receiving model is derived (and not stored); it has operators of its
 # own.  A model is its degenerate flag and term count d, then _model_shapes'
 # arrays.  A level with operators of its own then holds the M2M, then L2L
-# matrices from the level above (past level 2), its rank, r_v and 3 arrays.
+# matrices from the level above (past level 2), and its transfer record: a
+# mirrored flag, rank and r_v, the projector, the row basis unless mirrored
+# (then it is the projector, on a level with a derived receiving model and
+# r_v = rank), and the blocks, n/2 of the n offsets' when mirrored.
 # Counts and flags are little-endian u64, reals f64; round trips are bitwise.
 
 _U64 = struct.Struct("<Q")
@@ -462,6 +483,12 @@ def _model_shapes(d, dimension):
     """Shapes of a d-term model's stored arrays, in EimModel's argument order."""
     return {"x_points": (d, dimension), "y_points": (d, dimension),
             "basis_matrix": (d, d), "pivot_matrix": (d, d), "residual_history": (d + 1,)}
+
+
+def _stored_blocks(dimension, mirrored):
+    """Blocks a transfer record holds: half the offsets' when mirrored."""
+    n = len(transfer_offsets(dimension))
+    return n // 2 if mirrored else n
 
 
 def _key_bytes(key):
@@ -520,10 +547,15 @@ def save_cache(cache, path):
                         put_array(mat, *shape)
                 if own:
                     rank, r_v = trans.rank, trans.row_basis.shape[1]
-                    put(_TWO_U64.pack(rank, r_v))
+                    mirrored = trans._mirrored
+                    if mirrored and not pair.derived:
+                        raise ValueError(f"level {level}: mirrored transfer operators "
+                                         "beside a stored receiving model")
+                    put(_U64.pack(mirrored) + _TWO_U64.pack(rank, r_v))
                     put_array(trans.projector, pair.receiving.d, rank)
-                    put_array(trans.row_basis, pair.radiating.d, r_v)
-                    put_array(trans.blocks, len(transfer_offsets(dim)), rank, r_v)
+                    if not mirrored:
+                        put_array(trans.row_basis, pair.radiating.d, r_v)
+                    put_array(trans.blocks, _stored_blocks(dim, mirrored), rank, r_v)
             fh.write(check.digest())
             fh.flush()
             os.fsync(fh.fileno())
@@ -612,10 +644,18 @@ def load_cache(path, expected_key=None):
                 TranslationOperators([body.array(*shape) for _ in range(2**dim)])
                 for shape in ((above[0], rad), (recv, above[1])))
         if own:
+            mirrored = body.flag("mirrored flag")
             rank, r_v = body.unpack(_TWO_U64)
+            if mirrored and not derived:
+                raise CacheCorruptError(f"level {level}: mirrored transfer record "
+                                        "with a stored receiving model")
+            if mirrored and r_v != rank:
+                raise CacheCorruptError(f"level {level}: mirrored transfer record "
+                                        f"with r_v {r_v} != rank {rank}")
+            projector = body.array(recv, rank)
             cache.m2l[level] = M2lOperators(
-                level, body.array(recv, rank), body.array(rad, r_v),
-                body.array(len(transfer_offsets(dim)), rank, r_v))
+                level, projector, projector if mirrored else body.array(rad, r_v),
+                body.array(_stored_blocks(dim, mirrored), rank, r_v))
     if depth not in cache.m2l:
         raise CacheCorruptError("cache file has no deepest-level transfer operators")
     if body.pos != len(body.view):

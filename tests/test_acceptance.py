@@ -162,7 +162,7 @@ def test_criterion_4_compression_fidelity(kernel_name, cache_store):
                 pair.receiving.x_points, pair.radiating.y_points + step * off
             )
             exact = exact_block @ coeffs
-            compressed = ops.projector @ ops.blocks[t] @ projected
+            compressed = ops.projector @ ops.block(t) @ projected
             num += np.linalg.norm(compressed - exact) ** 2
             den += np.linalg.norm(exact) ** 2
         worst = max(worst, np.sqrt(num / den))

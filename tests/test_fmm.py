@@ -216,14 +216,15 @@ def test_shared_tree_stores_half_the_near_pairs(cube_cloud, cache_store):
 
 
 def _assert_same_transfer_groups(shared, full):
-    """The per-offset groups are built one way on either tree: every
-    offset, equal array for array, at 8 B per pair (two int32 positions)."""
+    """The per-offset groups are built one way on either tree: the same
+    offsets, each with pairs, equal array for array, at 8 B per pair (two
+    int32 positions)."""
     assert shared._half and not full._half
-    n = len(ef.transfer_offsets(full.config.dimension))
     assert shared._transfer_groups.keys() == full._transfer_groups.keys()
     for level, groups in full._transfer_groups.items():
-        assert sorted(groups) == sorted(shared._transfer_groups[level]) == list(range(n))
+        assert list(groups) == list(shared._transfer_groups[level])
         for t, group in groups.items():
+            assert group[0].size
             for got, expect in zip(shared._transfer_groups[level][t], group):
                 assert got.dtype == expect.dtype == np.int32
                 assert np.array_equal(got, expect)
@@ -262,13 +263,27 @@ def test_shared_tree_stores_half_the_transfer_pairs(cube_cloud, cache_store,
     assert 2 * _parent_pair_bytes(shared) == _parent_pair_bytes(full) == 8 * parent_pairs
     assert len(shared._siblings[2]) == 13 and len(full._siblings[2]) == 26
 
-    # a non-symmetric kernel on a shared tree keeps every offset
+    # a non-symmetric kernel on a shared tree keeps every offset: each group
+    # beside its mirror (offset n - 1 - t is -t), and all 26 parent offsets
     drift = ef.SummationPlan(DRIFT_3D, points, points, DRIFT_CONFIG, drift_cache)
     assert drift.src_tree is drift.tgt_tree
     n = len(ef.transfer_offsets(3))
     for groups in drift._transfer_groups.values():
-        assert sorted(groups) == list(range(n))
+        assert {n - 1 - t for t in groups} == set(groups)
     assert len(drift._siblings[2]) == 26
+
+
+def test_plan_keeps_no_empty_transfer_group(cube_cloud, cache_store):
+    # a sweep loops over the per-offset groups: on a uniform cube at depth 3
+    # every parent is complete, so every pair goes through the sibling
+    # blocks and no level keeps a group
+    points, weights = cube_cloud
+    config = ef.TreeConfig(dimension=3, side=1.0, depth=3)
+    kernel = ef.make_builtin_kernel("gaussian")
+    plan = ef.SummationPlan(kernel, points, points, config, cache_store("gaussian", 3, 1e-4))
+    assert plan._transfer_groups == {2: {}, 3: {}}
+    assert all(plan._siblings.values())
+    assert np.isfinite(plan.apply_far(weights)[0]).all()
 
 
 @pytest.mark.parametrize("dim", [2, 1])
@@ -514,14 +529,15 @@ def test_transfer_groups_match_interaction_list(case, cube_cloud, cache_store, c
     plan = ef.SummationPlan(KERNEL, targets, sources, config, ops)
     shared = case == "shared-3d-depth4"
     assert (plan.src_tree is plan.tgt_tree) == shared == plan._half
-    n = len(ef.transfer_offsets(config.dimension))
     parities = child_offsets(config.dimension)
     for level in range(2, config.depth + 1):
         groups = plan._transfer_groups[level]
-        # every offset, on a shared tree too, and no pair sent back
-        assert sorted(groups) == list(range(n))
+        # the offsets that have pairs, on a shared tree too, in order, and
+        # no pair sent back
+        assert list(groups) == sorted(groups)
         got = []
         for t, (tpos, spos) in groups.items():
+            assert tpos.size
             assert tpos.dtype == spos.dtype == np.int32
             # the transfer pass scatter-adds per offset: each target once
             assert np.all(np.diff(tpos) > 0)
@@ -559,7 +575,7 @@ def _pairwise_transfer_sums(plan, fields):
         gathered = np.zeros((plan.tgt_tree.level_flat[level].size, ops.rank))
         for t, pairs in by_offset.items():
             i, j = np.array(pairs).T
-            np.add.at(gathered, i, projected[j] @ ops.blocks[t].T)
+            np.add.at(gathered, i, projected[j] @ ops.block(t).T)
         sums[level] = gathered @ ops.projector.T
     return sums
 

@@ -138,8 +138,8 @@ def test_scaling_kernel_derived_levels_match_fresh_build():
         # the rescaled values: pivots, and every transfer block U C_t V^T
         pivots = [c.eims[level].radiating.pivot_matrix for c in (derived, fresh)]
         assert np.abs(pivots[0] - pivots[1]).max() <= 1e-12 * np.abs(pivots[1]).max()
-        for t in range(len(ops.blocks)):
-            got, expect = (o.projector @ o.blocks[t] @ o.row_basis.T
+        for t in range(len(transfer_offsets(3))):
+            got, expect = (o.projector @ o.block(t) @ o.row_basis.T
                            for o in (ops, fresh_ops))
             got *= gain
             assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
@@ -392,7 +392,7 @@ def test_m2l_blocks_reconstruct_kernel(small_cache):
         # the certified budget is Frobenius over the block concatenation
         fat_norm = np.sqrt(sum(np.linalg.norm(e) ** 2 for e in exact))
         for t in range(len(offsets)):
-            approx = ops.projector @ ops.blocks[t] @ ops.projector.T
+            approx = ops.projector @ ops.block(t) @ ops.projector.T
             assert np.linalg.norm(approx - exact[t]) <= 5.0 * TOL * fat_norm
 
 
@@ -407,16 +407,31 @@ def test_symmetric_blocks_of_mirrored_offsets_are_transposes(small_cache,
                                                             loose_cache):
     # the sibling blocks of a shared tree apply M_P^T for parent offset -P,
     # so C_t^T for offset -t: B_{-t} = B_t^T, and a symmetric level projects
-    # one block of each mirrored pair and fills the other's as its
-    # transpose, bit for bit
+    # one block of each mirrored pair, the first half of the row-major
+    # offsets, and gives the other's as its transpose, bit for bit
     laplace = ef.build_level_eims(LAPLACE, CONFIG, 3, 1e-6, 300, 8, 1024)
     mirror = _mirror(CONFIG.dimension)
+    n = len(mirror)
+    assert mirror == [n - 1 - t for t in range(n)]
     for ops in [small_cache.m2l[k] for k in small_cache.levels] + [
             loose_cache.m2l[k] for k in loose_cache.levels] + [
             ef.assemble_m2l(LAPLACE, CONFIG, 3, laplace, 1e-6)]:
         assert ops.row_basis is ops.projector
         for t, s in enumerate(mirror):
-            assert np.array_equal(ops.blocks[s], ops.blocks[t].T)
+            assert np.array_equal(ops.block(s), ops.block(t).T)
+            # the second half is a view of the first
+            assert np.shares_memory(ops.block(t), ops.blocks[min(s, t)])
+
+
+def test_mirrored_level_stores_half_the_blocks(small_cache, drift_cache):
+    # a symmetric level stores the blocks of the first n/2 offsets, the
+    # drift kernel's every offset's; block(t) gives C_t for all n either way
+    n = len(transfer_offsets(CONFIG.dimension))
+    for cache, stored in ((small_cache, n // 2), (drift_cache, n)):
+        for ops in cache.m2l.values():
+            assert ops.blocks.shape == (stored, ops.rank, ops.row_basis.shape[1])
+            assert (ops.row_basis is ops.projector) == (stored < n)
+            assert [ops.block(t).shape for t in range(n)] == [ops.blocks[0].shape] * n
 
 
 def _counting(kernel):
@@ -448,7 +463,7 @@ def test_m2l_evaluates_a_mirrored_pair_once_per_pass():
         ops = ef.assemble_m2l(counted, config, 3, pair, 1e-6)
         assert len(calls) == passes * count
         assert set(calls) == {(pair.receiving.d, pair.radiating.d)}
-        assert ops.blocks.shape[0] == n
+        assert ops.blocks.shape[0] == count
 
 
 def test_m2l_blocks_are_dense_projections(small_cache, drift_kernel, drift_cache):
@@ -460,9 +475,11 @@ def test_m2l_blocks_are_dense_projections(small_cache, drift_kernel, drift_cache
             r_v = ops.row_basis.shape[1]
             exact = _exact_blocks(kernel, level, pair)
             assert ops.blocks.dtype == np.float64
-            assert ops.blocks.shape == (len(exact), ops.rank, r_v)
+            assert ops.blocks.shape == (operators._stored_blocks(
+                CONFIG.dimension, kernel.is_symmetric), ops.rank, r_v)
             assert all(ops.block_rank(t) == ops.rank for t in range(len(exact)))
-            for block, b in zip(ops.blocks, exact):
+            for t, b in enumerate(exact):
+                block = ops.block(t)
                 expect = ops.projector.T @ b @ ops.row_basis
                 assert np.abs(block - expect).max() <= 1e-13 * np.abs(expect).max()
 
@@ -559,7 +576,7 @@ def _assert_blocks_reconstructed(kernel, level, eims, ops, eps):
     exact = _exact_blocks(kernel, level, eims)
     fat_norm = np.sqrt(sum(np.linalg.norm(e) ** 2 for e in exact))
     for t, block in enumerate(exact):
-        approx = ops.projector @ ops.blocks[t] @ ops.row_basis.T
+        approx = ops.projector @ ops.block(t) @ ops.row_basis.T
         assert np.linalg.norm(approx - block) <= 5.0 * eps * fat_norm
 
 
@@ -668,6 +685,9 @@ def _assert_round_trip_bitwise(small_cache, tmp_path):
         expect_ops = small_cache.m2l[level]
         assert np.array_equal(got_ops.projector, expect_ops.projector)
         assert np.array_equal(got_ops.row_basis, expect_ops.row_basis)
+        # a mirrored level loads its one basis as one array, as it is built
+        assert ((got_ops.row_basis is got_ops.projector)
+                == (expect_ops.row_basis is expect_ops.projector))
         assert got_ops.blocks.dtype == expect_ops.blocks.dtype == np.float64
         assert np.array_equal(got_ops.blocks, expect_ops.blocks)
     # a second save of the loaded cache reproduces the file byte for byte
@@ -678,10 +698,15 @@ def _assert_round_trip_bitwise(small_cache, tmp_path):
 
 
 def test_cache_round_trip_bitwise(small_cache, tmp_path):
-    _assert_round_trip_bitwise(small_cache, tmp_path)
-    # a symmetric kernel's row basis is its column basis
-    for ops in small_cache.m2l.values():
-        assert np.array_equal(ops.row_basis, ops.projector)
+    loaded = _assert_round_trip_bitwise(small_cache, tmp_path)
+    # a symmetric kernel's level is mirrored: its row basis is its column
+    # basis, and every block(t) comes back bitwise
+    n = len(transfer_offsets(CONFIG.dimension))
+    for level, ops in loaded.m2l.items():
+        assert ops.row_basis is ops.projector
+        assert len(ops.blocks) == n // 2
+        for t in range(n):
+            assert np.array_equal(ops.block(t), small_cache.m2l[level].block(t))
 
 
 def test_transposed_receiving_models_share_the_cross_matrix(tmp_path):
@@ -739,9 +764,11 @@ def _model_record(model):
 
 
 def _transfer_record(ops):
-    """A transfer record: its rank and r_v, then its three arrays."""
-    return _record(ops.rank, ops.row_basis.shape[1],
-                   arrays=(ops.projector, ops.row_basis, ops.blocks))
+    """A transfer record: its mirrored flag, rank and r_v, then its
+    projector, its row basis unless mirrored, and its stored blocks."""
+    mirrored = ops.row_basis is ops.projector
+    return _record(mirrored, ops.rank, ops.row_basis.shape[1], arrays=(
+        ops.projector, *[ops.row_basis][:not mirrored], ops.blocks))
 
 
 def _two_model_bytes(cache):
@@ -789,7 +816,8 @@ def test_cache_refuses_version_2_file(small_cache, tmp_path):
     data = bytearray(path.read_bytes())
     offset = len(operators.CACHE_MAGIC)
     assert data[offset] == operators.CACHE_VERSION
-    for old in (2, operators.CACHE_VERSION - 1):
+    # version 10 stored both bases and every block of a symmetric level
+    for old in sorted({2, 10, operators.CACHE_VERSION - 1}):
         data[offset] = old
         path.write_bytes(bytes(data))
         with pytest.raises(ef.CacheVersionError, match=f"version {old}"):
@@ -1195,11 +1223,13 @@ def test_loaded_arrays_take_the_shapes_their_counts_give(name, dimension, tmp_pa
         assert len(loaded.m2m[k].matrices) == len(loaded.l2l[k].matrices) == 2**dimension
         assert all(m.shape == (d[k][0], d[k + 1][0]) for m in loaded.m2m[k].matrices)
         assert all(m.shape == (d[k + 1][1], d[k][1]) for m in loaded.l2l[k].matrices)
+    n = len(transfer_offsets(dimension))
     for k, ops in loaded.m2l.items():
         rank, r_v = ops.rank, ops.row_basis.shape[1]
         assert ops.projector.shape == (d[k][1], rank)
         assert ops.row_basis.shape == (d[k][0], r_v)
-        assert ops.blocks.shape == (len(transfer_offsets(dimension)), rank, r_v)
+        assert (ops.row_basis is ops.projector) == kernel.is_symmetric
+        assert ops.blocks.shape == (n // 2 if kernel.is_symmetric else n, rank, r_v)
     assert sorted(loaded.m2l) == ([config.depth] if kernel.scaling is not None
                                   else loaded.levels)
 
@@ -1218,24 +1248,73 @@ def test_cache_refuses_altered_count_words_under_valid_checksum(name, tmp_path):
     rank, r_v = ops.rank, ops.row_basis.shape[1]
     assert rank > 1 and r_v > 1
     # the deepest transfer record ends the body, behind the M2M/L2L from the
-    # level above, and opens with its counts
+    # level above, and opens with its mirrored flag and counts
     assert body.endswith(_record(arrays=cache.m2m[2].matrices + cache.l2l[2].matrices)
                          + _transfer_record(ops))
-    rank_at = len(body) - len(_transfer_record(ops))
+    rank_at = len(body) - len(_transfer_record(ops)) + 8
     first_at = _FIRST_COUNT_AT + len(name) - len(KERNEL.name)
     assert struct.unpack_from("<Q", body, first_at) == (cache.eims[2].radiating.d,)
 
-    def with_word(at, value):
-        return body[:at] + struct.pack("<Q", value) + body[at + 8:]
+    def with_words(at, *values):
+        return body[:at] + struct.pack(f"<{len(values)}Q", *values) + body[at + 8 * len(values):]
+
+    # a mirrored record holds r_v = rank: both counts move together
+    cases = [
+        (with_words(rank_at, rank + 1, r_v + 1), "cache file is truncated"),
+        (with_words(rank_at, rank - 1, r_v - 1), "trailing bytes in cache file"),
+        (with_words(rank_at, 2**40, 2**40), "cache file is truncated"),
+        (with_words(first_at, 2**40), "cache file is truncated"),
+    ]
+    if not kernel.is_symmetric:
+        cases += [(with_words(rank_at, rank + 1), "cache file is truncated"),
+                  (with_words(rank_at + 8, r_v - 1), "trailing bytes in cache file")]
+    for mangled, reason in cases:
+        _resigned(path, mangled)
+        with pytest.raises(ef.CacheCorruptError, match=reason):
+            ef.load_cache(path)
+
+
+def test_cache_refuses_mirrored_records_it_cannot_hold(small_cache, drift_cache,
+                                                       tmp_path):
+    # Each file below is re-signed, so only the record's own rules can
+    # refuse it: a mirrored flag above 1, a mirrored record on a level that
+    # stores its receiving model, and a mirrored record whose r_v is not its
+    # rank.  save_cache writes no mirrored record beside a stored
+    # receiving model.
+    path = tmp_path / "ops.bin"
+    bodies = {}
+    for cache in (small_cache, drift_cache):
+        ef.save_cache(cache, path)
+        body = path.read_bytes()[:-32]
+        ops = cache.m2l[CONFIG.depth]
+        assert body.endswith(_transfer_record(ops))
+        bodies[cache.key.kernel_id] = body, len(body) - len(_transfer_record(ops)), ops
+    body, flag_at, ops = bodies[KERNEL.name]
+    assert ops.row_basis is ops.projector
+    drift_body, drift_flag_at, drift_ops = bodies[drift_cache.key.kernel_id]
+    assert drift_ops.row_basis is not drift_ops.projector
+
+    def with_word(data, at, value):
+        return data[:at] + struct.pack("<Q", value) + data[at + 8:]
 
     cases = [
-        (with_word(rank_at, rank + 1), "cache file is truncated"),
-        (with_word(rank_at, rank - 1), "trailing bytes in cache file"),
-        (with_word(rank_at + 8, r_v - 1), "trailing bytes in cache file"),
-        (with_word(rank_at, 2**40), "cache file is truncated"),
-        (with_word(first_at, 2**40), "cache file is truncated"),
+        (with_word(body, flag_at, 2), "bad mirrored flag 2"),
+        (with_word(drift_body, drift_flag_at, 1),
+         "level 3: mirrored transfer record with a stored receiving model"),
+        (with_word(body, flag_at + 16, ops.rank - 1),
+         f"level 3: mirrored transfer record with r_v {ops.rank - 1} != rank {ops.rank}"),
     ]
     for mangled, reason in cases:
         _resigned(path, mangled)
         with pytest.raises(ef.CacheCorruptError, match=reason):
             ef.load_cache(path)
+    rad = small_cache.eims[3].radiating
+    twin = rad.transposed()
+    given = LevelEims(3, rad, EimModel(twin.x_points, twin.y_points, twin.basis_matrix,
+                                       twin.pivot_matrix, twin.residual_history,
+                                       twin.degenerate))
+    ef.save_cache(small_cache, path)
+    with pytest.raises(ValueError, match="level 3: mirrored transfer operators beside"):
+        ef.save_cache(dataclasses.replace(
+            small_cache, eims={**small_cache.eims, 3: given}), path)
+    assert ef.load_cache(path).key == small_cache.key
